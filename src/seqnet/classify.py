@@ -204,21 +204,24 @@ class LinearSVM(_TimedFit):
         xa = np.hstack([x, np.ones((len(x), 1))])
         n, d = xa.shape
         lam = 1.0 / (self.C * n)
+        k = len(self.classes_)
         rng = np.random.default_rng(self.seed)
-        self._w = np.zeros((len(self.classes_), d))
-        for c in range(len(self.classes_)):
-            signed = np.where(encoded == c, 1.0, -1.0)
-            w = np.zeros(d)
-            t = 0
-            for _ in range(self.epochs):
-                for i in rng.permutation(n):
-                    t += 1
-                    eta = 1.0 / (lam * t)
-                    if signed[i] * (w @ xa[i]) < 1.0:
-                        w = (1.0 - eta * lam) * w + eta * signed[i] * xa[i]
-                    else:
-                        w = (1.0 - eta * lam) * w
-            self._w[c] = w
+        # Each class visits the rows in its own per-epoch permutations, drawn
+        # class by class as if the classes were trained one after another;
+        # all k one-vs-rest weight vectors then advance in lockstep.
+        visits = np.array(
+            [rng.permutation(n) for _ in range(k * self.epochs)], dtype=np.intp
+        ).reshape(k, self.epochs * n)
+        signs = np.where(encoded[visits] == np.arange(k)[:, None], 1.0, -1.0)
+        w = np.zeros((k, d))
+        for t, (rows, s) in enumerate(zip(visits.T, signs.T), start=1):
+            xt = xa[rows]
+            eta = 1.0 / (lam * t)
+            # batched row @ column products are the same dot as ``w[c] @ xt[c]``
+            violated = s * np.matmul(w[:, None, :], xt[:, :, None])[:, 0, 0] < 1.0
+            w *= 1.0 - eta * lam
+            np.add(w, (eta * s)[:, None] * xt, out=w, where=violated[:, None])
+        self._w = w
 
     def predict_scores(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -226,12 +229,15 @@ class LinearSVM(_TimedFit):
         return xa @ self._w.T
 
 
+# Class-count cells in one block of the CART split scan. It keeps each float64
+# temporary of the scan to 8 MB unless a single feature needs more.
+_SCAN_CELLS = 1 << 20
+
+
 def _gini(counts):
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    frac = counts / total
-    return 1.0 - float((frac * frac).sum())
+    """Gini impurity of each row of a ``(..., classes)`` array of class counts."""
+    frac = counts / counts.sum(axis=-1, keepdims=True)
+    return 1.0 - (frac * frac).sum(axis=-1)
 
 
 @dataclass
@@ -249,10 +255,11 @@ class _Split:
 
 def _grow_tree(x, encoded, n_classes, depth, max_depth, min_leaf, m_features, rng):
     counts = np.bincount(encoded, minlength=n_classes).astype(np.float64)
+    impurity = _gini(counts)
     if (
         (max_depth is not None and depth >= max_depth)
         or len(x) < 2 * min_leaf
-        or _gini(counts) == 0.0
+        or impurity == 0.0
     ):
         return _Leaf(counts / counts.sum())
 
@@ -262,31 +269,44 @@ def _grow_tree(x, encoded, n_classes, depth, max_depth, min_leaf, m_features, rn
     else:
         features = np.arange(d)
 
-    parent_impurity = _gini(counts) * n
-    best = None  # (weighted impurity, feature, threshold)
-    for f in features:
-        order = np.argsort(x[:, f], kind="stable")
-        values = x[order, f]
-        labels = encoded[order]
-        left = np.zeros(n_classes)
-        right = counts.copy()
-        for i in range(n - 1):
-            c = labels[i]
-            left[c] += 1
-            right[c] -= 1
-            if values[i + 1] == values[i]:
-                continue
-            nl = i + 1
-            nr = n - nl
-            if nl < min_leaf or nr < min_leaf:
-                continue
-            weighted = _gini(left) * nl + _gini(right) * nr
-            if best is None or weighted < best[0] - 1e-12:
-                best = (weighted, int(f), float((values[i] + values[i + 1]) / 2.0))
-    if best is None or best[0] >= parent_impurity - 1e-12:
+    # Threshold i of a feature sends its i + 1 smallest rows left. The class
+    # counts on both sides of every threshold come from one cumulative sum of
+    # one-hot counts, taken over a block of features at a time to bound memory.
+    n_left = np.arange(1, n)
+    n_right = n - n_left
+    sizes_ok = (n_left >= min_leaf) & (n_right >= min_leaf)
+    one_hot = np.eye(n_classes)
+    block = max(1, _SCAN_CELLS // (n * n_classes))
+    best, best_split = np.inf, None  # weighted impurity, (feature, lo, hi)
+    for start in range(0, len(features), block):
+        cols = features[start : start + block]
+        block_x = x[:, cols]
+        order = np.argsort(block_x, axis=0, kind="stable")
+        values = np.take_along_axis(block_x, order, axis=0).T
+        left = np.cumsum(one_hot[encoded[order[:-1].T]], axis=1)
+        weighted = _gini(left) * n_left + _gini(counts - left) * n_right
+        # Row-major order is features by index, then thresholds ascending; a
+        # later candidate replaces the best only when lower by more than 1e-12.
+        candidates = np.flatnonzero(sizes_ok & (values[:, 1:] != values[:, :-1]))
+        scores = weighted.ravel()[candidates]
+        pos = 0
+        while True:
+            ahead = np.flatnonzero(scores[pos:] < best - 1e-12)
+            if not ahead.size:
+                break
+            pos += ahead[0]
+            f, i = divmod(int(candidates[pos]), n - 1)
+            best, best_split = scores[pos], (int(cols[f]), values[f, i], values[f, i + 1])
+            pos += 1
+    if best_split is None or best >= impurity * n - 1e-12:
         return _Leaf(counts / counts.sum())
 
-    _, feature, threshold = best
+    feature, lo, hi = best_split
+    threshold = float((lo + hi) / 2.0)
+    if threshold == hi:
+        # lo and hi are one ulp apart and the midpoint rounded up: a split at
+        # hi would send every row left.
+        threshold = float(lo)
     mask = x[:, feature] <= threshold
     return _Split(
         feature,
@@ -307,6 +327,9 @@ def _tree_scores(node, x, out, rows):
 
 class DecisionTree(_TimedFit):
     """Binary CART on Gini impurity with midpoint thresholds.
+
+    When two adjacent values are one ulp apart and their midpoint rounds up,
+    the lower value is the threshold, so both sides stay non-empty.
 
     Split ties go to the lower feature index then the lower threshold;
     ``max_depth=0`` yields a majority-class stump.

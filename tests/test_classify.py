@@ -1,7 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from classify_reference import grow_tree_reference, pegasos_reference
 from conftest import finite_difference, relative_error
+from hypothesis import given, settings, strategies as st
 
+from seqnet import classify
 from seqnet.classify import (
     DEFAULT_GRIDS,
     DecisionTree,
@@ -192,6 +197,63 @@ class TestLinearSVM:
         with pytest.raises(ConfigError):
             LinearSVM().fit(np.zeros((4, 2)), np.zeros(4))
 
+    @pytest.mark.parametrize("n_classes", [2, 3, 7])
+    @pytest.mark.parametrize("C", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("dim", [4, 16])
+    def test_weights_equal_per_class_reference(self, n_classes, C, dim):
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(35, dim))
+        encoded = rng.permutation(np.arange(35) % n_classes)
+        model = LinearSVM(C=C, epochs=4, seed=5).fit(x, encoded)
+        expected = pegasos_reference(x, encoded, n_classes, C, 4, 5)
+        assert np.array_equal(model._w, expected)
+
+
+@st.composite
+def tree_cases(draw):
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 4))
+    n_classes = draw(st.integers(1, 4))
+    # a handful of distinct values per case makes tied feature values common
+    pool = draw(st.lists(st.floats(-4, 4, allow_nan=False), min_size=1, max_size=6))
+    cells = draw(st.lists(st.sampled_from(pool), min_size=n * d, max_size=n * d))
+    labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
+    return dict(
+        x=np.array(cells).reshape(n, d),
+        encoded=np.array(labels),
+        n_classes=n_classes,
+        max_depth=draw(st.none() | st.integers(0, 5)),
+        min_leaf=draw(st.integers(1, 4)),
+        m_features=draw(st.none() | st.integers(1, d)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        scan_cells=draw(st.sampled_from([1, 64, classify._SCAN_CELLS])),
+    )
+
+
+def assert_same_tree(got, expected):
+    if isinstance(expected, classify._Leaf):
+        assert isinstance(got, classify._Leaf)
+        assert np.array_equal(got.probs, expected.probs)
+        return
+    assert isinstance(got, classify._Split)
+    assert (got.feature, got.threshold) == (expected.feature, expected.threshold)
+    assert_same_tree(got.left, expected.left)
+    assert_same_tree(got.right, expected.right)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree_cases())
+def test_grow_tree_equals_scalar_reference(case):
+    args = (
+        case["x"], case["encoded"], case["n_classes"], 0,
+        case["max_depth"], case["min_leaf"], case["m_features"],
+    )
+    expected = grow_tree_reference(*args, np.random.default_rng(case["seed"]))
+    # small scan blocks split the features of a node across several blocks
+    with mock.patch.object(classify, "_SCAN_CELLS", case["scan_cells"]):
+        got = classify._grow_tree(*args, np.random.default_rng(case["seed"]))
+    assert_same_tree(got, expected)
+
 
 class TestDecisionTree:
     def test_pure_input_single_leaf(self):
@@ -239,6 +301,26 @@ class TestDecisionTree:
         )
         got = weighted_gini(x[:, root.feature] <= root.threshold)
         assert got == pytest.approx(best)
+
+    def test_near_tie_keeps_the_earlier_feature(self):
+        # Both splits weigh 14/5 exactly. In floating point the feature-1 split
+        # scores one rounding error lower, inside the 1e-12 tie tolerance.
+        x = np.array([[0, 1], [0, 1], [1, 1], [1, 1], [0, 0], [0, 0], [0, 1]], dtype=float)
+        y = np.array([0, 1, 1, 1, 2, 2, 2])
+        model = DecisionTree(max_depth=1).fit(x, y)
+        assert model._root.feature == 0
+
+    @pytest.mark.parametrize("max_depth", [None, 3])
+    def test_one_ulp_gap_splits_at_lower_value(self, max_depth):
+        lo = np.nextafter(1.0, 2.0)
+        hi = np.nextafter(lo, 2.0)
+        assert (lo + hi) / 2.0 == hi  # the midpoint rounds up
+        x = np.array([[lo], [hi]])
+        y = np.array([0, 1])
+        model = DecisionTree(max_depth=max_depth).fit(x, y)
+        assert model._root.threshold == lo
+        assert model.predict(x).tolist() == [0, 1]
+        assert np.isfinite(model.predict_scores(x)).all()
 
     def test_training_accuracy_one_on_distinct_points(self):
         rng = np.random.default_rng(7)
