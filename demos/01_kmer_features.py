@@ -53,10 +53,12 @@ assert reloaded == dataset  # the FASTA round trip is exact
 
 matrix = featurize_dataset(dataset, k=3)
 save_features(matrix, out_dir / "features.csv")
-occupied = sum(len(row.counts) for row in matrix.rows) / matrix.n
+# The matrix is stored as one scipy CSR matrix: n rows, 20^k columns.
+counts = matrix.to_csr()
+occupied = counts.nnz / matrix.n
 print(f"\n{matrix.n} sequences featurized at k=3")
 print(f"logical vector length: {matrix.logical_length} (= 20^3)")
 print(f"mean occupied bins per row: {occupied:.0f} "
       f"({occupied / matrix.logical_length:.0%} of the logical length)")
-print(f"every row sums to {matrix.rows[0].total()} = (300 - 3) + 1")
+print(f"every row sums to {counts[0].sum():.0f} = (300 - 3) + 1")
 print(f"\nwrote {fasta_path} and {out_dir / 'features.csv'}")

@@ -19,24 +19,14 @@ import argparse
 import hashlib
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, classify as classify_mod, cluster as cluster_mod
 from .config import PipelineConfig, apply_overrides, config_items, load_config
-from .embed import (
-    EMBED_METHODS,
-    WalkConfig,
-    deepwalk,
-    graph_factorization,
-    hope_embed,
-    laplacian_eigenmaps,
-    lle_embed,
-    load_embedding,
-    node2vec,
-    save_embedding,
-)
+from .embed import EMBED_METHODS, WalkConfig, load_embedding, save_embedding
 from .errors import ConfigError, ParseError, SeqnetError
 from .evalmetrics import cluster_quality
 from .featurize import featurize_dataset, load_features, save_features
@@ -93,18 +83,25 @@ def _effective(args) -> PipelineConfig:
     return apply_overrides(config, overrides)
 
 
-def _walk_config(cfg: PipelineConfig, seed: int) -> WalkConfig:
-    return WalkConfig(
-        walks_per_node=cfg.walks_per_node,
-        walk_length=cfg.walk_length,
-        p=cfg.p,
-        q=cfg.q,
-        window=cfg.window,
-        negatives=cfg.negatives,
-        epochs=cfg.epochs,
-        learning_rate=cfg.learning_rate,
-        seed=seed,
-    )
+def _walk_config(cfg: PipelineConfig) -> WalkConfig:
+    return WalkConfig(**{f.name: getattr(cfg, f.name) for f in fields(WalkConfig)})
+
+
+def _on_disconnected(args) -> str:
+    return "largest" if args.allow_disconnected else "error"
+
+
+# keyword arguments of each EMBED_METHODS entry beyond the graph and d
+_EMBED_OPTIONS = {
+    "laplacian_eigenmaps": lambda cfg, args: {"on_disconnected": _on_disconnected(args)},
+    "lle": lambda cfg, args: {"on_disconnected": _on_disconnected(args)},
+    "hope": lambda cfg, args: {"beta": args.beta},
+    "graph_factorization": lambda cfg, args: {
+        "lam": args.lam, "lr": args.gf_lr, "epochs": args.gf_epochs, "seed": cfg.seed,
+    },
+    "deepwalk": lambda cfg, args: {"config": _walk_config(cfg)},
+    "node2vec": lambda cfg, args: {"config": _walk_config(cfg)},
+}
 
 
 def _parse_per_lineage(text, lineages):
@@ -180,22 +177,7 @@ def cmd_embed(args):
     method = cfg.method
     if method not in EMBED_METHODS:
         raise ConfigError(f"unknown embedding method {method!r}")
-    on_disconnected = "largest" if args.allow_disconnected else "error"
-    if method == "laplacian_eigenmaps":
-        embedding = laplacian_eigenmaps(graph, cfg.dim, on_disconnected)
-    elif method == "lle":
-        embedding = lle_embed(graph, cfg.dim, on_disconnected)
-    elif method == "hope":
-        embedding = hope_embed(graph, cfg.dim, beta=args.beta)
-    elif method == "graph_factorization":
-        embedding = graph_factorization(
-            graph, cfg.dim, lam=args.lam, lr=args.gf_lr, epochs=args.gf_epochs,
-            seed=cfg.seed,
-        )
-    elif method == "deepwalk":
-        embedding = deepwalk(graph, cfg.dim, _walk_config(cfg, cfg.seed))
-    else:
-        embedding = node2vec(graph, cfg.dim, _walk_config(cfg, cfg.seed))
+    embedding = EMBED_METHODS[method](graph, cfg.dim, **_EMBED_OPTIONS[method](cfg, args))
     save_embedding(embedding, args.output)
     _write_sidecar(args.output, "embed", cfg, [args.input], {"method": method})
     print(f"embed: {method} -> {embedding.n} x {embedding.d}")
@@ -237,12 +219,9 @@ def cmd_cluster(args):
         raise ConfigError(f"unknown clustering method {method!r}")
     runtime = time.perf_counter() - t0
 
-    with open(args.output, "w") as fh:
-        if cfg.timings:
-            fh.write(f"# runtime_sec={runtime!r}\n")
-        fh.write("node_index,cluster\n")
-        for i, lab in enumerate(assignment.labels):
-            fh.write(f"{i},{int(lab)}\n")
+    cluster_mod.save_assignment(
+        assignment, args.output, runtime_sec=runtime if cfg.timings else None
+    )
     _write_sidecar(
         args.output, "cluster", cfg, inputs,
         {"cluster_method": method, "k_found": assignment.k_found},

@@ -225,7 +225,7 @@ def agglomerative(
     if linkage == "average":
         cross = pairwise_distances_fast(x)  # cross[a, b] = sum of pairwise distances
     members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    adj: dict[int, set[int]] = {i: set(graph.neighbors[i]) for i in range(n)}
+    adj: dict[int, set[int]] = {i: set(graph.neighbors(i).tolist()) for i in range(n)}
     active = set(range(n))
     forced = 0
 
@@ -482,9 +482,14 @@ def elbow_select_k(
     return ElbowCurve(tuple(ks), tuple(sse), tuple(runtimes), ks[knee_index(ks, sse)])
 
 
-def save_assignment(assignment: ClusterAssignment, path) -> None:
-    """Write labels as a node_index,cluster CSV."""
+def save_assignment(
+    assignment: ClusterAssignment, path, runtime_sec: Optional[float] = None
+) -> None:
+    """Write labels as a node_index,cluster CSV, after a ``# runtime_sec=``
+    comment line when a runtime is given."""
     with open(path, "w") as fh:
+        if runtime_sec is not None:
+            fh.write(f"# runtime_sec={runtime_sec!r}\n")
         fh.write("node_index,cluster\n")
         for i, lab in enumerate(assignment.labels):
             fh.write(f"{i},{int(lab)}\n")

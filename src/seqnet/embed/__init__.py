@@ -7,7 +7,7 @@ trainer; DeepWalk is exactly Node2Vec at p = q = 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -60,19 +60,7 @@ def node2vec(graph, d: int = 200, config: Optional[WalkConfig] = None) -> Embedd
 
 def deepwalk(graph, d: int = 200, config: Optional[WalkConfig] = None) -> EmbeddingMatrix:
     """Uniform-walk special case: Node2Vec with p = q = 1 on the same seed."""
-    config = config or WalkConfig()
-    if config.p != 1.0 or config.q != 1.0:
-        config = WalkConfig(
-            walks_per_node=config.walks_per_node,
-            walk_length=config.walk_length,
-            p=1.0,
-            q=1.0,
-            window=config.window,
-            negatives=config.negatives,
-            epochs=config.epochs,
-            learning_rate=config.learning_rate,
-            seed=config.seed,
-        )
+    config = replace(config or WalkConfig(), p=1.0, q=1.0)
     out = node2vec(graph, d, config)
     return EmbeddingMatrix(out.vectors, "deepwalk", d, info=out.info)
 

@@ -55,7 +55,7 @@ def graph_factorization(
         raise ConfigError("epochs must be >= 1")
     rng = np.random.default_rng(seed)
     y = rng.uniform(-0.1, 0.1, size=(graph.n, d))
-    edges = np.asarray(list(graph.edges()), dtype=np.int64).reshape(-1, 2)
+    edges = graph.edge_array()
 
     for _ in range(epochs):
         for e in rng.permutation(len(edges)):

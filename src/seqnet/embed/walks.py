@@ -48,20 +48,26 @@ class WalkCorpus:
         return len(self.walks)
 
 
+def _bias_weights(
+    prev: int, prev_nbrs: np.ndarray, nbrs: np.ndarray, p: float, q: float
+) -> np.ndarray:
+    """Unnormalized p/q weights for stepping to each of ``nbrs`` after ``prev``.
+
+    Returning to ``prev`` weighs 1/p, a neighbor of ``prev`` (membership by
+    binary search in its sorted neighbor row) weighs 1, anything else 1/q.
+    """
+    pos = np.minimum(np.searchsorted(prev_nbrs, nbrs), len(prev_nbrs) - 1)
+    weights = np.where(prev_nbrs[pos] == nbrs, 1.0, 1.0 / q)
+    weights[nbrs == prev] = 1.0 / p
+    return weights
+
+
 def step_distribution(
     graph: SimilarityNetwork, prev: int, cur: int, p: float, q: float
-) -> tuple[tuple[int, ...], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Neighbors of ``cur`` and their transition probabilities given ``prev``."""
-    nbrs = graph.neighbors[cur]
-    prev_nbrs = set(graph.neighbors[prev])
-    weights = np.empty(len(nbrs))
-    for idx, x in enumerate(nbrs):
-        if x == prev:
-            weights[idx] = 1.0 / p
-        elif x in prev_nbrs:
-            weights[idx] = 1.0
-        else:
-            weights[idx] = 1.0 / q
+    nbrs = graph.neighbors(cur)
+    weights = _bias_weights(prev, graph.neighbors(prev), nbrs, p, q)
     return nbrs, weights / weights.sum()
 
 
@@ -73,9 +79,8 @@ def generate_walks(graph: SimilarityNetwork, config: WalkConfig) -> WalkCorpus:
     """
     rng = np.random.default_rng(config.seed)
     n = graph.n
-    neighbors = [np.asarray(nb, dtype=np.int64) for nb in graph.neighbors]
+    neighbors = [graph.neighbors(u) for u in range(n)]
     uniform = config.p == 1.0 and config.q == 1.0
-    neighbor_sets = None if uniform else [set(nb) for nb in graph.neighbors]
 
     walks = []
     for _ in range(config.walks_per_node):
@@ -91,17 +96,7 @@ def generate_walks(graph: SimilarityNetwork, config: WalkConfig) -> WalkCorpus:
                     nxt = int(nbrs[int(draws[step] * nbrs.size)])
                 else:
                     prev = walk[-2]
-                    prev_set = neighbor_sets[prev]
-                    weights = np.empty(nbrs.size)
-                    inv_p, inv_q = 1.0 / config.p, 1.0 / config.q
-                    for idx in range(nbrs.size):
-                        x = int(nbrs[idx])
-                        if x == prev:
-                            weights[idx] = inv_p
-                        elif x in prev_set:
-                            weights[idx] = 1.0
-                        else:
-                            weights[idx] = inv_q
+                    weights = _bias_weights(prev, neighbors[prev], nbrs, config.p, config.q)
                     cumulative = np.cumsum(weights)
                     pos = int(
                         np.searchsorted(cumulative, draws[step] * cumulative[-1], side="right")

@@ -8,8 +8,9 @@ length-1274 sequence touches at most 1272 of the 8000 k=3 bins.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -91,14 +92,8 @@ class FrequencyVector:
         return dense
 
 
-def compute_frequency_vector(
-    seq: str, k: int, skip_invalid: bool = False
-) -> FrequencyVector:
-    """Slide a width-k window over ``seq`` and count each k-mer by rank.
-
-    Windows containing an out-of-alphabet character are skipped when
-    ``skip_invalid`` is set, otherwise they raise :class:`AlphabetError`.
-    """
+def _kmer_counts(seq: str, k: int, skip_invalid: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct k-mer ranks of ``seq`` and how often each occurs."""
     if k < 1:
         raise MerSizeError(f"k must be >= 1, got {k}")
     n = len(seq)
@@ -116,58 +111,69 @@ def compute_frequency_vector(
     ranks = windows @ powers
     if invalid.any():
         ranks = ranks[~sliding_window_view(invalid, k).any(axis=1)]
-    uniq, cnt = np.unique(ranks, return_counts=True)
+    return np.unique(ranks, return_counts=True)
+
+
+def compute_frequency_vector(
+    seq: str, k: int, skip_invalid: bool = False
+) -> FrequencyVector:
+    """Slide a width-k window over ``seq`` and count each k-mer by rank.
+
+    Windows containing an out-of-alphabet character are skipped when
+    ``skip_invalid`` is set, otherwise they raise :class:`AlphabetError`.
+    """
+    uniq, cnt = _kmer_counts(seq, k, skip_invalid)
     counts = {int(r): int(c) for r, c in zip(uniq, cnt)}
     return FrequencyVector(counts, k, _NSYM**k)
 
 
 class FeatureMatrix:
-    """Stack of frequency vectors aligned with dataset row order."""
+    """k-mer counts of a dataset, one CSR row per record in dataset order.
 
-    def __init__(self, rows: Iterable[FrequencyVector], k: int):
-        rows = tuple(rows)
-        for row in rows:
-            if row.k != k:
-                raise ValueError(f"row with k={row.k} in a k={k} matrix")
-        self.rows = rows
+    ``matrix`` is an n x 20^k ``scipy.sparse.csr_matrix`` of float64 counts
+    with sorted, duplicate-free column indices.
+    """
+
+    def __init__(self, matrix: sparse.csr_matrix, k: int):
+        if matrix.shape[1] != _NSYM**k:
+            raise ValueError(f"{matrix.shape[1]} columns in a k={k} matrix")
+        self.matrix = matrix
         self.k = k
         self.logical_length = _NSYM**k
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return self.matrix.shape[0]
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self.n
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FeatureMatrix)
             and self.k == other.k
-            and len(self.rows) == len(other.rows)
-            and all(a.counts == b.counts for a, b in zip(self.rows, other.rows))
+            and self.n == other.n
+            and np.array_equal(self.matrix.indptr, other.matrix.indptr)
+            and np.array_equal(self.matrix.indices, other.matrix.indices)
+            and np.array_equal(self.matrix.data, other.matrix.data)
         )
 
     def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.n, self.logical_length), dtype=np.float64)
-        for i, row in enumerate(self.rows):
-            for rank, cnt in row.counts.items():
-                dense[i, rank] = cnt
-        return dense
+        return self.matrix.toarray()
 
     def to_csr(self) -> sparse.csr_matrix:
-        indptr = [0]
-        indices: list[int] = []
-        data: list[int] = []
-        for row in self.rows:
-            ranks = sorted(row.counts)
-            indices.extend(ranks)
-            data.extend(row.counts[r] for r in ranks)
-            indptr.append(len(indices))
-        return sparse.csr_matrix(
-            (np.asarray(data, dtype=np.float64), indices, indptr),
-            shape=(self.n, self.logical_length),
-        )
+        return self.matrix
+
+
+def _feature_matrix(n: int, k: int, row_lengths, indices, data) -> FeatureMatrix:
+    """FeatureMatrix from row-major, per-row sorted ranks and their counts."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(row_lengths, out=indptr[1:])
+    matrix = sparse.csr_matrix(
+        (np.asarray(data, dtype=np.float64), np.asarray(indices, dtype=np.int64), indptr),
+        shape=(n, _NSYM**k),
+    )
+    return FeatureMatrix(matrix, k)
 
 
 def featurize_dataset(dataset: Dataset, k: int = 3) -> FeatureMatrix:
@@ -176,26 +182,37 @@ def featurize_dataset(dataset: Dataset, k: int = 3) -> FeatureMatrix:
     Out-of-alphabet residues are tolerated: windows containing them are
     skipped rather than failing the whole record.
     """
-    rows = []
+    ranks, counts = [], []
     for rec in dataset:
         try:
-            rows.append(compute_frequency_vector(rec.residues, k, skip_invalid=True))
+            uniq, cnt = _kmer_counts(rec.residues, k, skip_invalid=True)
         except MerSizeError as exc:
             raise MerSizeError(f"record {rec.id!r}: {exc}") from exc
-    return FeatureMatrix(rows, k)
+        ranks.append(uniq)
+        counts.append(cnt)
+    return _feature_matrix(
+        len(ranks), k, [len(r) for r in ranks],
+        np.concatenate(ranks or [[]]), np.concatenate(counts or [[]]),
+    )
 
 
 def save_features(matrix: FeatureMatrix, path) -> None:
     """Write the sparse triplet CSV: one metadata header line, then row,rank,count."""
+    x = matrix.to_csr()
+    indptr, ranks, counts = x.indptr.tolist(), x.indices.tolist(), x.data.astype(np.int64).tolist()
     with open(path, "w") as fh:
         fh.write(f"# n={matrix.n} k={matrix.k} logical_length={matrix.logical_length}\n")
-        for i, row in enumerate(matrix.rows):
-            for rank in sorted(row.counts):
-                fh.write(f"{i},{rank},{row.counts[rank]}\n")
+        for i in range(matrix.n):
+            start, stop = indptr[i], indptr[i + 1]
+            for rank, cnt in zip(ranks[start:stop], counts[start:stop]):
+                fh.write(f"{i},{rank},{cnt}\n")
 
 
 def load_features(path) -> FeatureMatrix:
-    """Read a triplet CSV written by :func:`save_features`."""
+    """Read a triplet CSV written by :func:`save_features`.
+
+    Triplets may come in any order; a repeated (row, rank) pair is an error.
+    """
     with open(path) as fh:
         header = fh.readline().strip()
         fields = {}
@@ -210,7 +227,7 @@ def load_features(path) -> FeatureMatrix:
         logical_length = int(fields["logical_length"])
         if logical_length != _NSYM**k:
             raise ParseError(f"logical_length {logical_length} != 20^{k}", line=1)
-        counts: list[dict[int, int]] = [dict() for _ in range(n)]
+        triplets = array("q")  # row, rank, count, line number
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -218,12 +235,18 @@ def load_features(path) -> FeatureMatrix:
             parts = line.split(",")
             if len(parts) != 3:
                 raise ParseError(f"expected row,rank,count got {line!r}", line=lineno)
-            i, rank, cnt = (int(p) for p in parts)
+            i, rank, cnt = map(int, parts)
             if not 0 <= i < n or not 0 <= rank < logical_length or cnt <= 0:
                 raise ParseError(f"triplet out of range: {line!r}", line=lineno)
-            counts[i][rank] = cnt
-    rows = [FrequencyVector(c, k, _NSYM**k) for c in counts]
-    return FeatureMatrix(rows, k)
+            triplets.extend((i, rank, cnt, lineno))
+    rows, ranks, counts, linenos = np.frombuffer(triplets, dtype=np.int64).reshape(-1, 4).T
+    order = np.lexsort((ranks, rows))  # stable: a repeat sorts after its first line
+    rows, ranks = rows[order], ranks[order]
+    repeat = np.flatnonzero((rows[1:] == rows[:-1]) & (ranks[1:] == ranks[:-1])) + 1
+    if repeat.size:
+        lineno = int(linenos[order[repeat]].min())
+        raise ParseError(f"duplicate (row, rank) triplet in {path}", line=lineno)
+    return _feature_matrix(n, k, np.bincount(rows, minlength=n), ranks, counts[order])
 
 
 def save_features_dense(matrix: FeatureMatrix, path) -> None:

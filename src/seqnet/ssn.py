@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 
 from .errors import NeighborCountError, ParseError
 from .featurize import FeatureMatrix
@@ -22,50 +23,77 @@ from .featurize import FeatureMatrix
 _TILE_ROWS = 512
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimilarityNetwork:
-    """Undirected simple graph with sorted neighbor lists and node metadata."""
+    """Undirected simple graph plus node metadata.
 
-    neighbors: tuple[tuple[int, ...], ...]
+    ``adjacency`` is a symmetric n x n ``scipy.sparse.csr_matrix`` of ones
+    with sorted column indices and an empty diagonal, so row u lists the
+    neighbors of u in ascending order.
+    """
+
+    adjacency: sparse.csr_matrix
     node_ids: tuple[str, ...]
     labels: Optional[tuple[Optional[str], ...]] = None
 
     def __post_init__(self):
-        if len(self.node_ids) != len(self.neighbors):
+        if len(self.node_ids) != self.n:
             raise ValueError("node_ids length does not match node count")
-        if self.labels is not None and len(self.labels) != len(self.neighbors):
+        if self.labels is not None and len(self.labels) != self.n:
             raise ValueError("labels length does not match node count")
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, SimilarityNetwork)
+            and self.node_ids == other.node_ids
+            and self.labels == other.labels
+            and np.array_equal(self.adjacency.indptr, other.adjacency.indptr)
+            and np.array_equal(self.adjacency.indices, other.adjacency.indices)
+        )
 
     @property
     def n(self) -> int:
-        return len(self.neighbors)
+        return self.adjacency.shape[0]
 
     @property
     def num_edges(self) -> int:
-        return sum(len(nb) for nb in self.neighbors) // 2
+        return self.adjacency.nnz // 2
+
+    def neighbors(self, u: int) -> np.ndarray:
+        indptr = self.adjacency.indptr
+        return self.adjacency.indices[indptr[u] : indptr[u + 1]]
 
     def degree(self, i: int) -> int:
-        return len(self.neighbors[i])
+        return int(self.adjacency.indptr[i + 1] - self.adjacency.indptr[i])
+
+    def edge_array(self) -> np.ndarray:
+        """(num_edges, 2) int64 array of the edges u < v, ordered by (u, v)."""
+        adj = self.adjacency
+        u = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(adj.indptr))
+        upper = adj.indices > u
+        return np.column_stack([u[upper], adj.indices[upper].astype(np.int64)])
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u, nbrs in enumerate(self.neighbors):
-            for v in nbrs:
-                if u < v:
-                    yield (u, v)
+        return map(tuple, self.edge_array().tolist())
 
     def has_edge(self, u: int, v: int) -> bool:
-        nbrs = self.neighbors[u]
+        nbrs = self.neighbors(u)
         pos = np.searchsorted(nbrs, v)
         return pos < len(nbrs) and nbrs[pos] == v
 
-    def neighbor_sets(self) -> list[set]:
-        return [set(nb) for nb in self.neighbors]
-
     def adjacency_matrix(self) -> np.ndarray:
-        adj = np.zeros((self.n, self.n), dtype=np.float64)
-        for u, v in self.edges():
-            adj[u, v] = adj[v, u] = 1.0
-        return adj
+        return self.adjacency.toarray()
+
+
+def _network(adjacency, node_ids, labels) -> SimilarityNetwork:
+    """Wrap a canonical 0/1 CSR adjacency; default ids are the node indices."""
+    adjacency.data[:] = 1.0
+    n = adjacency.shape[0]
+    ids = tuple(node_ids) if node_ids is not None else tuple(str(i) for i in range(n))
+    labs = None
+    if labels is not None and any(l is not None for l in labels):
+        labs = tuple(labels)
+    return SimilarityNetwork(adjacency, ids, labs)
 
 
 def network_from_edges(
@@ -74,20 +102,20 @@ def network_from_edges(
     node_ids: Optional[Sequence[str]] = None,
     labels: Optional[Sequence[Optional[str]]] = None,
 ) -> SimilarityNetwork:
-    """Build a network from an edge list, deduplicating and sorting neighbors."""
-    nbrs: list[set] = [set() for _ in range(n)]
-    for u, v in edges:
-        if u == v:
-            continue
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    ids = tuple(node_ids) if node_ids is not None else tuple(str(i) for i in range(n))
-    labs = None
-    if labels is not None and any(l is not None for l in labels):
-        labs = tuple(labels)
-    return SimilarityNetwork(tuple(tuple(sorted(s)) for s in nbrs), ids, labs)
+    """Build a network from an edge list; self-loops and repeats are dropped."""
+    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    outside = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
+    if outside.size:
+        u, v = pairs[outside[0]]
+        raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+    u, v = pairs.T
+    arcs = sparse.csr_matrix(
+        (np.ones(2 * len(pairs)), (np.concatenate([u, v]), np.concatenate([v, u]))),
+        shape=(n, n),
+    )
+    arcs.sum_duplicates()
+    return _network(arcs, node_ids, labels)
 
 
 def _feature_array(features):
@@ -149,50 +177,32 @@ def build_ssn(
         stop = min(start + _TILE_ROWS, n)
         knn_lists[start:stop] = _knn_tile(x, sq, start, stop, k)
 
-    edges = []
+    knn = sparse.csr_matrix(
+        (np.ones(n * k), np.sort(knn_lists, axis=1).ravel(), np.arange(0, n * k + 1, k)),
+        shape=(n, n),
+    )
     if mode == "union":
-        for i in range(n):
-            for j in knn_lists[i]:
-                edges.append((i, int(j)))
+        adjacency = knn + knn.T
     else:
-        sets = [set(int(j) for j in knn_lists[i]) for i in range(n)]
-        for i in range(n):
-            for j in knn_lists[i]:
-                if i in sets[int(j)]:
-                    edges.append((i, int(j)))
-    return network_from_edges(n, edges, node_ids=node_ids, labels=labels)
+        adjacency = knn.multiply(knn.T).tocsr()
+    adjacency.sort_indices()
+    return _network(adjacency, node_ids, labels)
 
 
 def connected_components(graph: SimilarityNetwork) -> np.ndarray:
     """Component id per node; ids dense, ordered by smallest contained index."""
-    comp = np.full(graph.n, -1, dtype=np.int64)
-    cid = 0
-    for root in range(graph.n):
-        if comp[root] >= 0:
-            continue
-        stack = [root]
-        comp[root] = cid
-        while stack:
-            u = stack.pop()
-            for v in graph.neighbors[u]:
-                if comp[v] < 0:
-                    comp[v] = cid
-                    stack.append(v)
-        cid += 1
-    return comp
+    _, comp = csgraph.connected_components(graph.adjacency, directed=False)
+    return comp.astype(np.int64)
 
 
 def subgraph(graph: SimilarityNetwork, nodes: Sequence[int]) -> SimilarityNetwork:
     """Induced subgraph with nodes renumbered in the given order."""
-    index = {int(v): i for i, v in enumerate(nodes)}
-    edges = [
-        (index[u], index[v])
-        for u, v in graph.edges()
-        if u in index and v in index
-    ]
+    keep = np.asarray(nodes, dtype=np.int64)
+    adjacency = graph.adjacency[keep][:, keep]
+    adjacency.sort_indices()
     ids = tuple(graph.node_ids[v] for v in nodes)
     labs = tuple(graph.labels[v] for v in nodes) if graph.labels else None
-    return network_from_edges(len(nodes), edges, node_ids=ids, labels=labs)
+    return _network(adjacency, ids, labs)
 
 
 def _default_nodes_path(edges_path) -> str:

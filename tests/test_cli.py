@@ -105,7 +105,7 @@ class TestPipelineCommands:
         out = tmp_path / "f.csv"
         assert run("featurize", "--input", fasta, "--output", out, "--k", 3) == 0
         matrix = load_features(out)
-        assert matrix.rows[0].total() == 1272
+        assert matrix.to_csr()[0].sum() == 1272
 
     def test_graph_export_round_trip(self, pipeline_dir):
         graph = load_graph(pipeline_dir / "graph.tsv")

@@ -162,7 +162,7 @@ class TestAgglomerative:
             centroid = x.astype(float).copy()
             cross = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(-1))
             members = {i: [i] for i in range(n)}
-            adj = {i: set(graph.neighbors[i]) for i in range(n)}
+            adj = {i: set(graph.neighbors(i)) for i in range(n)}
             active = set(range(n))
 
             def cost(a, b):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from featurize_reference import counts_reference, csr_reference
+from hypothesis import given, settings, strategies as st
 
-from seqnet.errors import AlphabetError, MerSizeError
+from seqnet.errors import AlphabetError, MerSizeError, ParseError
 from seqnet.featurize import (
     FeatureMatrix,
     compute_frequency_vector,
@@ -13,6 +15,12 @@ from seqnet.featurize import (
     total_kmers,
 )
 from seqnet.seqio import ALPHABET, Dataset, SequenceRecord, synthesize_dataset
+
+
+def row_counts(matrix, i):
+    """Row i of the CSR matrix as a rank -> count dict."""
+    row = matrix.to_csr()[i]
+    return dict(zip(row.indices.tolist(), row.data.astype(int).tolist()))
 
 
 def random_strict_sequence(rng, length):
@@ -106,7 +114,7 @@ class TestFeaturizeDataset:
     def test_identical_sequences_identical_rows(self):
         ds = Dataset([SequenceRecord("a", "ACDEAC"), SequenceRecord("b", "ACDEAC")])
         mat = featurize_dataset(ds, k=2)
-        assert mat.rows[0].counts == mat.rows[1].counts
+        assert row_counts(mat, 0) == row_counts(mat, 1)
 
     def test_empty_dataset(self):
         mat = featurize_dataset(Dataset([]), k=3)
@@ -115,8 +123,8 @@ class TestFeaturizeDataset:
     def test_row_order_matches_dataset(self):
         ds = synthesize_dataset(2, [3, 3], 50, 0.1, 10, seed=2)
         mat = featurize_dataset(ds, k=3)
-        for rec, row in zip(ds, mat.rows):
-            assert row.counts == compute_frequency_vector(rec.residues, 3).counts
+        for i, rec in enumerate(ds):
+            assert row_counts(mat, i) == compute_frequency_vector(rec.residues, 3).counts
 
     def test_permutation_equivariance(self):
         ds = synthesize_dataset(2, [4, 4], 40, 0.2, 8, seed=6)
@@ -125,7 +133,7 @@ class TestFeaturizeDataset:
         mat = featurize_dataset(ds, k=2)
         mat_perm = featurize_dataset(permuted, k=2)
         for out_pos, src in enumerate(perm):
-            assert mat_perm.rows[out_pos].counts == mat.rows[src].counts
+            assert row_counts(mat_perm, out_pos) == row_counts(mat, src)
 
     def test_short_record_error_names_record(self):
         ds = Dataset([SequenceRecord("tiny", "AC")])
@@ -146,6 +154,20 @@ class TestMatrixExport:
         save_features(mat, path)
         assert load_features(path) == mat
 
+    def test_unordered_triplets_load(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("# n=2 k=1 logical_length=20\n1,4,2\n0,7,1\n1,0,3\n")
+        dense = load_features(path).to_dense()
+        assert dense[0, 7] == 1 and dense[1, 0] == 3 and dense[1, 4] == 2
+        assert dense.sum() == 6
+
+    def test_duplicate_triplet_rejected(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("# n=2 k=1 logical_length=20\n0,3,1\n1,0,2\n\n0,3,4\n1,0,2\n")
+        with pytest.raises(ParseError, match="duplicate") as err:
+            load_features(path)
+        assert err.value.line == 5
+
     def test_triplet_header_records_shape(self, tmp_path):
         ds = synthesize_dataset(1, [2], 30, 0.0, 0, seed=0)
         mat = featurize_dataset(ds, k=2)
@@ -165,3 +187,20 @@ class TestMatrixExport:
         assert len(lines) == 4  # header + 3 rows
         parsed = np.array([[int(v) for v in line.split(",")] for line in lines[1:]])
         assert np.array_equal(parsed, mat.to_dense())
+
+
+RESIDUES = st.text(alphabet=ALPHABET + "XBZ*-", min_size=3, max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(RESIDUES, max_size=6), st.integers(1, 3))
+def test_featurize_matches_stacked_reference_counts(seqs, k):
+    ds = Dataset(SequenceRecord(str(i), seq) for i, seq in enumerate(seqs))
+    got = featurize_dataset(ds, k=k).to_csr()
+    want = csr_reference([counts_reference(seq, k) for seq in seqs], k)
+    assert got.shape == want.shape
+    assert got.dtype == np.float64
+    assert got.has_canonical_format
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)

@@ -1,5 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from ssn_reference import (
+    components_reference,
+    edges_reference,
+    neighbors_reference,
+    subgraph_reference,
+)
 
 from seqnet.errors import NeighborCountError
 from seqnet.featurize import featurize_dataset
@@ -126,11 +133,12 @@ class TestBuildSsn:
         rng = np.random.default_rng(41)
         x = random_count_matrix(rng, 25, 10)
         g = build_ssn(x, k=4)
-        for i, nbrs in enumerate(g.neighbors):
+        for i in range(g.n):
+            nbrs = g.neighbors(i)
             assert i not in nbrs
             assert list(nbrs) == sorted(nbrs)
             for j in nbrs:
-                assert i in g.neighbors[j]
+                assert i in g.neighbors(j)
 
     def test_feature_matrix_input_matches_dense(self):
         ds = synthesize_dataset(2, [10, 10], 60, 0.05, 15, seed=2)
@@ -188,3 +196,61 @@ class TestGraphIO:
         save_graph(g, edges_path, nodes_path)
         lines = nodes_path.read_text().strip().splitlines()
         assert len(lines) == 4  # header + one row per node
+
+
+@st.composite
+def edge_lists(draw):
+    """n nodes and an edge list with self-loops, repeats, both orientations
+    and isolated nodes; ``nodes`` is an ordered subset for subgraph checks."""
+    n = draw(st.integers(0, 12))
+    node = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(node, node), max_size=40)) if n else []
+    nodes = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+    return n, edges, nodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists())
+def test_network_matches_set_reference(case):
+    n, edges, nodes = case
+    g = network_from_edges(n, edges)
+    want = neighbors_reference(n, edges)
+    assert tuple(tuple(g.neighbors(i).tolist()) for i in range(n)) == want
+    assert list(g.edges()) == edges_reference(want)
+    assert g.num_edges == len(edges_reference(want))
+    assert connected_components(g).tolist() == components_reference(want).tolist()
+    sub = subgraph(g, nodes)
+    sub_want = subgraph_reference(want, nodes)
+    assert tuple(tuple(sub.neighbors(i).tolist()) for i in range(len(nodes))) == sub_want
+    assert list(sub.edges()) == edges_reference(sub_want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.lists(st.tuples(st.integers(-2, 8), st.integers(-2, 8)), max_size=8))
+def test_out_of_range_edges_match_reference(n, edges):
+    try:
+        want = neighbors_reference(n, edges)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            network_from_edges(n, edges)
+        assert str(err.value) == str(exc)
+        return
+    g = network_from_edges(n, edges)
+    assert tuple(tuple(g.neighbors(i).tolist()) for i in range(n)) == want
+
+
+@pytest.mark.parametrize("mode", ["union", "mutual"])
+def test_build_ssn_matches_set_reference(mode):
+    rng = np.random.default_rng(17)
+    x = random_count_matrix(rng, 60, 8)
+    k = 5
+    g = build_ssn(x, k=k, mode=mode)
+    knn = [knn_query(x, i, k) for i in range(60)]
+    if mode == "union":
+        edges = [(i, j) for i in range(60) for j in knn[i]]
+    else:
+        edges = [(i, j) for i in range(60) for j in knn[i] if i in knn[j]]
+    want = neighbors_reference(60, edges)
+    assert tuple(tuple(g.neighbors(i).tolist()) for i in range(60)) == want
+    assert list(g.edges()) == edges_reference(want)
+    assert g.adjacency.has_canonical_format
