@@ -25,7 +25,7 @@ from seqnet import (
     node2vec,
     synthesize_dataset,
 )
-from seqnet.distances import pairwise_sq_distances
+from seqnet.distances import sq_distances
 from seqnet.embed import save_embedding
 
 out_dir = Path("demo_output")
@@ -59,7 +59,7 @@ embeddings = {
 
 def neighbor_purity(vectors):
     """Fraction of nodes whose nearest embedded neighbor shares their label."""
-    d2 = pairwise_sq_distances(vectors)
+    d2 = sq_distances(vectors)
     np.fill_diagonal(d2, np.inf)
     nearest = d2.argmin(axis=1)
     return float((labels[nearest] == labels).mean())

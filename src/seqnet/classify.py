@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .distances import pairwise_sq_distances
+from .distances import k_nearest
 from .errors import ConfigError
 from .evalmetrics import ClassificationReport, classification_report
 from .seqio import split_indices
@@ -72,9 +72,7 @@ class KNNClassifier(_TimedFit):
 
     def predict_scores(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        d2 = pairwise_sq_distances(x, self._x)
-        order = np.argsort(d2, axis=1, kind="stable")[:, : self.k_votes]
-        votes = self._y[order]
+        votes = self._y[k_nearest(self._x, self.k_votes, queries=x)]
         scores = np.zeros((len(x), len(self.classes_)))
         for c in range(len(self.classes_)):
             scores[:, c] = (votes == c).sum(axis=1)

@@ -15,12 +15,8 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import eigh
 
-from .distances import (
-    pairwise_distances_fast,
-    pairwise_sq_distances,
-    pairwise_sq_distances_fast,
-)
-from .errors import ConfigError
+from .distances import sq_distances
+from .errors import ConfigError, ParseError, parse_numbers
 from .featurize import FeatureMatrix
 from .ssn import SimilarityNetwork
 
@@ -98,7 +94,7 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     n = len(x)
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[int(rng.integers(n))]
-    d2 = pairwise_sq_distances(x, centers[:1])[:, 0]
+    d2 = sq_distances(x, centers[:1])[:, 0]
     for c in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -106,17 +102,21 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centers[c] = x[idx]
-        d2 = np.minimum(d2, pairwise_sq_distances(x, centers[c : c + 1])[:, 0])
+        d2 = np.minimum(d2, sq_distances(x, centers[c : c + 1])[:, 0])
     return centers
 
 
+def _nearest_center(x, centers):
+    """Each row's nearest centre (lowest index on ties) and its squared distance."""
+    d2 = sq_distances(x, centers)
+    assign = d2.argmin(axis=1)
+    return assign, d2[np.arange(len(x)), assign]
+
+
 def _lloyd(x, centers, max_iter, tol):
-    n = len(x)
     history = []
     for _ in range(max_iter):
-        d2 = pairwise_sq_distances(x, centers)
-        assign = d2.argmin(axis=1)
-        point_cost = d2[np.arange(n), assign]
+        assign, point_cost = _nearest_center(x, centers)
         history.append(float(point_cost.sum()))
 
         new_centers = centers.copy()
@@ -134,9 +134,8 @@ def _lloyd(x, centers, max_iter, tol):
         centers = new_centers
         if shift < tol:
             break
-    d2 = pairwise_sq_distances(x, centers)
-    assign = d2.argmin(axis=1)
-    sse = float(d2[np.arange(n), assign].sum())
+    assign, point_cost = _nearest_center(x, centers)
+    sse = float(point_cost.sum())
     history.append(sse)
     return assign, centers, sse, history
 
@@ -147,7 +146,7 @@ def _minibatch(x, centers, batch_size, max_iter, tol, rng):
     for _ in range(max_iter):
         batch = rng.integers(0, n, size=min(batch_size, n))
         xb = x[batch]
-        assign = pairwise_sq_distances(xb, centers).argmin(axis=1)
+        assign, _ = _nearest_center(xb, centers)
         new_centers = centers.copy()
         for c in np.unique(assign):
             members = xb[assign == c]
@@ -161,10 +160,8 @@ def _minibatch(x, centers, batch_size, max_iter, tol, rng):
         centers = new_centers
         if shift < tol:
             break
-    d2 = pairwise_sq_distances(x, centers)
-    assign = d2.argmin(axis=1)
-    sse = float(d2[np.arange(n), assign].sum())
-    return assign, centers, sse
+    assign, point_cost = _nearest_center(x, centers)
+    return assign, centers, float(point_cost.sum())
 
 
 def kmeans(
@@ -223,7 +220,7 @@ def agglomerative(
     size = np.ones(n)
     centroid = x.astype(np.float64).copy()
     if linkage == "average":
-        cross = pairwise_distances_fast(x)  # cross[a, b] = sum of pairwise distances
+        cross = np.sqrt(sq_distances(x))  # cross[a, b] = sum of pairwise distances
     members: dict[int, list[int]] = {i: [i] for i in range(n)}
     adj: dict[int, set[int]] = {i: set(graph.neighbors(i).tolist()) for i in range(n)}
     active = set(range(n))
@@ -319,7 +316,7 @@ def dbscan(x, eps: float, min_pts: int) -> ClusterAssignment:
         raise ConfigError("min_pts must be >= 1")
     x = _as_array(x)
     n = len(x)
-    dist = pairwise_distances_fast(x)
+    dist = np.sqrt(sq_distances(x))
     nbrs = [np.flatnonzero(dist[i] <= eps) for i in range(n)]
     core = np.array([len(nb) >= min_pts for nb in nbrs])
 
@@ -427,7 +424,7 @@ def spectral_clustering(
     if gamma is None:
         mean_var = float(x.var(axis=0).mean())
         gamma = 1.0 / (d * mean_var) if mean_var > 0 else 1.0
-    affinity = np.exp(-gamma * pairwise_sq_distances_fast(x))
+    affinity = np.exp(-gamma * sq_distances(x))
     inv_sqrt_deg = 1.0 / np.sqrt(affinity.sum(axis=1))
     lap = np.eye(n) - inv_sqrt_deg[:, None] * affinity * inv_sqrt_deg[None, :]
     lap = (lap + lap.T) / 2.0
@@ -497,20 +494,20 @@ def save_assignment(
 
 def load_assignment(path) -> np.ndarray:
     with open(path) as fh:
-        header = fh.readline().strip()
+        lineno, header = 1, fh.readline().strip()
         while header.startswith("#"):
-            header = fh.readline().strip()
+            lineno, header = lineno + 1, fh.readline().strip()
         if header != "node_index,cluster":
             raise ConfigError(f"expected 'node_index,cluster' header in {path}")
         labels = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=lineno + 1):
             line = line.strip()
             if not line:
                 continue
-            idx, lab = line.split(",")
-            if int(idx) != len(labels):
-                raise ConfigError(f"non-contiguous node index in {path}")
-            labels.append(int(lab))
+            parts = parse_numbers(line.split(","), lineno)
+            if len(parts) != 2 or parts[0] != len(labels):
+                raise ParseError(f"bad assignment row {line!r} in {path}", line=lineno)
+            labels.append(parts[1])
     return np.asarray(labels, dtype=np.int64)
 
 

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import ParseError
+from ..errors import ParseError, parse_numbers
 
 
 @dataclass
@@ -108,9 +108,9 @@ def load_embedding(path, meta_path=None) -> EmbeddingMatrix:
             if not line:
                 continue
             parts = line.split(",")
-            if len(parts) != d + 1 or int(parts[0]) != len(rows):
+            if len(parts) != d + 1 or parse_numbers(parts[:1], lineno) != [len(rows)]:
                 raise ParseError(f"bad embedding row {line!r}", line=lineno)
-            rows.append([float(x) for x in parts[1:]])
+            rows.append(parse_numbers(parts[1:], lineno, float))
     method = "unknown"
     info = {}
     try:

@@ -23,6 +23,14 @@ class ParseError(SeqnetError):
         self.line = line
 
 
+def parse_numbers(fields, line, convert=int) -> list:
+    """``convert`` applied to each field; a field it rejects raises ParseError."""
+    try:
+        return list(map(convert, fields))
+    except ValueError:
+        raise ParseError(f"expected numbers, got {list(fields)!r}", line=line) from None
+
+
 class AlphabetError(SeqnetError, ValueError):
     """Character outside the 20-letter amino-acid alphabet."""
 

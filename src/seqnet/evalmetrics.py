@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.stats import rankdata
 
-from .distances import pairwise_distances
+from .distances import sq_distances
 from .errors import MissingScoresError, UndefinedMetricError
 
 
@@ -59,7 +59,7 @@ def silhouette(x, labels) -> float:
     if len(classes) < 2:
         raise UndefinedMetricError("silhouette needs at least 2 clusters")
     n, k = len(x), len(classes)
-    dist = pairwise_distances(x)
+    dist = np.sqrt(sq_distances(x))
     onehot = np.zeros((n, k))
     onehot[np.arange(n), inverse] = 1.0
     sums = dist @ onehot  # sums[i, c] = total distance from i to cluster c
@@ -113,7 +113,7 @@ def davies_bouldin(x, labels) -> float:
             for i, c in enumerate(classes)
         ]
     )
-    sep = pairwise_distances(centroids)
+    sep = np.sqrt(sq_distances(centroids))
     if np.any(sep[~np.eye(k, dtype=bool)] == 0.0):
         raise UndefinedMetricError("coincident centroids")
     ratios = (scatter[:, None] + scatter[None, :]) / np.where(sep > 0, sep, 1.0)

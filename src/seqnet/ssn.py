@@ -17,10 +17,9 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .errors import NeighborCountError, ParseError
+from .distances import k_nearest
+from .errors import NeighborCountError, ParseError, parse_numbers
 from .featurize import FeatureMatrix
-
-_TILE_ROWS = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,37 +117,23 @@ def network_from_edges(
     return _network(arcs, node_ids, labels)
 
 
-def _feature_array(features):
-    """Accept FeatureMatrix (sparse path) or an array; return (X, squared norms)."""
+def _matrix(features):
+    """FeatureMatrix rows as their CSR counts, anything else as an array."""
     if isinstance(features, FeatureMatrix):
-        x = features.to_csr()
-        sq = np.asarray(x.multiply(x).sum(axis=1)).ravel()
-        return x, sq
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    return x, np.einsum("ij,ij->i", x, x)
-
-
-def _knn_tile(x, sq, start, stop, k):
-    """Nearest-neighbor lists for rows [start, stop); ties break to lower index."""
-    gram = x[start:stop] @ x.T
-    if sparse.issparse(gram):
-        gram = gram.toarray()
-    d2 = sq[start:stop, None] + sq[None, :] - 2.0 * gram
-    rows = np.arange(start, stop)
-    d2[np.arange(stop - start), rows] = np.inf
-    order = np.argsort(d2, axis=1, kind="stable")
-    return order[:, :k]
+        return features.to_csr()
+    return np.asarray(features, dtype=np.float64)
 
 
 def knn_query(features, i: int, k: int) -> list[int]:
     """The k indices nearest to row i, ordered by (distance, index)."""
-    x, sq = _feature_array(features)
+    x = _matrix(features)
     n = x.shape[0]
     if not 1 <= k <= n - 1:
         raise NeighborCountError(f"K={k} out of range for n={n}")
-    return [int(j) for j in _knn_tile(x, sq, i, i + 1, k)[0]]
+    # row i is at distance 0, so it is among its own k + 1 nearest unless
+    # more than k lower-indexed duplicates precede it
+    nearest = k_nearest(x, k + 1, queries=x[i : i + 1])[0].tolist()
+    return [j for j in nearest if j != i][:k]
 
 
 def build_ssn(
@@ -165,20 +150,15 @@ def build_ssn(
     """
     if mode not in ("union", "mutual"):
         raise ValueError(f"unknown symmetrization mode {mode!r}")
-    x, sq = _feature_array(features)
+    x = _matrix(features)
     n = x.shape[0]
     if n < 2:
         raise NeighborCountError(f"need at least 2 rows, got {n}")
     if not 1 <= k <= n - 1:
         raise NeighborCountError(f"K={k} out of range for n={n}")
 
-    knn_lists = np.empty((n, k), dtype=np.int64)
-    for start in range(0, n, _TILE_ROWS):
-        stop = min(start + _TILE_ROWS, n)
-        knn_lists[start:stop] = _knn_tile(x, sq, start, stop, k)
-
     knn = sparse.csr_matrix(
-        (np.ones(n * k), np.sort(knn_lists, axis=1).ravel(), np.arange(0, n * k + 1, k)),
+        (np.ones(n * k), np.sort(k_nearest(x, k), axis=1).ravel(), np.arange(0, n * k + 1, k)),
         shape=(n, n),
     )
     if mode == "union":
@@ -238,8 +218,8 @@ def load_graph(edges_path, nodes_path=None) -> SimilarityNetwork:
         for row in reader:
             if not row:
                 continue
-            if len(row) < 3 or int(row[0]) != len(ids):
-                raise ParseError(f"bad node row {row!r} in {nodes_path}")
+            if len(row) < 3 or parse_numbers(row[:1], reader.line_num) != [len(ids)]:
+                raise ParseError(f"bad node row {row!r} in {nodes_path}", line=reader.line_num)
             ids.append(row[1])
             labels.append(row[2] or None)
     edges = []
@@ -251,5 +231,5 @@ def load_graph(edges_path, nodes_path=None) -> SimilarityNetwork:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ParseError(f"expected 'u\\tv' got {line!r}", line=lineno)
-            edges.append((int(parts[0]), int(parts[1])))
+            edges.append(tuple(parse_numbers(parts, lineno)))
     return network_from_edges(len(ids), edges, node_ids=ids, labels=labels)

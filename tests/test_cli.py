@@ -280,6 +280,48 @@ class TestErrorChannels:
         bad.write_text("definitely,not,triplets\n")
         assert run("graph", "--input", bad, "--output", tmp_path / "g.tsv") == 4
 
+    @pytest.mark.parametrize(
+        "files, argv, line",
+        [
+            (  # a triplet count that is not an integer
+                {"f.csv": "# n=2 k=1 logical_length=20\n0,1,1\n0,2,1.5\n"},
+                ["graph", "--input", "f.csv", "--output", "g.tsv"],
+                3,
+            ),
+            (  # an edge endpoint that is not an integer
+                {"g.tsv": "0\t1\n0\tx\n", "g.tsv.nodes.csv": "index,id,label\n0,a,\n1,b,\n"},
+                ["embed", "--input", "g.tsv", "--output", "e.csv", "--method", "hope"],
+                2,
+            ),
+            (  # a node index that is not an integer
+                {"g.tsv": "0\t1\n", "g.tsv.nodes.csv": "index,id,label\n0,a,\nx,b,\n"},
+                ["embed", "--input", "g.tsv", "--output", "e.csv", "--method", "hope"],
+                3,
+            ),
+            (  # an embedding coordinate that is not a number
+                {"e.csv": "node_index,d0\n0,0.5\n1,abc\n"},
+                ["pca2d", "--input", "e.csv", "--output", "p.csv"],
+                3,
+            ),
+            (  # a cluster id that is not an integer
+                {
+                    "f.csv": "# n=2 k=1 logical_length=20\n0,1,1\n1,2,1\n",
+                    "a.csv": "# runtime_sec=0.0\nnode_index,cluster\n0,0\n1,z\n",
+                },
+                ["evaluate", "--features", "f.csv", "--assignments", "a.csv", "--output", "q.csv"],
+                4,
+            ),
+        ],
+        ids=["triplet", "edge", "node_row", "embedding", "assignment"],
+    )
+    def test_malformed_number_exit_4_with_line(self, tmp_path, capsys, files, argv, line):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / a) if (tmp_path / a).suffix in (".csv", ".tsv") else a for a in argv]
+        assert run(*argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("seqnet: error[4]:") and f"line {line}:" in err
+
     def test_bad_config_key_exit_4(self, pipeline_dir, tmp_path):
         conf = tmp_path / "bad.ini"
         conf.write_text("[pipeline]\nnot_a_key = 1\n")

@@ -1,4 +1,5 @@
-"""The feature and network demos run end to end against the current API."""
+"""The feature, network, embedding and clustering demos run end to end
+against the current API."""
 
 import os
 import subprocess
@@ -10,7 +11,15 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["01_kmer_features.py", "02_similarity_network.py"])
+@pytest.mark.parametrize(
+    "demo",
+    [
+        "01_kmer_features.py",
+        "02_similarity_network.py",
+        "03_node_embeddings.py",
+        "04_clustering_and_elbow.py",
+    ],
+)
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
