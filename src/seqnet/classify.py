@@ -509,6 +509,18 @@ def _cv_accuracy(name, params, x, y, folds):
     return float(np.mean(scores))
 
 
+def _with_context(exc: Exception, context: str) -> Exception:
+    """exc's message prefixed with context, as exc's type or, where that
+    constructor does not take one message, the nearest base class whose does,
+    so every ``except`` clause that caught exc still catches the result.
+    ``Exception`` itself always does."""
+    for cls in type(exc).__mro__:
+        try:
+            return cls(f"{context} {exc}")
+        except TypeError:
+            continue
+
+
 def run_experiment(
     embeddings: dict,
     labels: Sequence,
@@ -563,9 +575,8 @@ def run_experiment(
                         y_test, pred, scores, model.classes_, model.train_time_sec
                     )
                 except Exception as exc:
-                    raise type(exc)(
-                        f"[method={method} classifier={name} seed={seed}] {exc}"
-                    ) from exc
+                    where = f"[method={method} classifier={name} seed={seed}]"
+                    raise _with_context(exc, where) from exc
                 result.reports.setdefault((method, name), []).append(report)
     return result
 

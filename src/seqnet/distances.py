@@ -6,7 +6,15 @@ expansion ``|a|^2 + |b|^2 - 2 a.b`` only when that is exact: every entry of
 both operands is an integer and ``4 * dim * max|entry|^2 < 2**53``, so every
 intermediate is an integer that float64 holds exactly (k-mer counts always
 qualify). Otherwise it sums squared differences, in blocks of about 2e7
-elements. :func:`k_nearest` orders each query's rows by (distance, index).
+elements. Both functions work in tiles of at most 512 rows of the first
+operand, and make the exactness scan and the squared norms once per call.
+
+Where an operand is sparse, a tile's Gram product is summed over dense
+blocks of 1,024 columns of both operands: at k=3 that is about ten times
+faster than a CSR x CSR product, and since every partial sum is an exact
+integer the bits do not depend on the blocking. No operand is densified
+whole: a block holds (tile rows + the other operand's rows) x 1,024
+values. :func:`k_nearest` orders each query's rows by (distance, index).
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ import numpy as np
 from scipy import sparse
 
 _BLOCK_ELEMS = 20_000_000
+_GRAM_COLS = 1024
 _TILE_ROWS = 512
 _CHUNK = 1 << 15
 
@@ -24,6 +33,10 @@ def _rows(x):
         return sparse.csr_matrix(x, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     return x[:, None] if x.ndim == 1 else x
+
+
+def _dense(x):
+    return x.toarray() if sparse.issparse(x) else x
 
 
 def _gram_is_exact(a, b) -> bool:
@@ -45,37 +58,54 @@ def _sq_norms(x) -> np.ndarray:
     return np.einsum("ij,ij->i", x, x)
 
 
+def _gram(a, b) -> np.ndarray:
+    """a @ b.T as a dense array; exact, so called only on integer operands."""
+    if not (sparse.issparse(a) or sparse.issparse(b)):
+        return a @ b.T
+    gram = np.zeros((a.shape[0], b.shape[0]))
+    for col in range(0, a.shape[1], _GRAM_COLS):
+        cols = slice(col, col + _GRAM_COLS)
+        gram += _dense(a[:, cols]) @ _dense(b[:, cols]).T
+    return gram
+
+
+def _row_tiles(a, b):
+    """(start, squared distances from a[start:start + m] to b) for each tile."""
+    if _gram_is_exact(a, b):
+        sq_a = _sq_norms(a)
+        sq_b = sq_a if b is a else _sq_norms(b)
+        for start in range(0, a.shape[0], _TILE_ROWS):
+            stop = start + _TILE_ROWS
+            yield start, sq_a[start:stop, None] + sq_b[None, :] - 2.0 * _gram(a[start:stop], b)
+        return
+    a, b = _dense(a), _dense(b)
+    step = max(1, min(_TILE_ROWS, _BLOCK_ELEMS // max(1, b.size)))
+    for start in range(0, a.shape[0], step):
+        diff = a[start : start + step, None, :] - b[None, :, :]
+        yield start, np.einsum("ijk,ijk->ij", diff, diff)
+
+
 def sq_distances(a, b=None) -> np.ndarray:
     """Squared distances between the rows of a and b (default a); 1-D is a column."""
     a = _rows(a)
     b = a if b is None else _rows(b)
-    if _gram_is_exact(a, b):
-        sq_a = _sq_norms(a)
-        sq_b = sq_a if b is a else _sq_norms(b)
-        gram = a @ b.T
-        if sparse.issparse(gram):
-            gram = gram.toarray()
-        return sq_a[:, None] + sq_b[None, :] - 2.0 * gram
-    a, b = (v.toarray() if sparse.issparse(v) else v for v in (a, b))
     out = np.empty((a.shape[0], b.shape[0]))
-    step = max(1, _BLOCK_ELEMS // max(1, b.size))
-    for start in range(0, a.shape[0], step):
-        diff = a[start : start + step, None, :] - b[None, :, :]
-        out[start : start + step] = np.einsum("ijk,ijk->ij", diff, diff)
+    for start, d2 in _row_tiles(a, b):
+        out[start : start + len(d2)] = d2
     return out
 
 
 def k_nearest(x, k: int, queries=None) -> np.ndarray:
     """The k rows of x nearest each query, ordered by (distance, index).
 
-    x and ``queries`` are arrays or CSR. ``queries=None`` queries every row
-    of x, each left out of its own list. Queries go in tiles of 512 rows.
+    x and ``queries`` are arrays or ``scipy.sparse``. ``queries=None``
+    queries every row of x, each left out of its own list.
     """
+    x = _rows(x)
     own = queries is None
-    queries = x if own else queries
+    queries = x if own else _rows(queries)
     out = np.empty((queries.shape[0], k), dtype=np.int64)
-    for start in range(0, queries.shape[0], _TILE_ROWS):
-        d2 = sq_distances(queries[start : start + _TILE_ROWS], x)
+    for start, d2 in _row_tiles(queries, x):
         if own:
             d2[np.arange(len(d2)), np.arange(start, start + len(d2))] = np.inf
         out[start : start + len(d2)] = np.argsort(d2, axis=1, kind="stable")[:, :k]

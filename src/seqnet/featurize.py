@@ -8,6 +8,7 @@ length-1274 sequence touches at most 1272 of the 8000 k=3 bins.
 
 from __future__ import annotations
 
+import warnings
 from array import array
 from dataclasses import dataclass
 from typing import Mapping
@@ -208,47 +209,93 @@ def save_features(matrix: FeatureMatrix, path) -> None:
                 fh.write(f"{i},{rank},{cnt}\n")
 
 
+def _read_header(fh, path) -> tuple[int, int, int]:
+    header = fh.readline().strip()
+    fields = {}
+    if header.startswith("#"):
+        for token in header[1:].split():
+            if "=" in token:
+                key, val = token.split("=", 1)
+                fields[key] = val
+    if not {"n", "k", "logical_length"} <= fields.keys():
+        raise ParseError(f"missing triplet header in {path}", line=1)
+    n, k, logical_length = parse_numbers([fields[f] for f in ("n", "k", "logical_length")], 1)
+    if logical_length != _NSYM**k:
+        raise ParseError(f"logical_length {logical_length} != 20^{k}", line=1)
+    return n, k, logical_length
+
+
+def _parse_triplets(path, n: int, logical_length: int) -> np.ndarray | None:
+    """The body as an (m, 3) int64 array in one numpy call, or None where a
+    line is not three integers in numpy's syntax, which is narrower than
+    ``int()``'s, or a triplet is out of range. Given the path rather than an
+    open file, numpy reads in blocks, which halves the time."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            triplets = np.loadtxt(
+                path, delimiter=",", dtype=np.int64, ndmin=2, comments=None, skiprows=1
+            )
+        except ValueError:
+            return None
+    if not triplets.size:
+        return triplets.reshape(0, 3)
+    if triplets.shape[1] != 3:
+        return None
+    rows, ranks, counts = triplets.T
+    in_range = (rows >= 0) & (rows < n) & (ranks >= 0) & (ranks < logical_length) & (counts > 0)
+    return triplets if in_range.all() else None
+
+
+def _scan_triplets(fh, n: int, logical_length: int) -> np.ndarray:
+    """The body line by line, as ``int()`` reads it: an (m, 4) array of row,
+    rank, count and line number; the first malformed line raises."""
+    triplets = array("q")
+    for lineno, line in enumerate(fh, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ParseError(f"expected row,rank,count got {line!r}", line=lineno)
+        try:  # inline rather than parse_numbers: a call per triplet costs 8% here
+            i, rank, cnt = map(int, parts)
+        except ValueError:
+            raise ParseError(f"expected integers, got {line!r}", line=lineno) from None
+        if not 0 <= i < n or not 0 <= rank < logical_length or cnt <= 0:
+            raise ParseError(f"triplet out of range: {line!r}", line=lineno)
+        triplets.extend((i, rank, cnt, lineno))
+    return np.frombuffer(triplets, dtype=np.int64).reshape(-1, 4)
+
+
 def load_features(path) -> FeatureMatrix:
     """Read a triplet CSV written by :func:`save_features`.
 
     Triplets may come in any order; a repeated (row, rank) pair is an error.
+    The body is parsed in one numpy call. A body that call rejects, or whose
+    triplets fail a check, is read again line by line, which accepts what
+    ``int()`` accepts and names the first bad line.
     """
     with open(path) as fh:
-        header = fh.readline().strip()
-        fields = {}
-        if header.startswith("#"):
-            for token in header[1:].split():
-                if "=" in token:
-                    key, val = token.split("=", 1)
-                    fields[key] = val
-        if not {"n", "k", "logical_length"} <= fields.keys():
-            raise ParseError(f"missing triplet header in {path}", line=1)
-        n, k, logical_length = parse_numbers([fields[f] for f in ("n", "k", "logical_length")], 1)
-        if logical_length != _NSYM**k:
-            raise ParseError(f"logical_length {logical_length} != 20^{k}", line=1)
-        triplets = array("q")  # row, rank, count, line number
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ParseError(f"expected row,rank,count got {line!r}", line=lineno)
-            try:  # inline rather than parse_numbers: a call per triplet costs 8% here
-                i, rank, cnt = map(int, parts)
-            except ValueError:
-                raise ParseError(f"expected integers, got {line!r}", line=lineno) from None
-            if not 0 <= i < n or not 0 <= rank < logical_length or cnt <= 0:
-                raise ParseError(f"triplet out of range: {line!r}", line=lineno)
-            triplets.extend((i, rank, cnt, lineno))
-    rows, ranks, counts, linenos = np.frombuffer(triplets, dtype=np.int64).reshape(-1, 4).T
-    order = np.lexsort((ranks, rows))  # stable: a repeat sorts after its first line
-    rows, ranks = rows[order], ranks[order]
-    repeat = np.flatnonzero((rows[1:] == rows[:-1]) & (ranks[1:] == ranks[:-1])) + 1
-    if repeat.size:
-        lineno = int(linenos[order[repeat]].min())
-        raise ParseError(f"duplicate (row, rank) triplet in {path}", line=lineno)
-    return _feature_matrix(n, k, np.bincount(rows, minlength=n), ranks, counts[order])
+        n, k, logical_length = _read_header(fh, path)
+        scanned = None
+        triplets = _parse_triplets(path, n, logical_length)
+        if triplets is None:
+            scanned = _scan_triplets(fh, n, logical_length)
+            triplets = scanned[:, :3]
+        rows, ranks, counts = triplets.T
+        # save_features writes strictly ascending (row, rank) pairs: no sort, no repeat
+        ascending = (rows[1:] > rows[:-1]) | (rows[1:] == rows[:-1]) & (ranks[1:] > ranks[:-1])
+        if not ascending.all():
+            order = np.lexsort((ranks, rows))  # stable: a repeat sorts after its first line
+            rows, ranks, counts = rows[order], ranks[order], counts[order]
+            repeat = np.flatnonzero((rows[1:] == rows[:-1]) & (ranks[1:] == ranks[:-1])) + 1
+            if repeat.size:
+                if scanned is None:  # line numbers for the message
+                    scanned = _scan_triplets(fh, n, logical_length)
+                lineno = int(scanned[order[repeat], 3].min())
+                raise ParseError(f"duplicate (row, rank) triplet in {path}", line=lineno)
+    return _feature_matrix(n, k, np.bincount(rows, minlength=n), ranks, counts)
 
 
 def save_features_dense(matrix: FeatureMatrix, path) -> None:

@@ -118,9 +118,11 @@ def network_from_edges(
 
 
 def _matrix(features):
-    """FeatureMatrix rows as their CSR counts, anything else as an array."""
+    """FeatureMatrix or ``scipy.sparse`` rows as CSR, anything else as an array."""
     if isinstance(features, FeatureMatrix):
         return features.to_csr()
+    if sparse.issparse(features):
+        return sparse.csr_matrix(features)
     return np.asarray(features, dtype=np.float64)
 
 

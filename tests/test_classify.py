@@ -470,6 +470,21 @@ class TestRunExperiment:
         assert len(lines) == 2
         assert lines[1].split(",")[-1] == "0.0"
 
+    @pytest.mark.parametrize("error, raised", [
+        (ConfigError("bad grid"), ConfigError),
+        (ValueError("bad value"), ValueError),
+        # its constructor takes five arguments; UnicodeError takes a message
+        (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"), UnicodeError),
+    ])
+    def test_cell_failure_names_the_cell(self, error, raised):
+        embeddings, labels = self._embeddings_and_labels(np.random.default_rng(17))
+        with mock.patch.object(classify.GaussianNB, "fit", side_effect=error):
+            with pytest.raises(raised) as info:
+                run_experiment(embeddings, labels, seeds=[4], classifiers=("gaussian_nb",))
+        assert type(info.value) is raised
+        assert str(info.value) == f"[method=toy classifier=gaussian_nb seed=4] {error}"
+        assert info.value.__cause__ is error
+
     def test_grid_defaults_cover_all_classifiers(self):
         assert set(DEFAULT_GRIDS) == {
             "knn", "logistic_regression", "gaussian_nb",

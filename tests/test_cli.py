@@ -1,10 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from seqnet import classify
 from seqnet.cli import main
 from seqnet.config import load_config
 from seqnet.embed import load_embedding
-from seqnet.errors import ConfigError
+from seqnet.errors import ConfigError, DimensionError
 from seqnet.featurize import load_features
 from seqnet.ssn import load_graph
 
@@ -239,6 +242,27 @@ class TestPipelineCommands:
         std_lines = (pipeline_dir / "result_std.csv").read_text().splitlines()
         assert mean_lines[0].startswith("embedding,classifier,accuracy")
         assert len(mean_lines) == 2 and len(std_lines) == 2
+
+    @pytest.mark.parametrize("error, code", [
+        (ConfigError("bad grid"), 4),
+        (DimensionError("too few rows"), 5),
+        (ValueError("bad value"), 1),
+        (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"), 1),
+    ])
+    def test_classify_cell_failure_exit_code(self, pipeline_dir, capsys, error, code):
+        emb = pipeline_dir / "hope.csv"
+        assert run(
+            "embed", "--input", pipeline_dir / "graph.tsv", "--output", emb,
+            "--method", "hope", "--dim", 4, "--allow-disconnected",
+        ) == 0
+        with mock.patch.object(classify.KNNClassifier, "fit", side_effect=error):
+            assert run(
+                "classify", "--embedding", f"hope={emb}",
+                "--labels", pipeline_dir / "labels.csv",
+                "--output-prefix", pipeline_dir / "result", "--classifiers", "knn",
+                "--seeds", "3", "--num-folds", 2,
+            ) == code
+        assert f"[method=hope classifier=knn seed=3] {error}" in capsys.readouterr().err
 
     def test_report_merges_matching_schemas(self, pipeline_dir):
         a = pipeline_dir / "qa.csv"

@@ -46,14 +46,16 @@ def assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-# the difference branch's block size and the integer scan's chunk size
-sizes = st.tuples(st.sampled_from([1, 7, 20_000_000]), st.sampled_from([1, 3, 1 << 15]))
+# the difference branch's block size, the integer scan's chunk size, the
+# row tile and the Gram branch's dense column block
+sizes = st.tuples(st.sampled_from([1, 7, 20_000_000]), st.sampled_from([1, 3, 1 << 15]),
+                  st.sampled_from([1, 2, 512]), st.sampled_from([1, 2, 512]))
 
 
-def sq_distances_sized(a, b, block, chunk):
-    with mock.patch.object(distances, "_BLOCK_ELEMS", block):
-        with mock.patch.object(distances, "_CHUNK", chunk):
-            return sq_distances(a, b)
+def sq_distances_sized(a, b, block, chunk, tile, cols):
+    with mock.patch.multiple(distances, _BLOCK_ELEMS=block, _CHUNK=chunk, _TILE_ROWS=tile,
+                             _GRAM_COLS=cols):
+        return sq_distances(a, b)
 
 
 @settings(max_examples=300, deadline=None)
@@ -125,14 +127,20 @@ def knn_cases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(knn_cases(), st.booleans(), st.sampled_from([1, 2, 512]))
-def test_k_nearest_orders_by_distance_then_index(case, as_csr, tile):
+@given(knn_cases(), st.sampled_from([1, 2, 512]), st.sampled_from([1, 2, 512]))
+def test_k_nearest_orders_by_distance_then_index(case, tile, block):
+    """Dense, CSR and mixed operands give the oracle's lists at every tile
+    row count and dense column block width."""
     x, k, rows, queries = case
     want = k_nearest_reference(x, k, queries=queries, rows=rows)
     with mock.patch.object(distances, "_TILE_ROWS", tile):
-        if rows is not None:  # one row of x, through the SSN's single-row query
-            assert [knn_query(x, rows[0], k)] == want
-            return
-        got = k_nearest(sparse.csr_matrix(x) if as_csr else x, k, queries=queries)
-    assert got.dtype == np.int64 and got.shape == (len(want), k)
-    assert got.tolist() == want
+        with mock.patch.object(distances, "_GRAM_COLS", block):
+            csr = sparse.csr_matrix
+            asked = queries if queries is None else csr(queries)
+            for points, asks in ((x, queries), (csr(x), queries), (csr(x), asked)):
+                if rows is not None:  # one row of x, through the SSN's single-row query
+                    assert [knn_query(points, rows[0], k)] == want
+                    continue
+                got = k_nearest(points, k, queries=asks)
+                assert got.dtype == np.int64 and got.shape == (len(want), k)
+                assert got.tolist() == want

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from featurize_reference import counts_reference, csr_reference
-from hypothesis import given, settings, strategies as st
+from featurize_reference import counts_reference, csr_reference, load_features_reference
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from seqnet import featurize
 from seqnet.errors import AlphabetError, MerSizeError, ParseError
 from seqnet.featurize import (
     FeatureMatrix,
@@ -168,6 +171,14 @@ class TestMatrixExport:
             load_features(path)
         assert err.value.line == 5
 
+    def test_saved_file_is_parsed_without_the_line_scan(self, tmp_path):
+        ds = synthesize_dataset(3, [5, 5, 5], 90, 0.05, 9, seed=2)
+        mat = featurize_dataset(ds, k=2)
+        path = tmp_path / "features.csv"
+        save_features(mat, path)
+        with mock.patch.object(featurize, "_scan_triplets", side_effect=AssertionError):
+            assert load_features(path) == mat
+
     def test_triplet_header_records_shape(self, tmp_path):
         ds = synthesize_dataset(1, [2], 30, 0.0, 0, seed=0)
         mat = featurize_dataset(ds, k=2)
@@ -204,3 +215,79 @@ def test_featurize_matches_stacked_reference_counts(seqs, k):
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
     assert np.array_equal(got.data, want.data)
+
+
+MUTATIONS = (
+    None, "1.5", "1_0", "non_ascii_digit", "comment", "hash_line", "two_fields",
+    "four_fields", "row_out_of_range", "rank_out_of_range", "count_not_positive",
+    "repeated_pair",
+)
+
+
+@st.composite
+def triplet_files(draw):
+    """A triplet CSV: shuffled triplets with blank and padded lines, LF or
+    CRLF, possibly header-only, and at most one mutation on one line."""
+    k = draw(st.integers(1, 2))
+    dim = 20**k
+    n = draw(st.integers(1, 4))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, dim - 1)),
+                          unique=True, max_size=10))
+    lines = [[str(i), str(rank), str(draw(st.integers(1, 1274)))] for i, rank in pairs]
+    mutation = draw(st.sampled_from(MUTATIONS)) if lines else None
+    if mutation is not None:
+        at = draw(st.integers(0, len(lines) - 1))
+        field = draw(st.integers(0, 2))
+        line = lines[at]
+        if mutation == "1.5":
+            line[field] = "1.5"
+        elif mutation == "1_0":
+            line[field] = "0_" + line[field]  # int() reads the same value
+        elif mutation == "non_ascii_digit":
+            line[field] = line[field].replace("1", "\u0661")
+        elif mutation == "comment":
+            line[2] += " # c"
+        elif mutation == "hash_line":
+            lines.insert(at, ["#x"])
+        elif mutation == "two_fields":
+            del line[field]
+        elif mutation == "four_fields":
+            line.append(line[2])
+        elif mutation == "row_out_of_range":
+            line[0] = draw(st.sampled_from([str(n), "-1"]))
+        elif mutation == "rank_out_of_range":
+            line[1] = draw(st.sampled_from([str(dim), "-1"]))
+        elif mutation == "count_not_positive":
+            line[2] = draw(st.sampled_from(["0", "-3"]))
+        else:
+            for _ in range(draw(st.integers(1, 2))):
+                line = lines[draw(st.integers(0, len(lines) - 1))]
+                lines.insert(draw(st.integers(0, len(lines))), line[:2] + ["7"])
+    pad = st.sampled_from(["", "", " ", "\t", "  "])
+    text = [",".join(draw(pad) + f + draw(pad) for f in line) for line in lines]
+    text = draw(st.permutations(text))
+    for _ in range(draw(st.integers(0, 2))):
+        text.insert(draw(st.integers(0, len(text))), draw(st.sampled_from(["", " ", "\t"])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    header = f"# n={n} k={k} logical_length={dim}"
+    return newline.join([header] + text) + draw(st.sampled_from(["", newline]))
+
+
+def load_outcome(loader, path):
+    try:
+        return loader(path)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+# tmp_path is shared by the examples; each one overwrites the file
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(triplet_files())
+def test_load_features_matches_line_by_line_reference(tmp_path, text):
+    path = tmp_path / "features.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got = load_outcome(load_features, path)
+    want = load_outcome(load_features_reference, path)
+    assert type(got) is type(want)
+    assert got == want

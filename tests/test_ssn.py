@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 from ssn_reference import (
     components_reference,
     edges_reference,
@@ -75,7 +76,9 @@ class TestKnnQuery:
         mat = featurize_dataset(ds, k=2)
         dense = mat.to_dense()
         for i in (0, 5, 11):
-            assert knn_query(mat, i, 3) == knn_query(dense, i, 3)
+            want = knn_query(dense, i, 3)
+            for features in (mat, mat.to_csr(), sparse.coo_matrix(dense)):
+                assert knn_query(features, i, 3) == want
 
 
 class TestBuildSsn:
@@ -143,9 +146,10 @@ class TestBuildSsn:
     def test_feature_matrix_input_matches_dense(self):
         ds = synthesize_dataset(2, [10, 10], 60, 0.05, 15, seed=2)
         mat = featurize_dataset(ds, k=2)
-        g_sparse = build_ssn(mat, k=3)
-        g_dense = build_ssn(mat.to_dense(), k=3)
-        assert set(g_sparse.edges()) == set(g_dense.edges())
+        for mode in ("union", "mutual"):
+            want = build_ssn(mat.to_dense(), k=3, mode=mode)
+            for features in (mat, mat.to_csr(), sparse.coo_matrix(mat.to_dense())):
+                assert build_ssn(features, k=3, mode=mode) == want
 
     def test_k_too_large(self):
         with pytest.raises(NeighborCountError):
