@@ -511,9 +511,11 @@ def _cv_accuracy(name, params, x, y, folds):
 
 def _with_context(exc: Exception, context: str) -> Exception:
     """exc's message prefixed with context, as exc's type or, where that
-    constructor does not take one message, the nearest base class whose does,
-    so every ``except`` clause that caught exc still catches the result.
-    ``Exception`` itself always does."""
+    constructor does not take one message, the nearest base class whose does
+    (``Exception`` itself always does). An ``except`` clause for that class
+    or a base of it, and the CLI exit code, still catch the result; one for
+    exc's own type does not after such a fallback, e.g. ``except
+    UnicodeDecodeError`` misses the ``UnicodeError`` it becomes."""
     for cls in type(exc).__mro__:
         try:
             return cls(f"{context} {exc}")

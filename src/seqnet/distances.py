@@ -9,12 +9,16 @@ qualify). Otherwise it sums squared differences, in blocks of about 2e7
 elements. Both functions work in tiles of at most 512 rows of the first
 operand, and make the exactness scan and the squared norms once per call.
 
-Where an operand is sparse, a tile's Gram product is summed over dense
-blocks of 1,024 columns of both operands: at k=3 that is about ten times
-faster than a CSR x CSR product, and since every partial sum is an exact
-integer the bits do not depend on the blocking. No operand is densified
-whole: a block holds (tile rows + the other operand's rows) x 1,024
-values. :func:`k_nearest` orders each query's rows by (distance, index).
+Where an operand is sparse, a tile's Gram product is either a sparse
+product or a sum over dense blocks of 1,024 columns of both operands,
+whichever :func:`_dense_blocks_pay` estimates is cheaper from the operands'
+nonzeros per column, once per call. Dense blocks win on k=3 counts of
+related sequences (about 8x per 512-row tile at n=773); the sparse product
+wins at k=4, on short sequences and on a single query row. Every partial
+sum is an exact integer, so the bits do not depend on the choice or the
+blocking. No operand is densified whole: a block holds (tile rows + the
+other operand's rows) x 1,024 values. :func:`k_nearest` orders each
+query's rows by (distance, index).
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ _BLOCK_ELEMS = 20_000_000
 _GRAM_COLS = 1024
 _TILE_ROWS = 512
 _CHUNK = 1 << 15
+# a BLAS multiply-add costs about 1/70 of a sparse one, or of writing one
+# element of a dense block (measured on a 2-core host, two BLAS threads)
+_BLAS_SPEEDUP = 70
 
 
 def _rows(x):
@@ -58,10 +65,31 @@ def _sq_norms(x) -> np.ndarray:
     return np.einsum("ij,ij->i", x, x)
 
 
-def _gram(a, b) -> np.ndarray:
-    """a @ b.T as a dense array; exact, so called only on integer operands."""
+def _col_counts(x) -> np.ndarray:
+    if sparse.issparse(x):
+        return np.bincount(x.indices, minlength=x.shape[1]).astype(np.float64)
+    return np.full(x.shape[1], float(x.shape[0]))
+
+
+def _dense_blocks_pay(a, b) -> bool:
+    """Whether dense column blocks form every tile's a @ b.T faster than a
+    sparse product. The sparse product makes one scattered multiply-add per
+    pair of nonzeros in the same column; dense blocks write a once and b
+    once per tile, and make all m n d multiply-adds in BLAS."""
+    (m, d), n = a.shape, b.shape[0]
+    tiles = -(-m // _TILE_ROWS)
+    pairs = _col_counts(a) @ _col_counts(b)
+    return pairs > (m + tiles * n) * d + m * n * d / _BLAS_SPEEDUP
+
+
+def _gram(a, b, blocks: bool) -> np.ndarray:
+    """a @ b.T as a dense array, from dense column blocks where ``blocks``;
+    exact, so called only on integer operands."""
     if not (sparse.issparse(a) or sparse.issparse(b)):
         return a @ b.T
+    if not blocks:
+        gram = a @ b.T
+        return gram.toarray() if sparse.issparse(gram) else gram
     gram = np.zeros((a.shape[0], b.shape[0]))
     for col in range(0, a.shape[1], _GRAM_COLS):
         cols = slice(col, col + _GRAM_COLS)
@@ -74,9 +102,11 @@ def _row_tiles(a, b):
     if _gram_is_exact(a, b):
         sq_a = _sq_norms(a)
         sq_b = sq_a if b is a else _sq_norms(b)
+        blocks = _dense_blocks_pay(a, b)
         for start in range(0, a.shape[0], _TILE_ROWS):
             stop = start + _TILE_ROWS
-            yield start, sq_a[start:stop, None] + sq_b[None, :] - 2.0 * _gram(a[start:stop], b)
+            gram = _gram(a[start:stop], b, blocks)
+            yield start, sq_a[start:stop, None] + sq_b[None, :] - 2.0 * gram
         return
     a, b = _dense(a), _dense(b)
     step = max(1, min(_TILE_ROWS, _BLOCK_ELEMS // max(1, b.size)))

@@ -229,14 +229,18 @@ def _parse_triplets(path, n: int, logical_length: int) -> np.ndarray | None:
     """The body as an (m, 3) int64 array in one numpy call, or None where a
     line is not three integers in numpy's syntax, which is narrower than
     ``int()``'s, or a triplet is out of range. Given the path rather than an
-    open file, numpy reads in blocks, which halves the time."""
+    open file, numpy reads in blocks, which halves the time. From NumPy 1.23,
+    a release that reads ``1.5`` or ``1e1`` in an integer field as a
+    truncated float says so only with a DeprecationWarning; that warning is
+    an error here, so such a file goes to the line scan and raises."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        warnings.filterwarnings("error", category=DeprecationWarning)
         try:
             triplets = np.loadtxt(
                 path, delimiter=",", dtype=np.int64, ndmin=2, comments=None, skiprows=1
             )
-        except ValueError:
+        except (ValueError, DeprecationWarning):
             return None
     if not triplets.size:
         return triplets.reshape(0, 3)

@@ -7,6 +7,8 @@ from scipy import sparse
 
 from seqnet import distances
 from seqnet.distances import k_nearest, sq_distances
+from seqnet.featurize import featurize_dataset
+from seqnet.seqio import ALPHABET, Dataset, SequenceRecord
 from seqnet.ssn import knn_query
 
 
@@ -47,14 +49,14 @@ def assert_same_bits(got, want):
 
 
 # the difference branch's block size, the integer scan's chunk size, the
-# row tile and the Gram branch's dense column block
+# row tile, the Gram branch's dense column block and whether it uses them
 sizes = st.tuples(st.sampled_from([1, 7, 20_000_000]), st.sampled_from([1, 3, 1 << 15]),
-                  st.sampled_from([1, 2, 512]), st.sampled_from([1, 2, 512]))
+                  st.sampled_from([1, 2, 512]), st.sampled_from([1, 2, 512]), st.booleans())
 
 
-def sq_distances_sized(a, b, block, chunk, tile, cols):
+def sq_distances_sized(a, b, block, chunk, tile, cols, blocks):
     with mock.patch.multiple(distances, _BLOCK_ELEMS=block, _CHUNK=chunk, _TILE_ROWS=tile,
-                             _GRAM_COLS=cols):
+                             _GRAM_COLS=cols, _dense_blocks_pay=lambda a, b: blocks):
         return sq_distances(a, b)
 
 
@@ -103,6 +105,21 @@ def test_kmer_counts_take_the_gram_branch():
     assert not distances._gram_is_exact(np.array([[np.nan]]), np.array([[1.0]]))
 
 
+def test_dense_blocks_only_where_they_pay():
+    """Dense blocks for k=3 counts of related sequences; a sparse product for
+    k=4 counts of the same sequences and for a single query row."""
+    rng = np.random.default_rng(0)
+    root = rng.integers(0, 20, size=1274)
+    flips = rng.random((100, 1274)) < 0.01
+    codes = np.where(flips, (root + rng.integers(1, 20, size=flips.shape)) % 20, root)
+    records = [SequenceRecord(f"s{i}", "".join(ALPHABET[c] for c in row))
+               for i, row in enumerate(codes)]
+    k3, k4 = (featurize_dataset(Dataset(records), k).to_csr() for k in (3, 4))
+    assert distances._dense_blocks_pay(k3, k3)
+    assert not distances._dense_blocks_pay(k4, k4)
+    assert not distances._dense_blocks_pay(k3[:1], k3)
+
+
 def test_one_dimensional_input_is_a_column():
     assert_same_bits(sq_distances([0.0, 1.0, 3.0]), sq_distances_reference([[0.0], [1.0], [3.0]]))
 
@@ -127,20 +144,20 @@ def knn_cases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(knn_cases(), st.sampled_from([1, 2, 512]), st.sampled_from([1, 2, 512]))
-def test_k_nearest_orders_by_distance_then_index(case, tile, block):
+@given(knn_cases(), st.sampled_from([1, 2, 512]), st.sampled_from([1, 2, 512]), st.booleans())
+def test_k_nearest_orders_by_distance_then_index(case, tile, block, blocks):
     """Dense, CSR and mixed operands give the oracle's lists at every tile
-    row count and dense column block width."""
+    row count, by a sparse product or by dense blocks of every width."""
     x, k, rows, queries = case
     want = k_nearest_reference(x, k, queries=queries, rows=rows)
-    with mock.patch.object(distances, "_TILE_ROWS", tile):
-        with mock.patch.object(distances, "_GRAM_COLS", block):
-            csr = sparse.csr_matrix
-            asked = queries if queries is None else csr(queries)
-            for points, asks in ((x, queries), (csr(x), queries), (csr(x), asked)):
-                if rows is not None:  # one row of x, through the SSN's single-row query
-                    assert [knn_query(points, rows[0], k)] == want
-                    continue
-                got = k_nearest(points, k, queries=asks)
-                assert got.dtype == np.int64 and got.shape == (len(want), k)
-                assert got.tolist() == want
+    with mock.patch.multiple(distances, _TILE_ROWS=tile, _GRAM_COLS=block,
+                             _dense_blocks_pay=lambda a, b: blocks):
+        csr = sparse.csr_matrix
+        asked = queries if queries is None else csr(queries)
+        for points, asks in ((x, queries), (csr(x), queries), (csr(x), asked)):
+            if rows is not None:  # one row of x, through the SSN's single-row query
+                assert [knn_query(points, rows[0], k)] == want
+                continue
+            got = k_nearest(points, k, queries=asks)
+            assert got.dtype == np.int64 and got.shape == (len(want), k)
+            assert got.tolist() == want

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -178,6 +179,23 @@ class TestMatrixExport:
         save_features(mat, path)
         with mock.patch.object(featurize, "_scan_triplets", side_effect=AssertionError):
             assert load_features(path) == mat
+
+    @pytest.mark.parametrize("count", ["1.5", "1e1"])
+    def test_float_read_by_older_numpy_is_rejected(self, tmp_path, count):
+        """Some NumPy releases from 1.23 on read a float in an integer field as
+        its truncation with a DeprecationWarning; the file still raises."""
+        path = tmp_path / "features.csv"
+        path.write_text(f"# n=1 k=1 logical_length=20\n0,1,{count}\n")
+
+        def loadtxt_with_float_fallback(*args, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+            return np.array([[0, 1, int(float(count))]])
+
+        with mock.patch.object(featurize.np, "loadtxt", loadtxt_with_float_fallback):
+            with pytest.raises(ParseError, match="expected integers") as err:
+                load_features(path)
+        assert err.value.line == 2
 
     def test_triplet_header_records_shape(self, tmp_path):
         ds = synthesize_dataset(1, [2], 30, 0.0, 0, seed=0)
