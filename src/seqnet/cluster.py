@@ -4,6 +4,8 @@ spectral clustering, and elbow-based selection of the cluster count.
 
 Partitional methods run on feature rows; the agglomerative methods honor the
 similarity network by only merging clusters that share at least one edge.
+k-means and the elbow sweep read a ``FeatureMatrix`` or ``scipy.sparse``
+input as CSR rows; the other methods densify it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import eigh
 
-from .distances import sq_distances
+from .distances import _dense, _gram_is_exact, _rows, _sq_norms, nearest, sq_distances
 from .errors import ConfigError, ParseError, parse_numbers
 from .featurize import FeatureMatrix
 from .ssn import SimilarityNetwork
@@ -57,6 +59,22 @@ def _as_array(x) -> np.ndarray:
     return x
 
 
+def _kmeans_rows(x):
+    """k-means' operand: CSR rows for a ``FeatureMatrix`` or ``scipy.sparse``
+    input, never densified whole; a float64 2-D array otherwise."""
+    return _rows(x.matrix if isinstance(x, FeatureMatrix) else x)
+
+
+def _row(x, i: int) -> np.ndarray:
+    return _dense(x[i : i + 1])[0]
+
+
+def _row_sum(rows) -> np.ndarray:
+    """Column sums of a dense or CSR block as a flat array: the sum ``mean``
+    divides on a dense block, and exact on integer counts."""
+    return np.asarray(rows.sum(axis=0)).ravel()
+
+
 def _densify_labels(raw: np.ndarray) -> tuple[np.ndarray, int]:
     """Relabel to dense 0..k-1 by first appearance; -1 (noise) passes through."""
     mapping: dict[int, int] = {}
@@ -90,69 +108,74 @@ def pca_project(x, dim: int) -> np.ndarray:
     return centered @ comps.T
 
 
-def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = len(x)
+def _kmeans_pp_init(x, k: int, rng: np.random.Generator, sq_x: np.ndarray) -> np.ndarray:
+    """k-means++ seeds. The centres are rows of x, so where x's Gram
+    expansion is exact (integer counts) each new centre costs one
+    matrix-vector product; otherwise :func:`nearest` makes the distances by
+    explicit differences. Either way they are ``sq_distances``' bits."""
+    n = x.shape[0]
+    exact = _gram_is_exact(x, x)
+
+    def dist_to(idx):
+        row = _row(x, idx)
+        if exact:
+            return sq_x + sq_x[idx] - 2.0 * (x @ row)
+        return nearest(x, row[None, :], sq_x)[1]
+
     centers = np.empty((k, x.shape[1]))
-    centers[0] = x[int(rng.integers(n))]
-    d2 = sq_distances(x, centers[:1])[:, 0]
+    idx = int(rng.integers(n))
+    centers[0] = _row(x, idx)
+    d2 = dist_to(idx)
     for c in range(1, k):
         total = d2.sum()
         if total <= 0:
             idx = int(rng.integers(n))
         else:
             idx = int(rng.choice(n, p=d2 / total))
-        centers[c] = x[idx]
-        d2 = np.minimum(d2, sq_distances(x, centers[c : c + 1])[:, 0])
+        centers[c] = _row(x, idx)
+        d2 = np.minimum(d2, dist_to(idx))
     return centers
 
 
-def _nearest_center(x, centers):
-    """Each row's nearest centre (lowest index on ties) and its squared distance."""
-    d2 = sq_distances(x, centers)
-    assign = d2.argmin(axis=1)
-    return assign, d2[np.arange(len(x)), assign]
-
-
-def _lloyd(x, centers, max_iter, tol):
+def _lloyd(x, centers, max_iter, tol, sq_x):
     history = []
     for _ in range(max_iter):
-        assign, point_cost = _nearest_center(x, centers)
+        assign, point_cost = nearest(x, centers, sq_x)
         history.append(float(point_cost.sum()))
 
         new_centers = centers.copy()
         counts = np.bincount(assign, minlength=len(centers))
-        for c in range(len(centers)):
-            if counts[c] > 0:
-                new_centers[c] = x[assign == c].mean(axis=0)
+        for c in np.flatnonzero(counts):
+            new_centers[c] = _row_sum(x[assign == c]) / counts[c]
         # an empty cluster is reseeded at the point farthest from its center
         spent = point_cost.copy()
         for c in np.flatnonzero(counts == 0):
             idx = int(np.argmax(spent))
-            new_centers[c] = x[idx]
+            new_centers[c] = _row(x, idx)
             spent[idx] = -1.0
         shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
         centers = new_centers
         if shift < tol:
             break
-    assign, point_cost = _nearest_center(x, centers)
+    assign, point_cost = nearest(x, centers, sq_x)
     sse = float(point_cost.sum())
     history.append(sse)
     return assign, centers, sse, history
 
 
-def _minibatch(x, centers, batch_size, max_iter, tol, rng):
-    n = len(x)
+def _minibatch(x, centers, batch_size, max_iter, tol, rng, sq_x):
+    n = x.shape[0]
     counts = np.zeros(len(centers))
     for _ in range(max_iter):
         batch = rng.integers(0, n, size=min(batch_size, n))
         xb = x[batch]
-        assign, _ = _nearest_center(xb, centers)
+        assign, _ = nearest(xb, centers, sq_x[batch])
         new_centers = centers.copy()
         for c in np.unique(assign):
             members = xb[assign == c]
-            m = len(members)
+            m = members.shape[0]
             # running-mean update: equivalent to the per-sample learning rates
-            new_centers[c] = (counts[c] * centers[c] + members.sum(axis=0)) / (
+            new_centers[c] = (counts[c] * centers[c] + _row_sum(members)) / (
                 counts[c] + m
             )
             counts[c] += m
@@ -160,7 +183,7 @@ def _minibatch(x, centers, batch_size, max_iter, tol, rng):
         centers = new_centers
         if shift < tol:
             break
-    assign, point_cost = _nearest_center(x, centers)
+    assign, point_cost = nearest(x, centers, sq_x)
     return assign, centers, float(point_cost.sum())
 
 
@@ -174,19 +197,28 @@ def kmeans(
     n_init: int = 1,
 ) -> ClusterAssignment:
     """k-means++ seeded Lloyd iterations; mini-batch updates when
-    ``batch_size`` is given. Reports full-data SSE either way."""
-    x = _as_array(x)
-    n = len(x)
+    ``batch_size`` is given. Reports full-data SSE either way.
+
+    A ``FeatureMatrix`` or ``scipy.sparse`` input stays CSR: the assignment
+    step is :func:`seqnet.distances.nearest`'s certified Gram step and the
+    centres are CSR row sums over counts. Labels, ``inertia`` and ``history``
+    keep the bits of dense explicit-difference Lloyd iterations.
+    """
+    x = _kmeans_rows(x)
+    n = x.shape[0]
     if not 1 <= k <= n:
         raise ConfigError(f"k={k} out of range for n={n}")
+    sq_x = _sq_norms(x)
     best = None
     for trial in range(max(1, n_init)):
         rng = np.random.default_rng([seed, trial])
-        centers = _kmeans_pp_init(x, k, rng)
+        centers = _kmeans_pp_init(x, k, rng, sq_x)
         if batch_size is None:
-            assign, centers, sse, history = _lloyd(x, centers, max_iter, tol)
+            assign, centers, sse, history = _lloyd(x, centers, max_iter, tol, sq_x)
         else:
-            assign, centers, sse = _minibatch(x, centers, batch_size, max_iter, tol, rng)
+            assign, centers, sse = _minibatch(
+                x, centers, batch_size, max_iter, tol, rng, sq_x
+            )
             history = [sse]
         if best is None or sse < best[1]:
             best = (assign, sse, history)
@@ -378,7 +410,7 @@ def gaussian_mixture(
         raise ConfigError(f"k={k} out of range for n={n}")
 
     rng = np.random.default_rng(seed)
-    means = _kmeans_pp_init(x, k, rng)
+    means = _kmeans_pp_init(x, k, rng, _sq_norms(x))
     variances = np.tile(np.maximum(x.var(axis=0), var_floor), (k, 1))
     weights = np.full(k, 1.0 / k)
 
@@ -466,8 +498,8 @@ def elbow_select_k(
     joining its endpoints (see :func:`knee_index`). Runtimes are recorded but
     play no part in the choice.
     """
-    x = _as_array(x)
-    if not 1 <= k_min < k_max <= len(x):
+    x = _kmeans_rows(x)
+    if not 1 <= k_min < k_max <= x.shape[0]:
         raise ConfigError(f"need 1 <= k_min < k_max <= n, got [{k_min}, {k_max}]")
     ks = list(range(k_min, k_max + 1))
     sse = []

@@ -19,6 +19,12 @@ sum is an exact integer, so the bits do not depend on the choice or the
 blocking. No operand is densified whole: a block holds (tile rows + the
 other operand's rows) x 1,024 values. :func:`k_nearest` orders each
 query's rows by (distance, index).
+
+:func:`nearest` is k-means' assignment step: each row's nearest centre and
+its squared distance, with the bits of ``sq_distances(x, centers)`` and a
+row-wise argmin but none of its n x k x dim difference blocks. It certifies
+a float64 Gram argmin by an a-priori rounding bound and recomputes by
+explicit differences only what the bound leaves open.
 """
 
 from __future__ import annotations
@@ -30,6 +36,9 @@ _BLOCK_ELEMS = 20_000_000
 _GRAM_COLS = 1024
 _TILE_ROWS = 512
 _CHUNK = 1 << 15
+# values in one of nearest's explicit-difference blocks (8 MB of float64)
+_NEAREST_ELEMS = 1 << 20
+_UNIT_ROUNDOFF = 2.0**-53
 # a BLAS multiply-add costs about 1/70 of a sparse one, or of writing one
 # element of a dense block (measured on a 2-core host, two BLAS threads)
 _BLAS_SPEEDUP = 70
@@ -140,3 +149,70 @@ def k_nearest(x, k: int, queries=None) -> np.ndarray:
             d2[np.arange(len(d2)), np.arange(start, start + len(d2))] = np.inf
         out[start : start + len(d2)] = np.argsort(d2, axis=1, kind="stable")[:, :k]
     return out
+
+
+def _paired_sq(a, b) -> np.ndarray:
+    """|a[i] - b[i]|^2 by explicit differences (rows paired after broadcasting),
+    summed as the difference branch of :func:`sq_distances` sums each pair.
+    A one-row einsum is a full reduction, which numpy sums in another order
+    once a row is longer than 8,192 values; a second copy of the row keeps
+    the per-row order."""
+    diff = a - b
+    rows = len(diff)
+    if rows == 1:
+        diff = np.vstack((diff, diff))
+    return np.einsum("ij,ij->i", diff, diff)[:rows]
+
+
+def _gamma(n: int) -> float:
+    return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+
+
+def _recheck(x, centers, rows) -> np.ndarray:
+    """The nearest centre of each of x's ``rows`` by explicit differences."""
+    return np.array(
+        [_paired_sq(_dense(x[i : i + 1]), centers).argmin() for i in rows], dtype=np.int64
+    )
+
+
+def nearest(x, centers, sq_x=None) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's nearest centre (lowest index on ties) and its squared
+    distance: the bits of ``d2 = sq_distances(x, centers)``, ``d2.argmin(1)``
+    and the chosen entries, without the n x k x dim difference blocks.
+
+    x is an array or ``scipy.sparse``; ``centers`` is a dense k x dim array;
+    ``sq_x`` may pass the squared row norms of x, made once by the caller.
+    The Gram value g = |x|^2 + |c|^2 - 2 x.c is formed in float64 for every
+    pair. With u = 2^-53 and gamma_n = n u / (1 - n u), both g and the
+    explicit-difference sum e that :func:`sq_distances` returns lie within
+    gamma_(dim+2) (|x| + |c|)^2 of the true distance, so |g - e| <= eps =
+    gamma_(4 dim + 16) (|x| + |c|)^2; the larger n also covers the rounding
+    of eps itself and of the comparisons below. A row's Gram argmin w is
+    accepted when every other centre's g - eps exceeds w's g + eps: then
+    no e can tie or beat e_w. The remaining rows (near ties, duplicate
+    centres, non-finite values) are recomputed against all centres by
+    explicit differences. Every row's chosen distance is computed by
+    explicit differences, in row blocks of about 2^20 values, never n x k x
+    dim.
+    """
+    x = _rows(x)
+    centers = np.asarray(centers, dtype=np.float64)
+    n, dim = x.shape
+    sq_x = _sq_norms(x) if sq_x is None else sq_x
+    sq_c = _sq_norms(centers)
+    d2 = sq_x[:, None] + sq_c[None, :] - 2.0 * (x @ centers.T)
+    eps = _gamma(4 * dim + 16) * (np.sqrt(sq_x)[:, None] + np.sqrt(sq_c)[None, :]) ** 2
+    best = d2.argmin(axis=1)
+    rows = np.arange(n)
+    upper = d2[rows, best] + eps[rows, best]
+    d2 -= eps
+    d2[rows, best] = np.inf
+    # negated so that a NaN bound fails the test too
+    unsure = np.flatnonzero(~(d2.min(axis=1) > upper))
+    best[unsure] = _recheck(x, centers, unsure)
+    cost = np.empty(n)
+    step = max(1, _NEAREST_ELEMS // max(1, dim))
+    for start in range(0, n, step):
+        stop = start + step
+        cost[start:stop] = _paired_sq(_dense(x[start:stop]), centers[best[start:stop]])
+    return best, cost

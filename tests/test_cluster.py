@@ -1,8 +1,14 @@
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from cluster_reference import kmeans_reference
+from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
+from seqnet import distances
 from seqnet.cluster import (
     ClusterAssignment,
     agglomerative,
@@ -10,13 +16,17 @@ from seqnet.cluster import (
     elbow_select_k,
     gaussian_mixture,
     kmeans,
+    knee_index,
     load_assignment,
     pca_project,
     save_assignment,
     save_elbow,
     spectral_clustering,
 )
+from seqnet.distances import nearest, sq_distances
 from seqnet.errors import ConfigError
+from seqnet.featurize import FeatureMatrix, featurize_dataset
+from seqnet.seqio import synthesize_dataset
 from seqnet.ssn import network_from_edges
 
 
@@ -106,6 +116,113 @@ class TestKMeans:
         x = rng.normal(size=(30, 2))
         out = kmeans(x, 5, seed=0)
         assert set(out.labels.tolist()) == set(range(out.k_found))
+
+
+@st.composite
+def kmeans_inputs(draw):
+    """(x, dense x, k): rows drawn from a small pool, so duplicate rows are
+    common; integer counts as an array, CSR or a k=1 FeatureMatrix (20
+    columns), or float embeddings."""
+    form = draw(st.sampled_from(["counts", "csr", "features", "floats"]))
+    dim = 20 if form == "features" else draw(st.integers(1, 5))
+    if form == "floats":
+        values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    else:
+        values = st.integers(0, 6)
+    pool = draw(st.lists(st.lists(values, min_size=dim, max_size=dim), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=14))
+    dense = np.array(pool, dtype=np.float64)[picks]
+    k = draw(st.integers(1, len(dense)))
+    x = dense
+    if form == "csr":
+        x = sparse.csr_matrix(dense)
+    elif form == "features":
+        x = FeatureMatrix(sparse.csr_matrix(dense), 1)
+    return x, dense, k
+
+
+def same_fit(got, want):
+    assert np.array_equal(got.labels, want.labels)
+    assert got.k_found == want.k_found
+    assert repr(got.inertia) == repr(want.inertia)
+    assert [repr(h) for h in got.history] == [repr(h) for h in want.history]
+
+
+@given(kmeans_inputs(), st.integers(0, 3), st.sampled_from([None, 1, 3, 8]),
+       st.sampled_from([1, 2, 300]), st.integers(1, 3), st.sampled_from([1, 7, 1 << 20]))
+@settings(max_examples=150, deadline=None)
+def test_kmeans_matches_dense_reference(case, seed, batch_size, max_iter, n_init, block):
+    x, dense, k = case
+    with mock.patch.object(distances, "_NEAREST_ELEMS", block):
+        got = kmeans(x, k, seed=seed, batch_size=batch_size, max_iter=max_iter, n_init=n_init)
+    same_fit(got, kmeans_reference(dense, k, seed=seed, batch_size=batch_size,
+                                   max_iter=max_iter, n_init=n_init))
+
+
+def test_nearest_rechecks_only_the_rows_the_bound_leaves_open():
+    centers = np.array([[11736.5], [11733.5 - 2.0**-29], [0.0], [2.0]])
+    x = np.array([
+        # Gram ranks centre 1 first, explicit differences rank centre 0 first
+        [11735.0],
+        # equidistant from centres 2 and 3
+        [1.0],
+        # centre 2 nearer by 2**-41: far outside the bound, so certified
+        [1.0 - 2.0**-43],
+        [11000.0],
+    ])
+    d2 = sq_distances(x, centers)
+    sq_x = np.einsum("ij,ij->i", x, x)
+    gram = sq_x[:, None] + np.einsum("ij,ij->i", centers, centers) - 2.0 * x @ centers.T
+    assert gram[0].argmin() == 1 and d2[0].argmin() == 0
+    with mock.patch.object(distances, "_recheck", wraps=distances._recheck) as spy:
+        best, cost = nearest(x, centers)
+    assert spy.call_count == 1 and spy.call_args.args[2].tolist() == [0, 1]
+    assert best.tolist() == d2.argmin(axis=1).tolist() == [0, 2, 2, 1]
+    assert cost.tobytes() == d2[np.arange(len(x)), best].tobytes()
+
+
+def test_nearest_keeps_the_bits_of_one_long_row():
+    # numpy orders a one-row einsum's sum differently past 8,192 columns
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(1, 8530)) * 100
+    centers = rng.normal(size=(3, 8530)) * 100
+    d2 = sq_distances(x, centers)
+    best, cost = nearest(x, centers)
+    assert best.tolist() == [d2[0].argmin()]
+    assert cost.tobytes() == d2[0, best].tobytes()
+
+
+def lineage_features(n_lineages=22, per=13):
+    data = synthesize_dataset(
+        num_lineages=n_lineages, per_lineage=[per] * n_lineages, length=1274,
+        within_mut_rate=0.01, between_mut_count=8, seed=5,
+    )
+    return featurize_dataset(data, k=3)
+
+
+def test_kmeans_on_counts_stays_sparse_and_small():
+    features = lineage_features()
+    assert features.n == 286
+    with mock.patch.object(FeatureMatrix, "to_dense", side_effect=AssertionError("densified")):
+        tracemalloc.start()
+        try:
+            got = kmeans(features, 22, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # the dense path peaked at 339 MB here; the count matrix itself is 18 MB dense
+    assert peak <= 64 * 2**20
+    same_fit(got, kmeans_reference(features, 22, seed=0))
+
+
+def test_elbow_on_counts_matches_dense_reference():
+    features = lineage_features(n_lineages=4, per=10)
+    with mock.patch.object(FeatureMatrix, "to_dense", side_effect=AssertionError("densified")):
+        curve = elbow_select_k(features, 1, 6, seed=2, n_init=2)
+    dense = features.matrix.toarray()
+    want = [kmeans_reference(dense, k, seed=2, n_init=2).inertia for k in curve.ks]
+    assert [repr(s) for s in curve.sse] == [repr(s) for s in want]
+    assert curve.chosen_k == curve.ks[knee_index(curve.ks, want)]
 
 
 class TestAgglomerative:

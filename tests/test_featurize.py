@@ -69,6 +69,13 @@ class TestKmerRank:
             assert kmer_rank(kmer_unrank(rank, k)) == rank
 
 
+@given(st.integers(1, 4).flatmap(lambda k: st.text(alphabet=ALPHABET, min_size=k, max_size=k)))
+def test_unrank_inverts_rank(mer):
+    rank = kmer_rank(mer)
+    assert 0 <= rank < 20 ** len(mer)
+    assert kmer_unrank(rank, len(mer)) == mer
+
+
 class TestComputeFrequencyVector:
     def test_hand_enumeration(self):
         vec = compute_frequency_vector("ACACD", 2)

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from seqnet.errors import (
     AlphabetError,
@@ -214,3 +217,57 @@ class TestSplit:
     def test_bad_fraction_rejected(self):
         with pytest.raises(ConfigError):
             split_indices(["A"] * 10, 1.5, 2, seed=0)
+
+
+NAMES = st.text(alphabet="ABCXYZabcxyz0123456789_.-", min_size=1, max_size=8)
+
+
+@st.composite
+def datasets(draw):
+    """Records with unique ids, optional labels (which may contain '|') and
+    residues that include out-of-alphabet codes."""
+    ids = draw(st.lists(NAMES, min_size=1, max_size=6, unique=True))
+    labels = st.none() | st.text(alphabet="ABC12.|_", min_size=1, max_size=6).filter(
+        lambda s: s.strip() == s
+    )
+    residues = st.text(alphabet=ALPHABET + "XBZ-", min_size=1, max_size=30)
+    return Dataset(SequenceRecord(i, draw(residues), draw(labels)) for i in ids)
+
+
+@given(datasets())
+@settings(deadline=None)
+def test_parse_inverts_write(tmp_path_factory, ds):
+    path = tmp_path_factory.mktemp("fasta") / "round.fa"
+    write_fasta(ds, path)
+    assert parse_fasta(path) == ds
+
+
+@st.composite
+def split_cases(draw):
+    folds = draw(st.integers(2, 4))
+    sizes = draw(st.lists(st.integers(folds, folds + 9), min_size=1, max_size=4))
+    labels = [f"c{c}" for c, size in enumerate(sizes) for _ in range(size)]
+    labels = draw(st.permutations(labels))
+    return labels, draw(st.sampled_from([0.2, 0.3, 0.5])), folds, draw(st.integers(0, 50))
+
+
+@given(split_cases(), st.booleans())
+def test_split_invariants(case, stratified):
+    labels, fraction, folds, seed = case
+    n = len(labels)
+    n_train = int(round((1.0 - fraction) * n))
+    assume(n_train >= folds and n - n_train >= 1)
+    plan = split_indices(labels, fraction, folds, seed, stratified=stratified)
+    train, test = plan.train_indices, plan.test_indices
+    assert len(test) == n - n_train
+    assert not set(train) & set(test)
+    assert sorted(train + test) == list(range(n))
+    validate = [i for _, val in plan.folds for i in val]
+    assert sorted(validate) == sorted(train)
+    for fit, val in plan.folds:
+        assert sorted(fit + val) == sorted(train)
+    if stratified:
+        in_test = Counter(labels[i] for i in test)
+        for cls, size in Counter(labels).items():
+            assert abs(in_test[cls] - size * fraction) < 1.0
+    assert split_indices(labels, fraction, folds, seed, stratified=stratified) == plan
