@@ -55,7 +55,7 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_sidecar(output, subcommand, config, inputs, extra=None):
+def _sidecar_lines(subcommand, config, inputs, extra=None) -> list[str]:
     lines = ["tool=seqnet", f"version={__version__}", f"subcommand={subcommand}"]
     for key, value in config_items(config):
         lines.append(f"config.{key}={value}")
@@ -64,6 +64,11 @@ def _write_sidecar(output, subcommand, config, inputs, extra=None):
         lines.append(f"input.{i}.sha256={_sha256(path)}")
     for key in sorted(extra or {}):
         lines.append(f"{key}={extra[key]}")
+    return lines
+
+
+def _write_sidecar(output, subcommand, config, inputs, extra=None):
+    lines = _sidecar_lines(subcommand, config, inputs, extra)
     Path(str(output) + ".meta").write_text("\n".join(lines) + "\n")
 
 
@@ -178,8 +183,8 @@ def cmd_embed(args):
     if method not in EMBED_METHODS:
         raise ConfigError(f"unknown embedding method {method!r}")
     embedding = EMBED_METHODS[method](graph, cfg.dim, **_EMBED_OPTIONS[method](cfg, args))
-    save_embedding(embedding, args.output)
-    _write_sidecar(args.output, "embed", cfg, [args.input], {"method": method})
+    # one sidecar: the provenance, then the embedding's own fields
+    save_embedding(embedding, args.output, provenance=_sidecar_lines("embed", cfg, [args.input]))
     print(f"embed: {method} -> {embedding.n} x {embedding.d}")
     return EXIT_OK
 

@@ -17,8 +17,9 @@ related sequences (about 8x per 512-row tile at n=773); the sparse product
 wins at k=4, on short sequences and on a single query row. Every partial
 sum is an exact integer, so the bits do not depend on the choice or the
 blocking. No operand is densified whole: a block holds (tile rows + the
-other operand's rows) x 1,024 values. :func:`k_nearest` orders each
-query's rows by (distance, index).
+other operand's rows) x 1,024 values, and the other operand is cut into
+its column blocks once per call, not once per tile. :func:`k_nearest`
+orders each query's rows by (distance, index).
 
 :func:`nearest` is k-means' assignment step: each row's nearest centre and
 its squared distance, with the bits of ``sq_distances(x, centers)`` and a
@@ -91,18 +92,23 @@ def _dense_blocks_pay(a, b) -> bool:
     return pairs > (m + tiles * n) * d + m * n * d / _BLAS_SPEEDUP
 
 
-def _gram(a, b, blocks: bool) -> np.ndarray:
-    """a @ b.T as a dense array, from dense column blocks where ``blocks``;
-    exact, so called only on integer operands."""
+def _column_blocks(x) -> list:
+    """x's columns in slices of ``_GRAM_COLS``, in column order."""
+    return [x[:, col : col + _GRAM_COLS] for col in range(0, x.shape[1], _GRAM_COLS)]
+
+
+def _gram(a, b, b_blocks) -> np.ndarray:
+    """a @ b.T as a dense array, a sparse product unless ``b_blocks`` holds
+    b's :func:`_column_blocks`, which are then densified one at a time
+    against a's; exact, so called only on integer operands."""
     if not (sparse.issparse(a) or sparse.issparse(b)):
         return a @ b.T
-    if not blocks:
+    if b_blocks is None:
         gram = a @ b.T
         return gram.toarray() if sparse.issparse(gram) else gram
     gram = np.zeros((a.shape[0], b.shape[0]))
-    for col in range(0, a.shape[1], _GRAM_COLS):
-        cols = slice(col, col + _GRAM_COLS)
-        gram += _dense(a[:, cols]) @ _dense(b[:, cols]).T
+    for a_block, b_block in zip(_column_blocks(a), b_blocks):
+        gram += _dense(a_block) @ _dense(b_block).T
     return gram
 
 
@@ -111,16 +117,21 @@ def _row_tiles(a, b):
     if _gram_is_exact(a, b):
         sq_a = _sq_norms(a)
         sq_b = sq_a if b is a else _sq_norms(b)
-        blocks = _dense_blocks_pay(a, b)
+        # b is sliced once per call, not once per tile: slicing scans all of it
+        b_blocks = _column_blocks(b) if _dense_blocks_pay(a, b) else None
         for start in range(0, a.shape[0], _TILE_ROWS):
             stop = start + _TILE_ROWS
-            gram = _gram(a[start:stop], b, blocks)
+            gram = _gram(a[start:stop], b, b_blocks)
             yield start, sq_a[start:stop, None] + sq_b[None, :] - 2.0 * gram
         return
     a, b = _dense(a), _dense(b)
     step = max(1, min(_TILE_ROWS, _BLOCK_ELEMS // max(1, b.size)))
     for start in range(0, a.shape[0], step):
-        diff = a[start : start + step, None, :] - b[None, :, :]
+        rows = a[start : start + step]
+        if len(rows) == len(b) == 1:  # one pair: summed in another order, see _paired_sq
+            yield start, _paired_sq(rows, b)[:, None]
+            continue
+        diff = rows[:, None, :] - b[None, :, :]
         yield start, np.einsum("ijk,ijk->ij", diff, diff)
 
 

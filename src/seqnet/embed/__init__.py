@@ -8,7 +8,7 @@ trainer; DeepWalk is exactly Node2Vec at p = q = 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -75,8 +75,11 @@ EMBED_METHODS = {
 }
 
 
-def save_embedding(embedding: EmbeddingMatrix, path, meta_path=None) -> None:
-    """CSV with a node_index,e0..e{d-1} header plus a key=value metadata sidecar."""
+def save_embedding(
+    embedding: EmbeddingMatrix, path, meta_path=None, provenance: Sequence[str] = ()
+) -> None:
+    """CSV with a node_index,e0..e{d-1} header plus a key=value metadata
+    sidecar: the ``provenance`` lines, then method, d and the info fields."""
     if meta_path is None:
         meta_path = str(path) + ".meta"
     d = embedding.d
@@ -85,6 +88,8 @@ def save_embedding(embedding: EmbeddingMatrix, path, meta_path=None) -> None:
         for i, row in enumerate(embedding.vectors):
             fh.write(str(i) + "," + ",".join(repr(float(x)) for x in row) + "\n")
     with open(meta_path, "w") as fh:
+        for line in provenance:
+            fh.write(line + "\n")
         fh.write(f"method={embedding.method}\n")
         fh.write(f"d={d}\n")
         for key in sorted(embedding.info):

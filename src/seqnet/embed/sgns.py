@@ -96,6 +96,9 @@ def sgns_train(
         batch_size = min(_BATCH_CAP, max(256, _BATCH_PER_NODE * n))
     targets, contexts = corpus_pairs(corpus, config.window)
     noise_cdf = np.cumsum(unigram_distribution(corpus, n))
+    # rounding can leave the last value below 1.0, and a draw above it would
+    # index n: the last node with noise weight takes every draw up to 1.0
+    noise_cdf[noise_cdf == noise_cdf[-1]] = max(noise_cdf[-1], 1.0)
     rng = np.random.default_rng(config.seed)
     # float32 parameters: the trainer streams tens of GB of row gathers, and
     # single precision halves that without affecting the learned structure

@@ -21,6 +21,8 @@ from .errors import AlphabetError, MerSizeError, ParseError, parse_numbers
 from .seqio import ALPHABET, ALPHABET_INDEX, Dataset
 
 _NSYM = len(ALPHABET)
+# lines per block of _write_int_rows: its buffers stay within a few MB
+_WRITE_ROWS = 1 << 16
 _BYTE_CODE = np.full(256, -1, dtype=np.int16)
 for _ch, _i in ALPHABET_INDEX.items():
     _BYTE_CODE[ord(_ch)] = _i
@@ -197,16 +199,46 @@ def featurize_dataset(dataset: Dataset, k: int = 3) -> FeatureMatrix:
     )
 
 
+def _write_int_rows(fh, columns, sep: str) -> None:
+    """Write equal-length columns of non-negative integers to the binary file
+    ``fh`` as ASCII decimal lines, the fields joined by ``sep``.
+
+    Works in blocks of ``_WRITE_ROWS`` lines, so its buffers stay within a
+    few MB however long the columns are: a block's digits are formed by numpy
+    division into a uint8 array with one field of the block's widest width
+    per column, the leading zeros are masked out and the rest is written at
+    once. A column may be of any numeric dtype holding integers.
+    """
+    columns = [np.asarray(col) for col in columns]
+    ends = [ord(sep)] * (len(columns) - 1) + [ord("\n")]
+    for start in range(0, len(columns[0]), _WRITE_ROWS):
+        block = [col[start : start + _WRITE_ROWS].astype(np.int64) for col in columns]
+        if any(values.min() < 0 for values in block):
+            raise ValueError("negative value in an integer column")
+        widths = [len(str(int(values.max()))) for values in block]
+        text = np.empty((len(block[0]), sum(widths) + len(widths)), dtype=np.uint8)
+        keep = np.ones(text.shape, dtype=bool)
+        pos = 0
+        for values, width, end in zip(block, widths, ends):
+            last = pos + width - 1  # the units digit
+            rest = values
+            for col in range(last, pos - 1, -1):
+                rest, text[:, col] = np.divmod(rest, 10)
+            text[:, pos : last + 1] += ord("0")
+            for col in range(pos, last):  # a leading digit is kept once nonzero
+                keep[:, col] = values >= 10 ** (last - col)
+            text[:, last + 1] = end
+            pos = last + 2
+        fh.write(text[keep])
+
+
 def save_features(matrix: FeatureMatrix, path) -> None:
     """Write the sparse triplet CSV: one metadata header line, then row,rank,count."""
     x = matrix.to_csr()
-    indptr, ranks, counts = x.indptr.tolist(), x.indices.tolist(), x.data.astype(np.int64).tolist()
-    with open(path, "w") as fh:
-        fh.write(f"# n={matrix.n} k={matrix.k} logical_length={matrix.logical_length}\n")
-        for i in range(matrix.n):
-            start, stop = indptr[i], indptr[i + 1]
-            for rank, cnt in zip(ranks[start:stop], counts[start:stop]):
-                fh.write(f"{i},{rank},{cnt}\n")
+    rows = np.repeat(np.arange(matrix.n, dtype=x.indices.dtype), np.diff(x.indptr))
+    with open(path, "wb") as fh:
+        fh.write(f"# n={matrix.n} k={matrix.k} logical_length={matrix.logical_length}\n".encode())
+        _write_int_rows(fh, (rows, x.indices, x.data), ",")
 
 
 def _read_header(fh, path) -> tuple[int, int, int]:

@@ -19,7 +19,7 @@ from scipy.sparse import csgraph
 
 from .distances import k_nearest
 from .errors import NeighborCountError, ParseError, parse_numbers
-from .featurize import FeatureMatrix
+from .featurize import FeatureMatrix, _write_int_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,9 +195,8 @@ def save_graph(graph: SimilarityNetwork, edges_path, nodes_path=None) -> None:
     """Write the tab-separated edge list (u < v) and the node attribute CSV."""
     if nodes_path is None:
         nodes_path = _default_nodes_path(edges_path)
-    with open(edges_path, "w") as fh:
-        for u, v in graph.edges():
-            fh.write(f"{u}\t{v}\n")
+    with open(edges_path, "wb") as fh:
+        _write_int_rows(fh, graph.edge_array().T, "\t")
     with open(nodes_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "id", "label"])

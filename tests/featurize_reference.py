@@ -4,8 +4,11 @@ One Python dict of rank -> count per sequence, stacked into a CSR matrix row
 by row, the way ``seqnet.featurize`` stored features before it built the
 CSR matrix directly. ``load_features_reference`` reads the triplet CSV one
 line at a time with ``int()``, the way ``seqnet.featurize.load_features`` did
-before it parsed the body in one numpy call. Tests require the library to
-give the same matrix, or the same ``ParseError`` message and line.
+before it parsed the body in one numpy call. ``save_features_reference``
+writes the triplet CSV one f-string per line, the way
+``seqnet.featurize.save_features`` did before it wrote blocks of lines. Tests
+require the library to give the same matrix, the same ``ParseError`` message
+and line, and the same file bytes.
 """
 
 from array import array
@@ -43,6 +46,17 @@ def csr_reference(rows, k):
         (np.asarray(data, dtype=np.float64), indices, indptr),
         shape=(len(rows), len(ALPHABET_INDEX) ** k),
     )
+
+
+def save_features_reference(matrix, path):
+    x = matrix.to_csr()
+    indptr, ranks, counts = x.indptr.tolist(), x.indices.tolist(), x.data.astype(np.int64).tolist()
+    with open(path, "w") as fh:
+        fh.write(f"# n={matrix.n} k={matrix.k} logical_length={matrix.logical_length}\n")
+        for i in range(matrix.n):
+            start, stop = indptr[i], indptr[i + 1]
+            for rank, cnt in zip(ranks[start:stop], counts[start:stop]):
+                fh.write(f"{i},{rank},{cnt}\n")
 
 
 def load_features_reference(path):

@@ -4,6 +4,8 @@ These are the neighbor-set construction, depth-first component labelling and
 edge-list subgraph that ``seqnet.ssn`` replaced with CSR operations. A graph
 here is a tuple of sorted neighbor tuples. Tests require the library to give
 the same neighbor rows, edge order, component labels and subgraphs.
+``save_edges_reference`` writes the edge file one f-string per edge, the way
+``seqnet.ssn.save_graph`` did before it wrote blocks of lines.
 """
 
 import numpy as np
@@ -54,3 +56,9 @@ def subgraph_reference(neighbors, nodes):
         if u in index and v in index
     ]
     return neighbors_reference(len(nodes), edges)
+
+
+def save_edges_reference(graph, path):
+    with open(path, "w") as fh:
+        for u, v in graph.edges():
+            fh.write(f"{u}\t{v}\n")

@@ -385,6 +385,19 @@ class TestSidecarsAndDeterminism:
         assert "input.0.sha256=" in meta
         assert "config.k=2" in meta
 
+    def test_embed_sidecar_keeps_provenance_and_embedding_fields(self, pipeline_dir):
+        out = pipeline_dir / "hope.csv"
+        assert run(
+            "embed", "--input", pipeline_dir / "graph.tsv", "--output", out,
+            "--method", "hope", "--dim", 4,
+        ) == 0
+        meta = dict(line.split("=", 1) for line in (pipeline_dir / "hope.csv.meta")
+                    .read_text().splitlines())
+        assert meta["subcommand"] == "embed" and meta["input.0.sha256"]
+        assert meta["method"] == "hope" and meta["d"] == "4"
+        assert float(meta["spectral_radius"]) > 0 and "beta" in meta
+        assert load_embedding(out).method == "hope"
+
     def test_rerun_is_byte_identical(self, tmp_path):
         def run_pipeline(out_dir, workers):
             out_dir.mkdir(exist_ok=True)

@@ -120,6 +120,40 @@ def test_dense_blocks_only_where_they_pay():
     assert not distances._dense_blocks_pay(k3[:1], k3)
 
 
+def test_searched_operand_is_sliced_once_per_column_block():
+    """Dense blocks cut the searched operand into its column blocks once per
+    call, however many row tiles the queries make."""
+    x = sparse.csr_matrix(np.random.default_rng(2).integers(0, 3, size=(7, 20)).astype(float))
+    queries = x[:3]
+    getitem = sparse.csr_matrix.__getitem__
+    column_slices = []
+
+    def spy(self, key):
+        if self.shape[0] == 7 and isinstance(key, tuple):
+            column_slices.append(key)
+        return getitem(self, key)
+
+    with mock.patch.multiple(distances, _TILE_ROWS=2, _GRAM_COLS=8,
+                             _dense_blocks_pay=lambda a, b: True), \
+            mock.patch.object(sparse.csr_matrix, "__getitem__", spy):
+        for asks in (None, queries):
+            column_slices.clear()
+            got = k_nearest(x, 3, queries=asks)
+            assert len(column_slices) == 3  # 20 columns in blocks of 8
+            dense = None if asks is None else asks.toarray()
+            assert got.tolist() == k_nearest_reference(x.toarray(), 3, queries=dense)
+
+
+def test_one_pair_block_keeps_the_bits_of_a_larger_block():
+    """Past 8,192 columns numpy sums a one-pair einsum in another order; the
+    difference branch sums that pair as it sums every other."""
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(2, 8530)) * 100
+    c = rng.normal(size=(1, 8530)) * 100
+    assert sq_distances(x[:1], c)[0, 0] == sq_distances(x, c)[0, 0]
+    assert sq_distances(c, x[:1])[0, 0] == sq_distances(c, x)[0, 0]
+
+
 def test_one_dimensional_input_is_a_column():
     assert_same_bits(sq_distances([0.0, 1.0, 3.0]), sq_distances_reference([[0.0], [1.0], [3.0]]))
 

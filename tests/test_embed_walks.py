@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from conftest import finite_difference, relative_error
@@ -18,6 +20,7 @@ from seqnet.embed import (
     step_distribution,
     unigram_distribution,
 )
+from seqnet.embed import sgns
 from seqnet.embed.sgns import corpus_pairs
 from seqnet.embed.walks import WalkCorpus
 from seqnet.errors import ConfigError
@@ -149,6 +152,32 @@ class TestSgns:
         a = sgns_train(corpus, 3, 4, cfg)
         b = sgns_train(corpus, 3, 4, cfg)
         assert np.array_equal(a, b)
+
+    def test_negative_draw_above_the_last_noise_value(self):
+        """Rounding leaves this corpus's noise CDF below the largest uniform
+        draw; such a draw samples the last node, not index n."""
+        corpus = WalkCorpus((tuple(range(7)),))
+        top = np.nextafter(1.0, 0.0)
+        assert np.cumsum(unigram_distribution(corpus, 7))[-1] < top
+        cfg = WalkConfig(walks_per_node=1, walk_length=7, negatives=5, epochs=1)
+        seeded = np.random.default_rng
+
+        class TopNegatives:
+            def __init__(self, seed):
+                self.rng = seeded(seed)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def random(self, size):
+                draws = self.rng.random(size)
+                if draws.shape[1] == cfg.negatives:
+                    draws[:] = top
+                return draws
+
+        with mock.patch.object(sgns.np.random, "default_rng", TopNegatives):
+            vectors = sgns_train(corpus, 7, 4, cfg)
+        assert np.isfinite(vectors).all()
 
     def test_two_cliques_separate(self):
         g = two_cliques(5)

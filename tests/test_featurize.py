@@ -3,8 +3,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from featurize_reference import counts_reference, csr_reference, load_features_reference
-from hypothesis import HealthCheck, given, settings, strategies as st
+from featurize_reference import (
+    counts_reference,
+    csr_reference,
+    load_features_reference,
+    save_features_reference,
+)
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from seqnet import featurize
 from seqnet.errors import AlphabetError, MerSizeError, ParseError
@@ -212,6 +217,10 @@ class TestMatrixExport:
         first = path.read_text().splitlines()[0]
         assert first == "# n=2 k=2 logical_length=400"
 
+    def test_negative_value_rejected_by_the_block_writer(self, tmp_path):
+        with open(tmp_path / "rows.csv", "wb") as fh, pytest.raises(ValueError):
+            featurize._write_int_rows(fh, ([3, 4], [5, -1]), ",")
+
     def test_dense_csv_export(self, tmp_path):
         from seqnet.featurize import save_features_dense
 
@@ -316,3 +325,43 @@ def test_load_features_matches_line_by_line_reference(tmp_path, text):
     want = load_outcome(load_features_reference, path)
     assert type(got) is type(want)
     assert got == want
+
+
+# row ids, ranks and counts either side of a new digit, up to 2^53
+EDGE_VALUES = [0, 1, 9, 10, 99, 100, 999, 1000]
+EDGE_COUNTS = [1, 9, 10, 99, 100, 1274, 10**9 - 1, 10**9, 2**32, 2**53]
+
+
+@st.composite
+def count_matrices(draw):
+    """CSR counts with n=0, empty rows and values at digit boundaries,
+    including the last rank 20^k - 1."""
+    k = draw(st.integers(1, 3))
+    dim = 20**k
+    n = draw(st.one_of(st.integers(0, 12), st.integers(0, 120)))
+    rows = [{} for _ in range(n)]
+    if n:
+        row = st.one_of(st.sampled_from([i for i in EDGE_VALUES + [n - 1] if i < n]),
+                        st.integers(0, n - 1))
+        rank = st.one_of(st.sampled_from([r for r in EDGE_VALUES + [dim - 1] if r < dim]),
+                         st.integers(0, dim - 1))
+        count = st.one_of(st.sampled_from(EDGE_COUNTS), st.integers(1, 10**6))
+        for i, r, c in draw(st.lists(st.tuples(row, rank, count), max_size=40)):
+            rows[i][r] = c
+    return FeatureMatrix(csr_reference(rows, k), k)
+
+
+# tmp_path is shared by the examples; each one overwrites the files
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(count_matrices(), st.sampled_from([1, 2, 7, featurize._WRITE_ROWS]))
+@example(FeatureMatrix(csr_reference([], 2), 2), 1)  # n=0
+@example(FeatureMatrix(csr_reference([{}, {}, {}], 1), 1), 2)  # no triplets
+def test_save_features_matches_line_by_line_reference(tmp_path, matrix, block):
+    """The block writer's file has the old per-line writer's bytes at every
+    block size, including a last block shorter than the others."""
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    with mock.patch.object(featurize, "_WRITE_ROWS", block):
+        save_features(matrix, got)
+    save_features_reference(matrix, want)
+    assert got.read_bytes() == want.read_bytes()

@@ -1,14 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from scipy import sparse
 from ssn_reference import (
     components_reference,
     edges_reference,
     neighbors_reference,
+    save_edges_reference,
     subgraph_reference,
 )
 
+from seqnet import featurize
 from seqnet.errors import NeighborCountError
 from seqnet.featurize import featurize_dataset
 from seqnet.seqio import synthesize_dataset
@@ -241,6 +245,33 @@ def test_out_of_range_edges_match_reference(n, edges):
         return
     g = network_from_edges(n, edges)
     assert tuple(tuple(g.neighbors(i).tolist()) for i in range(n)) == want
+
+
+@st.composite
+def digit_boundary_graphs(draw):
+    """Graphs with no nodes, no edges or isolated nodes, whose node ids sit
+    either side of a new digit, up to 20^3 - 1."""
+    n = draw(st.one_of(st.integers(0, 12), st.sampled_from([101, 160, 1001, 8000])))
+    if not n:
+        return network_from_edges(0, [])
+    node = st.one_of(st.sampled_from([v for v in (0, 9, 10, 99, 100, 999, 1000, n - 1)
+                                      if v < n]),
+                     st.integers(0, n - 1))
+    return network_from_edges(n, draw(st.lists(st.tuples(node, node), max_size=40)))
+
+
+# tmp_path is shared by the examples; each one overwrites the files
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(digit_boundary_graphs(), st.sampled_from([1, 2, 7, featurize._WRITE_ROWS]))
+@example(network_from_edges(0, []), 1)
+@example(network_from_edges(4, [(2, 2)]), 2)  # edgeless
+def test_edge_file_matches_line_by_line_reference(tmp_path, graph, block):
+    got, want = tmp_path / "got.tsv", tmp_path / "want.tsv"
+    with mock.patch.object(featurize, "_WRITE_ROWS", block):
+        save_graph(graph, got)
+    save_edges_reference(graph, want)
+    assert got.read_bytes() == want.read_bytes()
 
 
 @pytest.mark.parametrize("mode", ["union", "mutual"])
