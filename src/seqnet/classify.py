@@ -531,7 +531,6 @@ def run_experiment(
     grids: Optional[dict] = None,
     test_fraction: float = 0.3,
     num_folds: int = 5,
-    stratified: bool = True,
 ) -> ExperimentResult:
     """Per seed: stratified split, grid selection by mean CV accuracy over the
     folds, refit on the full training part, evaluation on the held-out part.
@@ -552,7 +551,7 @@ def run_experiment(
 
     result = ExperimentResult(methods, classifiers, tuple(int(s) for s in seeds))
     for seed in result.seeds:
-        plan = split_indices(labels, test_fraction, num_folds, seed, stratified)
+        plan = split_indices(labels, test_fraction, num_folds, seed)
         train_idx = list(plan.train_indices)
         test_idx = list(plan.test_indices)
         y_train, y_test = labels[train_idx], labels[test_idx]

@@ -19,15 +19,13 @@ import argparse
 import hashlib
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, classify as classify_mod, cluster as cluster_mod
-from .config import PipelineConfig, apply_overrides, config_items, load_config
+from .config import PARSERS, PipelineConfig, config_items, load_config, parse_bool, parse_int_list
 from .embed import EMBED_METHODS, WalkConfig, load_embedding, save_embedding
-from .errors import ConfigError, ParseError, SeqnetError
+from .errors import ConfigError, ParseError, SeqnetError, parse_numbers
 from .evalmetrics import cluster_quality
 from .featurize import featurize_dataset, load_features, save_features
 from .seqio import (
@@ -79,13 +77,9 @@ def _require_input(path):
 
 
 def _effective(args) -> PipelineConfig:
-    config = load_config(getattr(args, "config", None) and _require_input(args.config))
-    overrides = {
-        key: getattr(args, key)
-        for key in vars(args)
-        if key in PipelineConfig.__dataclass_fields__
-    }
-    return apply_overrides(config, overrides)
+    """Defaults, then the --config file, then the config flags given."""
+    config = load_config(args.config and _require_input(args.config))
+    return replace(config, **{key: value for key, value in vars(args).items() if key in PARSERS})
 
 
 def _walk_config(cfg: PipelineConfig) -> WalkConfig:
@@ -96,7 +90,8 @@ def _on_disconnected(args) -> str:
     return "largest" if args.allow_disconnected else "error"
 
 
-# keyword arguments of each EMBED_METHODS entry beyond the graph and d
+# keyword arguments of each EMBED_METHODS entry beyond the graph and d; a
+# None value is left out, so the method's own default applies
 _EMBED_OPTIONS = {
     "laplacian_eigenmaps": lambda cfg, args: {"on_disconnected": _on_disconnected(args)},
     "lle": lambda cfg, args: {"on_disconnected": _on_disconnected(args)},
@@ -109,11 +104,26 @@ _EMBED_OPTIONS = {
 }
 
 
-def _parse_per_lineage(text, lineages):
-    parts = [int(p) for p in text.split(",") if p]
-    if len(parts) == 1:
-        parts = parts * lineages
-    return parts
+# each cluster --method: its call on the feature rows, the graph and the config
+_CLUSTER_METHODS = {
+    "kmeans": lambda x, graph, cfg: cluster_mod.kmeans(x, cfg.k_clusters, seed=cfg.seed),
+    "minibatch_kmeans": lambda x, graph, cfg: cluster_mod.kmeans(
+        x, cfg.k_clusters, seed=cfg.seed, batch_size=cfg.batch_size or 256
+    ),
+    "ward": lambda x, graph, cfg: cluster_mod.agglomerative(
+        x, graph, cfg.k_clusters, linkage="ward"
+    ),
+    "average": lambda x, graph, cfg: cluster_mod.agglomerative(
+        x, graph, cfg.k_clusters, linkage="average"
+    ),
+    "dbscan": lambda x, graph, cfg: cluster_mod.dbscan(x, eps=cfg.eps, min_pts=cfg.min_pts),
+    "gmm": lambda x, graph, cfg: cluster_mod.gaussian_mixture(
+        x, cfg.k_clusters, seed=cfg.seed, var_floor=cfg.var_floor, pca_dim=cfg.pca_dim
+    ),
+    "spectral": lambda x, graph, cfg: cluster_mod.spectral_clustering(
+        x, cfg.k_clusters, gamma=cfg.gamma, seed=cfg.seed
+    ),
+}
 
 
 # ---------------------------------------------------------------- subcommands
@@ -121,9 +131,12 @@ def _parse_per_lineage(text, lineages):
 
 def cmd_synth(args):
     cfg = _effective(args)
+    per_lineage = list(args.per_lineage)
+    if len(per_lineage) == 1:
+        per_lineage *= args.lineages
     dataset = synthesize_dataset(
         args.lineages,
-        _parse_per_lineage(args.per_lineage, args.lineages),
+        per_lineage,
         args.length,
         args.within_rate,
         args.between_count,
@@ -182,7 +195,8 @@ def cmd_embed(args):
     method = cfg.method
     if method not in EMBED_METHODS:
         raise ConfigError(f"unknown embedding method {method!r}")
-    embedding = EMBED_METHODS[method](graph, cfg.dim, **_EMBED_OPTIONS[method](cfg, args))
+    options = {k: v for k, v in _EMBED_OPTIONS[method](cfg, args).items() if v is not None}
+    embedding = EMBED_METHODS[method](graph, cfg.dim, **options)
     # one sidecar: the provenance, then the embedding's own fields
     save_embedding(embedding, args.output, provenance=_sidecar_lines("embed", cfg, [args.input]))
     print(f"embed: {method} -> {embedding.n} x {embedding.d}")
@@ -195,33 +209,13 @@ def cmd_cluster(args):
     inputs = [args.features]
     method = args.cluster_method
     t0 = time.perf_counter()
+    graph = None
     if method in ("ward", "average"):
         if not args.graph:
             raise ConfigError(f"--graph is required for {method} clustering")
         graph = load_graph(_require_input(args.graph))
         inputs.append(args.graph)
-        assignment = cluster_mod.agglomerative(
-            matrix, graph, cfg.k_clusters, linkage=method
-        )
-    elif method == "kmeans":
-        assignment = cluster_mod.kmeans(matrix, cfg.k_clusters, seed=cfg.seed)
-    elif method == "minibatch_kmeans":
-        assignment = cluster_mod.kmeans(
-            matrix, cfg.k_clusters, seed=cfg.seed, batch_size=cfg.batch_size or 256
-        )
-    elif method == "dbscan":
-        assignment = cluster_mod.dbscan(matrix, eps=cfg.eps, min_pts=cfg.min_pts)
-    elif method == "gmm":
-        assignment = cluster_mod.gaussian_mixture(
-            matrix, cfg.k_clusters, seed=cfg.seed, var_floor=cfg.var_floor,
-            pca_dim=cfg.pca_dim,
-        )
-    elif method == "spectral":
-        assignment = cluster_mod.spectral_clustering(
-            matrix, cfg.k_clusters, gamma=cfg.gamma, seed=cfg.seed
-        )
-    else:
-        raise ConfigError(f"unknown clustering method {method!r}")
+    assignment = _CLUSTER_METHODS[method](matrix, graph, cfg)
     runtime = time.perf_counter() - t0
 
     cluster_mod.save_assignment(
@@ -260,7 +254,7 @@ def _read_runtime_comment(path) -> float:
     with open(path) as fh:
         first = fh.readline().strip()
     if first.startswith("# runtime_sec="):
-        return float(first.split("=", 1)[1])
+        return parse_numbers([first.split("=", 1)[1]], 1, float)[0]
     return 0.0
 
 
@@ -369,13 +363,28 @@ def cmd_pca2d(args):
 # -------------------------------------------------------------------- parser
 
 
-def _add_common(sub):
+# argparse options of a config flag beyond its parser
+_FLAG_OPTIONS = {
+    "workers": {"help": "cap on internal parallelism (results are identical)"},
+    "timings": {"help": "write real wall-clock columns instead of 0.0"},
+    "method": {"choices": sorted(EMBED_METHODS)},
+}
+
+
+def _add_config_flags(sub, *names):
+    """--config and one flag per named config field, plus --workers, --seed
+    and --timings. A flag reads its text as the field's INI key does; a flag
+    left out sets nothing, so the file and the default stand."""
     sub.add_argument("--config", help="INI config file")
-    sub.add_argument("--workers", type=int, default=None,
-                     help="cap on internal parallelism (results are identical)")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--timings", action="store_const", const=True, default=None,
-                     help="write real wall-clock columns instead of 0.0")
+    for name in names + ("workers", "seed", "timings"):
+        options = dict(_FLAG_OPTIONS.get(name, {}))
+        if PARSERS[name] is parse_bool:
+            options.update(action="store_const", const=True)
+        else:
+            options["type"] = PARSERS[name]
+        sub.add_argument(
+            "--" + name.replace("_", "-"), dest=name, default=argparse.SUPPRESS, **options
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,19 +400,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--output", required=True)
     sub.add_argument("--labels-output")
     sub.add_argument("--lineages", type=int, default=4)
-    sub.add_argument("--per-lineage", default="100")
+    sub.add_argument("--per-lineage", type=parse_int_list, default="100")
     sub.add_argument("--length", type=int, default=300)
     sub.add_argument("--within-rate", type=float, default=0.01)
     sub.add_argument("--between-count", type=int, default=30)
-    _add_common(sub)
+    _add_config_flags(sub)
     sub.set_defaults(func=cmd_synth)
 
     sub = subs.add_parser("featurize", help="k-mer frequency vectors from FASTA")
     sub.add_argument("--input", required=True)
     sub.add_argument("--output", required=True)
-    sub.add_argument("--k", type=int, default=None)
-    sub.add_argument("--strict", action="store_const", const=True, default=None)
-    _add_common(sub)
+    _add_config_flags(sub, "k", "strict")
     sub.set_defaults(func=cmd_featurize)
 
     sub = subs.add_parser("graph", help="build the KNN similarity network")
@@ -411,46 +418,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--output", required=True, help="edge list TSV")
     sub.add_argument("--nodes-output", default=None)
     sub.add_argument("--labels", help="id,label CSV aligned with feature rows")
-    sub.add_argument("--K", type=int, default=None)
     sub.add_argument("--mutual", action="store_true")
-    _add_common(sub)
+    _add_config_flags(sub, "K")
     sub.set_defaults(func=cmd_graph)
 
     sub = subs.add_parser("embed", help="node embeddings of the network")
     sub.add_argument("--input", required=True, help="edge list TSV")
     sub.add_argument("--nodes-input", default=None)
     sub.add_argument("--output", required=True)
-    sub.add_argument("--method", default=None, choices=sorted(EMBED_METHODS))
-    sub.add_argument("--dim", type=int, default=None)
     sub.add_argument("--allow-disconnected", action="store_true")
     sub.add_argument("--beta", type=float, default=None, help="hope proximity decay")
-    sub.add_argument("--lam", type=float, default=1e-4, help="gf regularization")
-    sub.add_argument("--gf-lr", type=float, default=0.05)
-    sub.add_argument("--gf-epochs", type=int, default=200)
-    for flag, typ in (
-        ("--p", float), ("--q", float), ("--walks-per-node", int),
-        ("--walk-length", int), ("--window", int), ("--negatives", int),
-        ("--epochs", int), ("--learning-rate", float),
-    ):
-        sub.add_argument(flag, type=typ, default=None)
-    _add_common(sub)
+    sub.add_argument("--lam", type=float, default=None, help="gf regularization")
+    sub.add_argument("--gf-lr", type=float, default=None)
+    sub.add_argument("--gf-epochs", type=int, default=None)
+    _add_config_flags(
+        sub, "method", "dim", "p", "q", "walks_per_node", "walk_length", "window",
+        "negatives", "epochs", "learning_rate",
+    )
     sub.set_defaults(func=cmd_embed)
 
     sub = subs.add_parser("cluster", help="cluster feature rows")
     sub.add_argument("--features", required=True)
     sub.add_argument("--output", required=True)
     sub.add_argument(
-        "--method", dest="cluster_method", default="kmeans",
-        choices=["kmeans", "minibatch_kmeans", "ward", "average", "dbscan", "gmm", "spectral"],
+        "--method", dest="cluster_method", default="kmeans", choices=list(_CLUSTER_METHODS)
     )
     sub.add_argument("--graph", help="edge TSV (required for ward/average)")
-    sub.add_argument("--k-clusters", type=int, default=None, dest="k_clusters")
-    sub.add_argument("--eps", type=float, default=None)
-    sub.add_argument("--min-pts", type=int, default=None, dest="min_pts")
-    sub.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-    sub.add_argument("--gamma", type=float, default=None)
-    sub.add_argument("--pca-dim", type=int, default=None, dest="pca_dim")
-    _add_common(sub)
+    _add_config_flags(sub, "k_clusters", "eps", "min_pts", "batch_size", "gamma", "pca_dim")
     sub.set_defaults(func=cmd_cluster)
 
     sub = subs.add_parser("elbow", help="SSE sweep and knee selection")
@@ -458,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--output", required=True)
     sub.add_argument("--k-min", type=int, default=1)
     sub.add_argument("--k-max", type=int, default=10)
-    _add_common(sub)
+    _add_config_flags(sub)
     sub.set_defaults(func=cmd_elbow)
 
     sub = subs.add_parser("evaluate", help="internal clustering quality scores")
@@ -466,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--assignments", required=True)
     sub.add_argument("--output", required=True)
     sub.add_argument("--name", default="clustering", help="algorithm column value")
-    _add_common(sub)
+    _add_config_flags(sub)
     sub.set_defaults(func=cmd_evaluate)
 
     sub = subs.add_parser("classify", help="seeded classification protocol")
@@ -477,23 +471,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--labels", required=True)
     sub.add_argument("--output-prefix", required=True)
     sub.add_argument("--classifiers", help="comma list; default all six")
-    sub.add_argument("--seeds", type=lambda t: tuple(int(x) for x in t.split(",")),
-                     default=None)
-    sub.add_argument("--test-fraction", type=float, default=None, dest="test_fraction")
-    sub.add_argument("--num-folds", type=int, default=None, dest="num_folds")
-    _add_common(sub)
+    _add_config_flags(sub, "seeds", "test_fraction", "num_folds")
     sub.set_defaults(func=cmd_classify)
 
     sub = subs.add_parser("report", help="merge per-run CSVs sharing a schema")
     sub.add_argument("--inputs", nargs="+", required=True)
     sub.add_argument("--output", required=True)
-    _add_common(sub)
+    _add_config_flags(sub)
     sub.set_defaults(func=cmd_report)
 
     sub = subs.add_parser("pca2d", help="2-D principal component projection")
     sub.add_argument("--input", required=True, help="features or embedding CSV")
     sub.add_argument("--output", required=True)
-    _add_common(sub)
+    _add_config_flags(sub)
     sub.set_defaults(func=cmd_pca2d)
 
     return parser

@@ -1,8 +1,10 @@
 """Pipeline configuration: defaults, INI config files, and override precedence.
 
-Effective values resolve as CLI flag > config file > built-in default. The
-file format is flat key=value pairs under the sections below; any unknown
-section or key is rejected by name.
+``PipelineConfig`` declares every knob once. Each field is an INI key under
+the section ``SECTIONS`` names for it and a CLI flag ``--name`` (``_``
+spelled ``-``), and both read their text through ``PARSERS``, chosen by the
+field's annotation. Effective values resolve as CLI flag > config file >
+built-in default; any unknown section or key is rejected by name.
 """
 
 from __future__ import annotations
@@ -10,14 +12,14 @@ from __future__ import annotations
 import configparser
 import os
 from dataclasses import dataclass, fields, replace
-from typing import Optional
+from typing import Optional, get_type_hints
 
 from .errors import ConfigError
 
 WORKERS_ENV = "SEQNET_WORKERS"
 
 
-def _parse_bool(text: str) -> bool:
+def parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
@@ -26,19 +28,22 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-def _parse_seeds(text: str) -> tuple[int, ...]:
+def parse_int_list(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; spaces and empty items are skipped."""
     try:
         return tuple(int(part) for part in text.replace(" ", "").split(",") if part)
     except ValueError as exc:
-        raise ConfigError(f"bad seed list {text!r}") from exc
+        raise ConfigError(f"bad integer list {text!r}") from exc
 
 
-def _parse_optional_int(text: str) -> Optional[int]:
-    return None if text.strip().lower() in ("", "none") else int(text)
+def _optional(convert):
+    """``convert``, except that an empty text or ``none`` reads as None."""
 
+    def parse(text: str):
+        return None if text.strip().lower() in ("", "none") else convert(text)
 
-def _parse_optional_float(text: str) -> Optional[float]:
-    return None if text.strip().lower() in ("", "none") else float(text)
+    parse.__name__ = f"optional {convert.__name__}"  # argparse names the type in errors
+    return parse
 
 
 def _default_workers() -> int:
@@ -77,50 +82,35 @@ class PipelineConfig:
     batch_size: Optional[int] = None
     gamma: Optional[float] = None
     var_floor: float = 1e-6
-    linkage: str = "ward"
     pca_dim: Optional[int] = None
     # classification protocol
     test_fraction: float = 0.3
     num_folds: int = 5
 
 
-CONFIG_SCHEMA = {
-    "pipeline": {
-        "k": int,
-        "K": int,
-        "dim": int,
-        "method": str,
-        "seed": int,
-        "seeds": _parse_seeds,
-        "workers": int,
-        "strict": _parse_bool,
-        "timings": _parse_bool,
-    },
-    "walks": {
-        "p": float,
-        "q": float,
-        "walks_per_node": int,
-        "walk_length": int,
-        "window": int,
-        "negatives": int,
-        "epochs": int,
-        "learning_rate": float,
-    },
-    "cluster": {
-        "k_clusters": int,
-        "eps": float,
-        "min_pts": int,
-        "batch_size": _parse_optional_int,
-        "gamma": _parse_optional_float,
-        "var_floor": float,
-        "linkage": str,
-        "pca_dim": _parse_optional_int,
-    },
-    "classify": {
-        "test_fraction": float,
-        "num_folds": int,
-    },
+# the INI section of each field
+SECTIONS = {
+    "pipeline": ("k", "K", "dim", "method", "seed", "seeds", "workers", "strict", "timings"),
+    "walks": (
+        "p", "q", "walks_per_node", "walk_length", "window", "negatives", "epochs",
+        "learning_rate",
+    ),
+    "cluster": ("k_clusters", "eps", "min_pts", "batch_size", "gamma", "var_floor", "pca_dim"),
+    "classify": ("test_fraction", "num_folds"),
 }
+
+_TYPE_PARSERS = {
+    int: int,
+    float: float,
+    str: str,
+    bool: parse_bool,
+    tuple[int, ...]: parse_int_list,
+    Optional[int]: _optional(int),
+    Optional[float]: _optional(float),
+}
+
+# the text parser of each field, for its INI key and its CLI flag alike
+PARSERS = {name: _TYPE_PARSERS[hint] for name, hint in get_type_hints(PipelineConfig).items()}
 
 
 def load_config(path=None) -> PipelineConfig:
@@ -135,31 +125,19 @@ def load_config(path=None) -> PipelineConfig:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"unparseable config file {path}: {exc}") from exc
+    if parser.defaults():  # configparser would copy these keys into every section
+        raise ConfigError(f"unknown config section [{parser.default_section}] in {path}")
     updates = {}
     for section in parser.sections():
-        if section not in CONFIG_SCHEMA:
+        if section not in SECTIONS:
             raise ConfigError(f"unknown config section [{section}] in {path}")
-        schema = CONFIG_SCHEMA[section]
         for key, raw in parser.items(section):
-            if key not in schema:
+            if key not in SECTIONS[section]:
                 raise ConfigError(f"unknown config key {key!r} in [{section}] of {path}")
             try:
-                updates[key] = schema[key](raw)
-            except (ValueError, ConfigError) as exc:
+                updates[key] = PARSERS[key](raw)
+            except ValueError as exc:
                 raise ConfigError(f"bad value for {key!r} in {path}: {raw!r}") from exc
-    return replace(config, **updates)
-
-
-def apply_overrides(config: PipelineConfig, overrides: dict) -> PipelineConfig:
-    """Apply non-None override values (CLI flags) on top of a config."""
-    known = {f.name for f in fields(PipelineConfig)}
-    updates = {}
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key not in known:
-            raise ConfigError(f"unknown config field {key!r}")
-        updates[key] = value
     return replace(config, **updates)
 
 

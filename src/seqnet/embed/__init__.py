@@ -75,19 +75,16 @@ EMBED_METHODS = {
 }
 
 
-def save_embedding(
-    embedding: EmbeddingMatrix, path, meta_path=None, provenance: Sequence[str] = ()
-) -> None:
+def save_embedding(embedding: EmbeddingMatrix, path, provenance: Sequence[str] = ()) -> None:
     """CSV with a node_index,e0..e{d-1} header plus a key=value metadata
-    sidecar: the ``provenance`` lines, then method, d and the info fields."""
-    if meta_path is None:
-        meta_path = str(path) + ".meta"
+    sidecar ``<path>.meta``: the ``provenance`` lines, then method, d and the
+    info fields."""
     d = embedding.d
     with open(path, "w") as fh:
         fh.write("node_index," + ",".join(f"e{j}" for j in range(d)) + "\n")
         for i, row in enumerate(embedding.vectors):
             fh.write(str(i) + "," + ",".join(repr(float(x)) for x in row) + "\n")
-    with open(meta_path, "w") as fh:
+    with open(str(path) + ".meta", "w") as fh:
         for line in provenance:
             fh.write(line + "\n")
         fh.write(f"method={embedding.method}\n")
@@ -99,9 +96,9 @@ def save_embedding(
             fh.write(f"{key}={value}\n")
 
 
-def load_embedding(path, meta_path=None) -> EmbeddingMatrix:
-    if meta_path is None:
-        meta_path = str(path) + ".meta"
+def load_embedding(path) -> EmbeddingMatrix:
+    """Read a CSV written by :func:`save_embedding`; the method and info
+    fields come from ``<path>.meta`` when it exists."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if not header or header[0] != "node_index":
@@ -119,7 +116,7 @@ def load_embedding(path, meta_path=None) -> EmbeddingMatrix:
     method = "unknown"
     info = {}
     try:
-        with open(meta_path) as fh:
+        with open(str(path) + ".meta") as fh:
             for line in fh:
                 line = line.strip()
                 if not line or "=" not in line:

@@ -45,12 +45,13 @@ def pair_gradients(v_t, u_c, u_neg):
     return g_vt, g_uc, g_un
 
 
-def unigram_distribution(corpus: WalkCorpus, n: int, power: float = 0.75) -> np.ndarray:
+def unigram_distribution(corpus: WalkCorpus, n: int) -> np.ndarray:
+    """Noise distribution: each node's corpus count to the 3/4 power, normalised."""
     counts = np.zeros(n)
     for walk in corpus.walks:
         for node in walk:
             counts[node] += 1
-    weights = counts**power
+    weights = counts**0.75
     total = weights.sum()
     if total == 0:
         raise ConfigError("empty corpus")
@@ -76,24 +77,21 @@ def corpus_pairs(corpus: WalkCorpus, window: int) -> tuple[np.ndarray, np.ndarra
     return np.concatenate(t_parts), np.concatenate(c_parts)
 
 
-def sgns_train(
-    corpus: WalkCorpus, n: int, d: int, config: WalkConfig, batch_size=None
-) -> np.ndarray:
+def sgns_train(corpus: WalkCorpus, n: int, d: int, config: WalkConfig) -> np.ndarray:
     """Train target vectors (n x d) for ``config.epochs`` passes over the pairs.
 
     The learning rate decays linearly per batch down to a small floor, the
     word2vec convention. Per-pair gradients within a batch are computed from
     the batch-start parameters and aggregated through sparse matrix products,
     which keeps the update deterministic and fast without changing what each
-    pair contributes. The default batch size grows with the node count so a
+    pair contributes. The batch size grows with the node count so a
     parameter row only ever absorbs a few summed gradients per step (large
     batches on small graphs overshoot and diverge). Returns the target-side
     matrix.
     """
     if not corpus.walks:
         raise ConfigError("empty corpus")
-    if batch_size is None:
-        batch_size = min(_BATCH_CAP, max(256, _BATCH_PER_NODE * n))
+    batch_size = min(_BATCH_CAP, max(256, _BATCH_PER_NODE * n))
     targets, contexts = corpus_pairs(corpus, config.window)
     noise_cdf = np.cumsum(unigram_distribution(corpus, n))
     # rounding can leave the last value below 1.0, and a draw above it would

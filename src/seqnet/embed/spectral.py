@@ -19,14 +19,14 @@ from . import EmbeddingMatrix
 _NULLSPACE_TOL = 1e-9
 
 
-def spectral_radius(adjacency: np.ndarray, iterations: int = 100) -> float:
-    """Power-iteration estimate of the largest eigenvalue magnitude."""
+def spectral_radius(adjacency: np.ndarray) -> float:
+    """Estimate of the largest eigenvalue magnitude by 100 power iterations."""
     n = adjacency.shape[0]
     if n == 0:
         return 0.0
     x = np.ones(n) / np.sqrt(n)
     estimate = 0.0
-    for _ in range(iterations):
+    for _ in range(100):
         y = adjacency @ x
         norm = float(np.linalg.norm(y))
         if norm == 0.0:

@@ -232,5 +232,8 @@ def load_graph(edges_path, nodes_path=None) -> SimilarityNetwork:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ParseError(f"expected 'u\\tv' got {line!r}", line=lineno)
-            edges.append(tuple(parse_numbers(parts, lineno)))
+            u, v = parse_numbers(parts, lineno)
+            if not (0 <= u < len(ids) and 0 <= v < len(ids)):
+                raise ParseError(f"edge ({u}, {v}) out of range for {len(ids)} nodes", line=lineno)
+            edges.append((u, v))
     return network_from_edges(len(ids), edges, node_ids=ids, labels=labels)

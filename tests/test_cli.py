@@ -1,11 +1,13 @@
+import argparse
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from seqnet import classify
-from seqnet.cli import main
-from seqnet.config import load_config
+from seqnet.cli import _effective, build_parser, main
+from seqnet.config import SECTIONS, PipelineConfig, load_config
 from seqnet.embed import load_embedding
 from seqnet.errors import ConfigError, DimensionError
 from seqnet.featurize import load_features
@@ -14,6 +16,20 @@ from seqnet.ssn import load_graph
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def config_flags():
+    """{field: (subcommand parser, its required argv, flag)} for every config
+    field some subcommand takes as a flag."""
+    parser = build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    found = {}
+    for sub in subs.choices.values():
+        required = [s for a in sub._actions if a.required for s in (a.option_strings[0], "x")]
+        for action in sub._actions:
+            if action.dest in PipelineConfig.__dataclass_fields__:
+                found.setdefault(action.dest, (sub, required, action.option_strings[0]))
+    return found
 
 
 @pytest.fixture
@@ -78,6 +94,45 @@ class TestConfigFile:
         path.write_text("[misc]\nx = 1\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_default_section_rejected(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[DEFAULT]\nk = 4\n")
+        with pytest.raises(ConfigError, match="DEFAULT"):
+            load_config(path)
+
+    def test_section_table_names_every_field_once(self):
+        named = [name for names in SECTIONS.values() for name in names]
+        assert sorted(named) == sorted(f.name for f in fields(PipelineConfig))
+
+    def test_every_field_but_var_floor_has_a_flag(self):
+        flagless = {f.name for f in fields(PipelineConfig)} - set(config_flags())
+        assert flagless == {"var_floor"}
+
+    @pytest.mark.parametrize("name", sorted(config_flags()))
+    def test_flag_and_ini_key_parse_alike(self, tmp_path, name):
+        samples = {"seeds": "1,,2", "batch_size": "none", "gamma": "none", "method": "hope"}
+        text = samples.get(name, "7")  # reads as an int and as a float
+        sub, required, flag = config_flags()[name]
+        switch = isinstance(PipelineConfig.__dataclass_fields__[name].default, bool)
+        if switch:
+            text = "true"
+        args = sub.parse_args(required + ([flag] if switch else [flag, text]))
+        section = next(s for s, names in SECTIONS.items() if name in names)
+        path = tmp_path / "conf.ini"
+        path.write_text(f"[{section}]\n{name} = {text}\n")
+        assert getattr(args, name) == getattr(load_config(path), name)
+
+    def test_flag_none_overrides_file(self, tmp_path):
+        conf = tmp_path / "conf.ini"
+        conf.write_text("[cluster]\nbatch_size = 64\ngamma = 0.5\n")
+        sub, required, _ = config_flags()["batch_size"]
+        cfg = _effective(sub.parse_args(required + ["--config", str(conf)]))
+        assert (cfg.batch_size, cfg.gamma) == (64, 0.5)
+        cfg = _effective(sub.parse_args(
+            required + ["--config", str(conf), "--batch-size", "none", "--gamma", "none"]
+        ))
+        assert (cfg.batch_size, cfg.gamma) == (None, None)
 
     def test_flag_overrides_file(self, tmp_path):
         conf = tmp_path / "conf.ini"
@@ -335,8 +390,32 @@ class TestErrorChannels:
                 ["evaluate", "--features", "f.csv", "--assignments", "a.csv", "--output", "q.csv"],
                 4,
             ),
+            (  # an edge endpoint past the last node
+                {"g.tsv": "0\t1\n0\t5\n", "g.tsv.nodes.csv": "index,id,label\n0,a,\n1,b,\n"},
+                ["embed", "--input", "g.tsv", "--output", "e.csv", "--method", "hope"],
+                2,
+            ),
+            (  # a negative edge endpoint
+                {"g.tsv": "-1\t1\n", "g.tsv.nodes.csv": "index,id,label\n0,a,\n1,b,\n"},
+                ["embed", "--input", "g.tsv", "--output", "e.csv", "--method", "hope"],
+                1,
+            ),
+            (  # a runtime comment that is not a number, read under --timings
+                {
+                    "f.csv": "# n=2 k=1 logical_length=20\n0,1,1\n1,2,1\n",
+                    "a.csv": "# runtime_sec=abc\nnode_index,cluster\n0,0\n1,1\n",
+                },
+                [
+                    "evaluate", "--features", "f.csv", "--assignments", "a.csv",
+                    "--output", "q.csv", "--timings",
+                ],
+                1,
+            ),
         ],
-        ids=["triplet", "edge", "node_row", "embedding", "assignment"],
+        ids=[
+            "triplet", "edge", "node_row", "embedding", "assignment",
+            "edge_out_of_range", "edge_negative", "runtime",
+        ],
     )
     def test_malformed_number_exit_4_with_line(self, tmp_path, capsys, files, argv, line):
         for name, text in files.items():
@@ -357,6 +436,26 @@ class TestErrorChannels:
     def test_invalid_flag_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             run("graph", "--no-such-flag")
+        assert exit_info.value.code == 2
+
+    def test_linkage_key_rejected_exit_4(self, pipeline_dir, tmp_path, capsys):
+        conf = tmp_path / "linkage.ini"
+        conf.write_text("[cluster]\nlinkage = ward\n")
+        assert run(
+            "cluster", "--features", pipeline_dir / "features.csv",
+            "--output", tmp_path / "c.csv", "--config", conf,
+        ) == 4
+        assert "'linkage'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--output", "d.fa", "--per-lineage", "3,x"],
+        ["classify", "--embedding", "e.csv", "--labels", "l.csv", "--output-prefix", "r",
+         "--seeds", "1,x"],
+        ["cluster", "--features", "f.csv", "--output", "c.csv", "--batch-size", "x"],
+    ])
+    def test_bad_flag_value_exit_2(self, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            run(*argv)
         assert exit_info.value.code == 2
 
     def test_data_error_exit_5(self, tmp_path):
