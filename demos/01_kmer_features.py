@@ -11,7 +11,8 @@ Run:  python demos/01_kmer_features.py
 from pathlib import Path
 
 from seqnet import (
-    compute_frequency_vector,
+    Dataset,
+    SequenceRecord,
     featurize_dataset,
     kmer_rank,
     kmer_unrank,
@@ -27,12 +28,13 @@ out_dir.mkdir(exist_ok=True)
 
 # --- a tiny hand-checkable example --------------------------------------
 # "ACACD" has four 2-mer windows: AC, CA, AC, CD. The vector is sparse:
-# only 3 of the 400 possible 2-mers are touched.
-vec = compute_frequency_vector("ACACD", k=2)
+# only 3 of the 400 possible 2-mers are touched. Its row of the CSR matrix
+# lists the touched ranks in ascending order.
+row = featurize_dataset(Dataset([SequenceRecord("tiny", "ACACD")]), k=2).to_csr()
 print("counts for 'ACACD' at k=2:")
-for rank, count in sorted(vec.counts.items()):
-    print(f"  {kmer_unrank(rank, 2)} (rank {rank:3d}) -> {count}")
-print(f"window count: {vec.total()} == (5 - 2) + 1 == {total_kmers(5, 2)}")
+for rank, count in zip(row.indices, row.data):
+    print(f"  {kmer_unrank(rank, 2)} (rank {rank:3d}) -> {count:.0f}")
+print(f"window count: {row.sum():.0f} == (5 - 2) + 1 == {total_kmers(5, 2)}")
 
 # Ranks are a positional base-20 code over the fixed alphabet order, so the
 # mapping between k-mers and vector positions is a bijection:

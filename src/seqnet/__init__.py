@@ -8,15 +8,12 @@ from .seqio import (
     Dataset,
     SequenceRecord,
     SplitPlan,
-    make_split,
     parse_fasta,
     synthesize_dataset,
     write_fasta,
 )
 from .featurize import (
     FeatureMatrix,
-    FrequencyVector,
-    compute_frequency_vector,
     featurize_dataset,
     kmer_rank,
     kmer_unrank,

@@ -14,16 +14,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .distances import k_nearest
+from .cluster import _log_gaussian_diag
+from .distances import _dense, _rows, k_nearest
 from .errors import ConfigError
 from .evalmetrics import ClassificationReport, classification_report
 from .seqio import split_indices
 
 
 def _prepare(x, y):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = _dense(_rows(x))
     y = np.asarray(y)
     if len(x) == 0:
         raise ConfigError("empty training set")
@@ -34,7 +33,8 @@ def _prepare(x, y):
 
 
 class _TimedFit:
-    """Mixin recording fit wall time in ``train_time_sec``."""
+    """Mixin recording fit wall time in ``train_time_sec``; ``predict_scores``
+    hands ``_scores`` a float64 2-D array, a 1-D query being one row."""
 
     train_time_sec: float = 0.0
 
@@ -43,6 +43,9 @@ class _TimedFit:
         self._fit(x, y)
         self.train_time_sec = time.perf_counter() - t0
         return self
+
+    def predict_scores(self, x):
+        return self._scores(np.atleast_2d(np.asarray(x, dtype=np.float64)))
 
     def predict(self, x):
         scores = self.predict_scores(x)
@@ -70,8 +73,7 @@ class KNNClassifier(_TimedFit):
                 f"k_votes={self.k_votes} exceeds training size {len(self._x)}"
             )
 
-    def predict_scores(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    def _scores(self, x):
         votes = self._y[k_nearest(self._x, self.k_votes, queries=x)]
         scores = np.zeros((len(x), len(self.classes_)))
         for c in range(len(self.classes_)):
@@ -121,8 +123,7 @@ class LogisticRegression(_TimedFit):
             self._w -= self.lr * grad_w
             self._b -= self.lr * grad_b
 
-    def predict_scores(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    def _scores(self, x):
         logits = x @ self._w.T + self._b
         logits -= logits.max(axis=1, keepdims=True)
         exp = np.exp(logits)
@@ -148,23 +149,15 @@ class GaussianNB(_TimedFit):
         eps = max(self.var_smoothing * float(x.var(axis=0).max()), 1e-12)
         self._means = np.empty((k, d))
         self._vars = np.empty((k, d))
-        self._log_priors = np.empty(k)
+        self._priors = np.empty(k)
         for c in range(k):
             members = x[encoded == c]
             self._means[c] = members.mean(axis=0)
             self._vars[c] = members.var(axis=0) + eps
-            self._log_priors[c] = np.log(len(members) / len(x))
+            self._priors[c] = len(members) / len(x)
 
-    def predict_scores(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        k = len(self.classes_)
-        log_post = np.empty((len(x), k))
-        for c in range(k):
-            diff2 = (x - self._means[c]) ** 2
-            log_post[:, c] = self._log_priors[c] - 0.5 * (
-                (diff2 / self._vars[c]).sum(axis=1)
-                + np.log(2 * np.pi * self._vars[c]).sum()
-            )
+    def _scores(self, x):
+        log_post = _log_gaussian_diag(x, self._means, self._vars, self._priors)
         log_post -= log_post.max(axis=1, keepdims=True)
         post = np.exp(log_post)
         return post / post.sum(axis=1, keepdims=True)
@@ -221,8 +214,7 @@ class LinearSVM(_TimedFit):
             np.add(w, (eta * s)[:, None] * xt, out=w, where=violated[:, None])
         self._w = w
 
-    def predict_scores(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    def _scores(self, x):
         xa = np.hstack([x, np.ones((len(x), 1))])
         return xa @ self._w.T
 
@@ -347,8 +339,7 @@ class DecisionTree(_TimedFit):
             x, encoded, len(self.classes_), 0, self.max_depth, self.min_leaf, None, None
         )
 
-    def predict_scores(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    def _scores(self, x):
         out = np.zeros((len(x), len(self.classes_)))
         _tree_scores(self._root, x, out, np.arange(len(x)))
         return out
@@ -404,8 +395,7 @@ class RandomForest(_TimedFit):
                 )
             )
 
-    def predict_scores(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    def _scores(self, x):
         out = np.zeros((len(x), len(self.classes_)))
         scratch = np.zeros_like(out)
         for tree in self._trees:

@@ -294,7 +294,10 @@ def cmd_classify(args):
             name = None
         _require_input(path)
         emb = load_embedding(path)
-        embeddings[name or emb.method] = emb
+        name = name or emb.method
+        if name in embeddings:
+            raise ConfigError(f"two embeddings named {name!r}; give each one as name=path")
+        embeddings[name] = emb
         inputs.append(path)
     rows = read_labels_csv(_require_input(args.labels))
     inputs.append(args.labels)

@@ -19,7 +19,6 @@ from scipy.linalg import eigh
 
 from .distances import _dense, _gram_is_exact, _rows, _sq_norms, nearest, sq_distances
 from .errors import ConfigError, ParseError, parse_numbers
-from .featurize import FeatureMatrix
 from .ssn import SimilarityNetwork
 
 _LLOYD_TOL = 1e-6
@@ -48,21 +47,6 @@ class ElbowCurve:
     sse: tuple[float, ...]
     runtimes_sec: tuple[float, ...]
     chosen_k: int
-
-
-def _as_array(x) -> np.ndarray:
-    if isinstance(x, FeatureMatrix):
-        return x.to_dense()
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    return x
-
-
-def _kmeans_rows(x):
-    """k-means' operand: CSR rows for a ``FeatureMatrix`` or ``scipy.sparse``
-    input, never densified whole; a float64 2-D array otherwise."""
-    return _rows(x.matrix if isinstance(x, FeatureMatrix) else x)
 
 
 def _row(x, i: int) -> np.ndarray:
@@ -96,7 +80,7 @@ def pca_project(x, dim: int) -> np.ndarray:
     Component signs are fixed (largest-magnitude loading positive) so the
     projection is reproducible byte for byte.
     """
-    x = _as_array(x)
+    x = _dense(_rows(x))
     dim = min(dim, *x.shape)
     centered = x - x.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
@@ -204,7 +188,7 @@ def kmeans(
     centres are CSR row sums over counts. Labels, ``inertia`` and ``history``
     keep the bits of dense explicit-difference Lloyd iterations.
     """
-    x = _kmeans_rows(x)
+    x = _rows(x)
     n = x.shape[0]
     if not 1 <= k <= n:
         raise ConfigError(f"k={k} out of range for n={n}")
@@ -242,7 +226,7 @@ def agglomerative(
     """
     if linkage not in ("ward", "average"):
         raise ConfigError(f"unknown linkage {linkage!r}")
-    x = _as_array(x)
+    x = _dense(_rows(x))
     n = len(x)
     if graph.n != n:
         raise ConfigError(f"graph has {graph.n} nodes for {n} rows")
@@ -346,7 +330,7 @@ def dbscan(x, eps: float, min_pts: int) -> ClusterAssignment:
         raise ConfigError("eps must be positive")
     if min_pts < 1:
         raise ConfigError("min_pts must be >= 1")
-    x = _as_array(x)
+    x = _dense(_rows(x))
     n = len(x)
     dist = np.sqrt(sq_distances(x))
     nbrs = [np.flatnonzero(dist[i] <= eps) for i in range(n)]
@@ -394,15 +378,14 @@ def gaussian_mixture(
     var_floor: float = 1e-6,
     tol: float = 1e-8,
     pca_dim: Optional[int] = None,
-    return_responsibilities: bool = False,
 ) -> ClusterAssignment:
     """EM with diagonal covariances and k-means++ initialized means.
 
     Per-dimension variances are floored at ``var_floor``; ``pca_dim`` enables
     an optional PCA pre-reduction for high-dimensional count inputs. Labels
-    take the posterior argmax; soft responsibilities are returned on request.
+    take the posterior argmax of the returned soft responsibilities.
     """
-    x = _as_array(x)
+    x = _dense(_rows(x))
     if pca_dim is not None:
         x = pca_project(x, pca_dim)
     n, d = x.shape
@@ -441,7 +424,7 @@ def gaussian_mixture(
         k_found,
         log_likelihood=history[-1],
         history=tuple(history),
-        responsibilities=resp if return_responsibilities else None,
+        responsibilities=resp,
     )
 
 
@@ -449,7 +432,7 @@ def spectral_clustering(
     x, k: int, gamma: Optional[float] = None, seed: int = 0
 ) -> ClusterAssignment:
     """RBF affinity, normalized-Laplacian embedding, then k-means on its rows."""
-    x = _as_array(x)
+    x = _dense(_rows(x))
     n, d = x.shape
     if not 1 <= k <= n:
         raise ConfigError(f"k={k} out of range for n={n}")
@@ -498,7 +481,7 @@ def elbow_select_k(
     joining its endpoints (see :func:`knee_index`). Runtimes are recorded but
     play no part in the choice.
     """
-    x = _kmeans_rows(x)
+    x = _rows(x)
     if not 1 <= k_min < k_max <= x.shape[0]:
         raise ConfigError(f"need 1 <= k_min < k_max <= n, got [{k_min}, {k_max}]")
     ks = list(range(k_min, k_max + 1))

@@ -33,6 +33,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
+from .featurize import FeatureMatrix
+
 _BLOCK_ELEMS = 20_000_000
 _GRAM_COLS = 1024
 _TILE_ROWS = 512
@@ -46,6 +48,11 @@ _BLAS_SPEEDUP = 70
 
 
 def _rows(x):
+    """The rows of x as the distance functions take them: a ``FeatureMatrix``
+    or ``scipy.sparse`` input as float64 CSR, anything else as a float64
+    array, in which a 1-D input is one column."""
+    if isinstance(x, FeatureMatrix):
+        x = x.matrix
     if sparse.issparse(x):
         return sparse.csr_matrix(x, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)

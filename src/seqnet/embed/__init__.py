@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..errors import ParseError, parse_numbers
+from ..errors import ConfigError, ParseError, parse_numbers
 
 
 @dataclass
@@ -36,6 +36,12 @@ class EmbeddingMatrix:
         return self.vectors.shape[0]
 
 
+def _check_dim(d: int) -> None:
+    """d below 1 is a config error whatever the graph."""
+    if d < 1:
+        raise ConfigError(f"d must be >= 1, got {d}")
+
+
 from .walks import WalkConfig, WalkCorpus, generate_walks, step_distribution  # noqa: E402
 from .sgns import pair_gradients, pair_loss, sgns_train, unigram_distribution  # noqa: E402
 from .factorization import gf_gradient, gf_objective, graph_factorization  # noqa: E402
@@ -50,6 +56,7 @@ from .spectral import (  # noqa: E402
 
 def node2vec(graph, d: int = 200, config: Optional[WalkConfig] = None) -> EmbeddingMatrix:
     """Biased-walk corpus plus skip-gram training; p and q come from config."""
+    _check_dim(d)
     config = config or WalkConfig()
     corpus = generate_walks(graph, config)
     vectors = sgns_train(corpus, graph.n, d, config)

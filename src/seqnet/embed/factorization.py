@@ -12,7 +12,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..ssn import SimilarityNetwork
-from . import EmbeddingMatrix
+from . import EmbeddingMatrix, _check_dim
 
 
 def gf_objective(y: np.ndarray, edges: np.ndarray, lam: float) -> float:
@@ -47,6 +47,7 @@ def graph_factorization(
     Each epoch visits the undirected edges in a fresh seeded shuffle and
     updates both endpoints from their pre-update values.
     """
+    _check_dim(d)
     if lr <= 0:
         raise ConfigError("lr must be positive")
     if lam < 0:

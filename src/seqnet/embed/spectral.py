@@ -14,7 +14,7 @@ from scipy.linalg import eigh
 
 from ..errors import ConfigError, ConnectivityError, DimensionError, DivergenceError
 from ..ssn import SimilarityNetwork, connected_components, subgraph
-from . import EmbeddingMatrix
+from . import EmbeddingMatrix, _check_dim
 
 _NULLSPACE_TOL = 1e-9
 
@@ -75,6 +75,7 @@ def laplacian_eigenmaps(
     connected graph unless ``on_disconnected="largest"``, which embeds the
     largest component and zero-fills the remaining rows.
     """
+    _check_dim(d)
     routed = _handle_disconnected(
         graph, d, "laplacian_eigenmaps", on_disconnected,
         lambda sub: laplacian_eigenmaps(sub, d),
@@ -105,6 +106,7 @@ def lle_embed(
     unit-normalized; the all-ones direction (eigenvalue 0 of the row-stochastic
     W) is excluded.
     """
+    _check_dim(d)
     routed = _handle_disconnected(
         graph, d, "lle", on_disconnected, lambda sub: lle_embed(sub, d)
     )
@@ -145,10 +147,9 @@ def hope_embed(
     Default beta is 0.5 / rho(A) with rho estimated by 100 power iterations;
     beta at or beyond 1 / rho(A) diverges.
     """
+    _check_dim(d)
     if d % 2:
-        raise DimensionError(f"d must be even for the source/target split, got {d}")
-    if d < 2:
-        raise DimensionError("d must be >= 2")
+        raise ConfigError(f"d must be even for the source/target split, got {d}")
     n = graph.n
     half = d // 2
     if half > n:

@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.stats import rankdata
 
-from .distances import sq_distances
+from .distances import _dense, _rows, sq_distances
 from .errors import MissingScoresError, UndefinedMetricError
 
 
@@ -37,9 +37,7 @@ class ClassificationReport:
 
 def _clean_clustering_input(x, labels):
     """Drop noise points (label -1) and validate shapes."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = _dense(_rows(x))
     labels = np.asarray(labels)
     if len(labels) != len(x):
         raise ValueError("labels length does not match rows")

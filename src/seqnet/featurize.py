@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import warnings
 from array import array
-from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse
 
-from .errors import AlphabetError, MerSizeError, ParseError, parse_numbers
+from .errors import AlphabetError, ConfigError, MerSizeError, ParseError, parse_numbers
 from .seqio import ALPHABET, ALPHABET_INDEX, Dataset
 
 _NSYM = len(ALPHABET)
@@ -31,7 +29,7 @@ for _ch, _i in ALPHABET_INDEX.items():
 def total_kmers(n: int, k: int) -> int:
     """Number of width-k windows in a length-n sequence: (n - k) + 1."""
     if k < 1:
-        raise MerSizeError(f"k must be >= 1, got {k}")
+        raise ConfigError(f"k must be >= 1, got {k}")
     if k > n:
         raise MerSizeError(f"k={k} exceeds sequence length {n}")
     return (n - k) + 1
@@ -72,62 +70,21 @@ def encode_residues(seq: str) -> np.ndarray:
     return _BYTE_CODE[raw]
 
 
-@dataclass(frozen=True)
-class FrequencyVector:
-    """Sparse k-mer counts for one sequence.
-
-    ``counts`` maps k-mer rank to a positive count; ``logical_length`` is the
-    full 20^k vector length. For a fully in-alphabet sequence of length N the
-    counts sum to (N - k) + 1.
-    """
-
-    counts: Mapping[int, int]
-    k: int
-    logical_length: int
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.logical_length, dtype=np.int64)
-        for rank, cnt in self.counts.items():
-            dense[rank] = cnt
-        return dense
-
-
-def _kmer_counts(seq: str, k: int, skip_invalid: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct k-mer ranks of ``seq`` and how often each occurs."""
-    if k < 1:
-        raise MerSizeError(f"k must be >= 1, got {k}")
+def _kmer_counts(seq: str, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct k-mer ranks of ``seq`` and how often each occurs;
+    windows holding an out-of-alphabet character are skipped."""
     n = len(seq)
     if n < k:
         raise MerSizeError(f"sequence length {n} shorter than k={k}")
 
     codes = encode_residues(seq)
     invalid = codes < 0
-    if invalid.any() and not skip_invalid:
-        pos = int(np.argmax(invalid))
-        raise AlphabetError(f"non-alphabet character {seq[pos]!r} at position {pos}")
-
     windows = sliding_window_view(codes.astype(np.int64), k)
     powers = _NSYM ** np.arange(k - 1, -1, -1, dtype=np.int64)
     ranks = windows @ powers
     if invalid.any():
         ranks = ranks[~sliding_window_view(invalid, k).any(axis=1)]
     return np.unique(ranks, return_counts=True)
-
-
-def compute_frequency_vector(
-    seq: str, k: int, skip_invalid: bool = False
-) -> FrequencyVector:
-    """Slide a width-k window over ``seq`` and count each k-mer by rank.
-
-    Windows containing an out-of-alphabet character are skipped when
-    ``skip_invalid`` is set, otherwise they raise :class:`AlphabetError`.
-    """
-    uniq, cnt = _kmer_counts(seq, k, skip_invalid)
-    counts = {int(r): int(c) for r, c in zip(uniq, cnt)}
-    return FrequencyVector(counts, k, _NSYM**k)
 
 
 class FeatureMatrix:
@@ -185,10 +142,12 @@ def featurize_dataset(dataset: Dataset, k: int = 3) -> FeatureMatrix:
     Out-of-alphabet residues are tolerated: windows containing them are
     skipped rather than failing the whole record.
     """
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
     ranks, counts = [], []
     for rec in dataset:
         try:
-            uniq, cnt = _kmer_counts(rec.residues, k, skip_invalid=True)
+            uniq, cnt = _kmer_counts(rec.residues, k)
         except MerSizeError as exc:
             raise MerSizeError(f"record {rec.id!r}: {exc}") from exc
         ranks.append(uniq)
@@ -333,11 +292,3 @@ def load_features(path) -> FeatureMatrix:
                 raise ParseError(f"duplicate (row, rank) triplet in {path}", line=lineno)
     return _feature_matrix(n, k, np.bincount(rows, minlength=n), ranks, counts)
 
-
-def save_features_dense(matrix: FeatureMatrix, path) -> None:
-    """Dense CSV export (one row per sequence); intended for small matrices."""
-    dense = matrix.to_dense().astype(np.int64)
-    with open(path, "w") as fh:
-        fh.write(",".join(f"r{j}" for j in range(matrix.logical_length)) + "\n")
-        for row in dense:
-            fh.write(",".join(str(int(v)) for v in row) + "\n")

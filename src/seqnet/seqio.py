@@ -109,9 +109,6 @@ class Dataset:
     def ids(self) -> list[str]:
         return [rec.id for rec in self._records]
 
-    def label_set(self) -> list[str]:
-        return sorted({rec.label for rec in self._records if rec.label is not None})
-
 
 @dataclass(frozen=True)
 class SplitPlan:
@@ -280,14 +277,13 @@ def split_indices(
     test_fraction: float,
     num_folds: int,
     seed: int,
-    stratified: bool = True,
 ) -> SplitPlan:
     """Split row indices 0..n-1 into train/test plus CV folds over the train part.
 
-    The test size is ``n - round((1 - test_fraction) * n)``. Stratified mode
-    (the default) apportions the test quota per class by largest remainder, so
-    per-class proportions are preserved to within one sample while the global
-    sizes stay exact; folds are dealt round-robin within each class.
+    The test size is ``n - round((1 - test_fraction) * n)``. The split is
+    stratified: the test quota is apportioned per class by largest remainder,
+    so per-class proportions are preserved to within one sample while the
+    global sizes stay exact; folds are dealt round-robin within each class.
     """
     n = len(labels)
     if not 0.0 < test_fraction < 1.0:
@@ -304,41 +300,30 @@ def split_indices(
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
 
-    if stratified:
-        by_class: dict = {}
-        for idx in perm:
-            by_class.setdefault(labels[idx], []).append(int(idx))
-        class_keys = sorted(by_class, key=lambda c: (c is None, str(c)))
-        small = [c for c in class_keys if len(by_class[c]) < num_folds]
-        if small:
-            raise StratifyError(
-                f"classes smaller than num_folds={num_folds}: {small!r}"
-            )
-        quotas = {c: len(by_class[c]) * test_fraction for c in class_keys}
-        base = {c: int(np.floor(quotas[c])) for c in class_keys}
-        extras = n_test - sum(base.values())
-        remainders = sorted(
-            class_keys, key=lambda c: (-(quotas[c] - base[c]), str(c))
-        )
-        take = dict(base)
-        for c in remainders:
-            if extras <= 0:
-                break
-            if take[c] < len(by_class[c]):
-                take[c] += 1
-                extras -= 1
-        test_set = set()
-        fold_sets: list[set] = [set() for _ in range(num_folds)]
-        for c in class_keys:
-            bucket = by_class[c]
-            test_set.update(bucket[: take[c]])
-            for pos, idx in enumerate(bucket[take[c]:]):
-                fold_sets[pos % num_folds].add(idx)
-    else:
-        test_set = set(int(i) for i in perm[n_train:])
-        train_order = [int(i) for i in perm[:n_train]]
-        fold_sets = [set() for _ in range(num_folds)]
-        for pos, idx in enumerate(train_order):
+    by_class: dict = {}
+    for idx in perm:
+        by_class.setdefault(labels[idx], []).append(int(idx))
+    class_keys = sorted(by_class, key=lambda c: (c is None, str(c)))
+    small = [c for c in class_keys if len(by_class[c]) < num_folds]
+    if small:
+        raise StratifyError(f"classes smaller than num_folds={num_folds}: {small!r}")
+    quotas = {c: len(by_class[c]) * test_fraction for c in class_keys}
+    base = {c: int(np.floor(quotas[c])) for c in class_keys}
+    extras = n_test - sum(base.values())
+    remainders = sorted(class_keys, key=lambda c: (-(quotas[c] - base[c]), str(c)))
+    take = dict(base)
+    for c in remainders:
+        if extras <= 0:
+            break
+        if take[c] < len(by_class[c]):
+            take[c] += 1
+            extras -= 1
+    test_set = set()
+    fold_sets: list[set] = [set() for _ in range(num_folds)]
+    for c in class_keys:
+        bucket = by_class[c]
+        test_set.update(bucket[: take[c]])
+        for pos, idx in enumerate(bucket[take[c]:]):
             fold_sets[pos % num_folds].add(idx)
 
     train_indices = tuple(int(i) for i in perm if int(i) not in test_set)
@@ -350,13 +335,3 @@ def split_indices(
         folds.append((tr, val))
     return SplitPlan(train_indices, test_indices, tuple(folds), seed)
 
-
-def make_split(
-    dataset: Dataset,
-    test_fraction: float = 0.3,
-    num_folds: int = 5,
-    seed: int = 0,
-    stratified: bool = True,
-) -> SplitPlan:
-    """Split a dataset; see :func:`split_indices` for the sizing rules."""
-    return split_indices(dataset.labels(), test_fraction, num_folds, seed, stratified)

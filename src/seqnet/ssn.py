@@ -17,9 +17,9 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .distances import k_nearest
-from .errors import NeighborCountError, ParseError, parse_numbers
-from .featurize import FeatureMatrix, _write_int_rows
+from .distances import _rows, k_nearest
+from .errors import ConfigError, NeighborCountError, ParseError, parse_numbers
+from .featurize import _write_int_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,11 +75,6 @@ class SimilarityNetwork:
     def edges(self) -> Iterator[tuple[int, int]]:
         return map(tuple, self.edge_array().tolist())
 
-    def has_edge(self, u: int, v: int) -> bool:
-        nbrs = self.neighbors(u)
-        pos = np.searchsorted(nbrs, v)
-        return pos < len(nbrs) and nbrs[pos] == v
-
     def adjacency_matrix(self) -> np.ndarray:
         return self.adjacency.toarray()
 
@@ -117,21 +112,18 @@ def network_from_edges(
     return _network(arcs, node_ids, labels)
 
 
-def _matrix(features):
-    """FeatureMatrix or ``scipy.sparse`` rows as CSR, anything else as an array."""
-    if isinstance(features, FeatureMatrix):
-        return features.to_csr()
-    if sparse.issparse(features):
-        return sparse.csr_matrix(features)
-    return np.asarray(features, dtype=np.float64)
+def _check_neighbor_count(k: int, n: int) -> None:
+    """K below 1 is a config error whatever the data; K >= n a data error."""
+    if k < 1:
+        raise ConfigError(f"K must be >= 1, got {k}")
+    if k > n - 1:
+        raise NeighborCountError(f"K={k} out of range for n={n}")
 
 
 def knn_query(features, i: int, k: int) -> list[int]:
     """The k indices nearest to row i, ordered by (distance, index)."""
-    x = _matrix(features)
-    n = x.shape[0]
-    if not 1 <= k <= n - 1:
-        raise NeighborCountError(f"K={k} out of range for n={n}")
+    x = _rows(features)
+    _check_neighbor_count(k, x.shape[0])
     # row i is at distance 0, so it is among its own k + 1 nearest unless
     # more than k lower-indexed duplicates precede it
     nearest = k_nearest(x, k + 1, queries=x[i : i + 1])[0].tolist()
@@ -152,12 +144,9 @@ def build_ssn(
     """
     if mode not in ("union", "mutual"):
         raise ValueError(f"unknown symmetrization mode {mode!r}")
-    x = _matrix(features)
+    x = _rows(features)
     n = x.shape[0]
-    if n < 2:
-        raise NeighborCountError(f"need at least 2 rows, got {n}")
-    if not 1 <= k <= n - 1:
-        raise NeighborCountError(f"K={k} out of range for n={n}")
+    _check_neighbor_count(k, n)
 
     knn = sparse.csr_matrix(
         (np.ones(n * k), np.sort(k_nearest(x, k), axis=1).ravel(), np.arange(0, n * k + 1, k)),

@@ -33,8 +33,14 @@ from seqnet.evalmetrics import (
     davies_bouldin,
     silhouette,
 )
-from seqnet.featurize import compute_frequency_vector, featurize_dataset
-from seqnet.seqio import ALPHABET, REFERENCE_LINEAGE_COUNTS, synthesize_dataset
+from seqnet.featurize import featurize_dataset
+from seqnet.seqio import (
+    ALPHABET,
+    REFERENCE_LINEAGE_COUNTS,
+    Dataset,
+    SequenceRecord,
+    synthesize_dataset,
+)
 from seqnet.ssn import build_ssn, network_from_edges
 
 
@@ -57,7 +63,8 @@ def test_criterion_01_window_count_identity():
         cases.append((random_strict_sequence(rng, length), length, k))
     t0 = time.perf_counter()
     exact = all(
-        compute_frequency_vector(seq, k).total() == (length - k) + 1
+        featurize_dataset(Dataset([SequenceRecord("s", seq)]), k=k).to_csr().sum()
+        == (length - k) + 1
         for seq, length, k in cases
     )
     elapsed = time.perf_counter() - t0

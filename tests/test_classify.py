@@ -157,7 +157,7 @@ class TestGaussianNB:
         x = np.array([[0.0], [0.1], [0.2], [9.0]])
         y = np.array([0, 0, 0, 1])
         model = GaussianNB().fit(x, y)
-        assert np.exp(model._log_priors).tolist() == pytest.approx([0.75, 0.25])
+        assert model._priors.tolist() == pytest.approx([0.75, 0.25])
 
 
 class TestLinearSVM:

@@ -458,6 +458,40 @@ class TestErrorChannels:
             run(*argv)
         assert exit_info.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["featurize", "--input", "data.fa", "--output", "o.csv", "--k", 0],
+        ["graph", "--input", "features.csv", "--output", "g.tsv", "--K", 0],
+        ["graph", "--input", "features.csv", "--output", "g.tsv", "--K", -3],
+        ["embed", "--input", "graph.tsv", "--output", "e.csv", "--method",
+         "graph_factorization", "--dim", 0],
+        ["embed", "--input", "graph.tsv", "--output", "e.csv", "--method", "node2vec",
+         "--dim", -2],
+        ["embed", "--input", "graph.tsv", "--output", "e.csv", "--method", "hope", "--dim", 0],
+        ["embed", "--input", "graph.tsv", "--output", "e.csv", "--method", "hope", "--dim", 3],
+    ])
+    def test_parameter_out_of_range_exit_4(self, pipeline_dir, monkeypatch, argv):
+        """A value invalid whatever the data is a config error, not a data error."""
+        monkeypatch.chdir(pipeline_dir)
+        assert run(*argv) == 4
+        assert not (pipeline_dir / argv[4]).exists()
+
+    def test_classify_duplicate_embedding_names_exit_4(self, pipeline_dir, capsys):
+        embeddings = []
+        for beta in ("0.01", "0.02"):
+            emb = pipeline_dir / f"hope_{beta}.csv"
+            assert run(
+                "embed", "--input", pipeline_dir / "graph.tsv", "--output", emb,
+                "--method", "hope", "--dim", 4, "--beta", beta,
+            ) == 0
+            embeddings += ["--embedding", emb]
+        assert run(
+            "classify", *embeddings, "--labels", pipeline_dir / "labels.csv",
+            "--output-prefix", pipeline_dir / "result", "--classifiers", "knn",
+            "--seeds", 0, "--num-folds", 2,
+        ) == 4
+        assert "'hope'" in capsys.readouterr().err
+        assert not (pipeline_dir / "result_mean.csv").exists()
+
     def test_data_error_exit_5(self, tmp_path):
         fasta = tmp_path / "short.fa"
         fasta.write_text(">s\nAC\n")

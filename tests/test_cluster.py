@@ -380,7 +380,7 @@ class TestGaussianMixture:
     def test_single_component_is_sample_mean(self):
         rng = np.random.default_rng(3)
         x = rng.normal(2.0, 1.0, size=(50, 2))
-        out = gaussian_mixture(x, 1, seed=0, return_responsibilities=True)
+        out = gaussian_mixture(x, 1, seed=0)
         assert (out.labels == 0).all()
         assert out.responsibilities.shape == (50, 1)
         assert np.allclose(out.responsibilities, 1.0)
@@ -397,7 +397,7 @@ class TestGaussianMixture:
         rng = np.random.default_rng(6)
         x = np.vstack([rng.normal(0, 0.5, (30, 2)), rng.normal(15, 0.5, (30, 2))])
         truth = np.array([0] * 30 + [1] * 30)
-        out = gaussian_mixture(x, 2, seed=1, return_responsibilities=True)
+        out = gaussian_mixture(x, 2, seed=1)
         assert (co_membership(out.labels) == co_membership(truth)).all()
         # posterior near-certain for clearly separated data
         assert out.responsibilities.max(axis=1).min() > 0.999

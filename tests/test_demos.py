@@ -1,5 +1,5 @@
-"""The feature, network, embedding and clustering demos run end to end
-against the current API."""
+"""The feature, network, embedding, clustering and classification demos run
+end to end against the current API."""
 
 import os
 import subprocess
@@ -18,6 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
         "02_similarity_network.py",
         "03_node_embeddings.py",
         "04_clustering_and_elbow.py",
+        "05_classification_protocol.py",
     ],
 )
 def test_demo_runs(demo, tmp_path):

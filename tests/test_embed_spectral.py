@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from seqnet.embed import (
+    EMBED_METHODS,
     hope_embed,
     katz_similarity,
     laplacian_eigenmaps,
     lle_embed,
     spectral_radius,
 )
-from seqnet.errors import ConnectivityError, DimensionError, DivergenceError
+from seqnet.errors import ConfigError, ConnectivityError, DimensionError, DivergenceError
 from seqnet.ssn import network_from_edges
 
 PATH3 = network_from_edges(3, [(0, 1), (1, 2)])
@@ -179,7 +180,7 @@ class TestHope:
         assert np.abs(emb.vectors).max() == 0.0
 
     def test_odd_dimension_rejected(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ConfigError):
             hope_embed(TRIANGLE, 3)
 
     def test_divergent_beta_rejected(self):
@@ -202,3 +203,9 @@ class TestDeterminism:
             a = method(graph, **kwargs)
             b = method(graph, **kwargs)
             assert np.array_equal(a.vectors, b.vectors), method.__name__
+
+
+@pytest.mark.parametrize("method", sorted(EMBED_METHODS))
+def test_dimension_below_one_is_config_error(method):
+    with pytest.raises(ConfigError):
+        EMBED_METHODS[method](TRIANGLE, 0)

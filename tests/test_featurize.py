@@ -12,10 +12,9 @@ from featurize_reference import (
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from seqnet import featurize
-from seqnet.errors import AlphabetError, MerSizeError, ParseError
+from seqnet.errors import AlphabetError, ConfigError, MerSizeError, ParseError
 from seqnet.featurize import (
     FeatureMatrix,
-    compute_frequency_vector,
     featurize_dataset,
     kmer_rank,
     kmer_unrank,
@@ -30,6 +29,11 @@ def row_counts(matrix, i):
     """Row i of the CSR matrix as a rank -> count dict."""
     row = matrix.to_csr()[i]
     return dict(zip(row.indices.tolist(), row.data.astype(int).tolist()))
+
+
+def sequence_counts(seq, k):
+    """The k-mer counts of one sequence as a rank -> count dict."""
+    return row_counts(featurize_dataset(Dataset([SequenceRecord("s", seq)]), k=k), 0)
 
 
 def random_strict_sequence(rng, length):
@@ -48,8 +52,10 @@ class TestTotalKmers:
             total_kmers(3, 5)
 
     def test_k_below_one(self):
-        with pytest.raises(MerSizeError):
+        with pytest.raises(ConfigError):
             total_kmers(10, 0)
+        with pytest.raises(ConfigError):
+            featurize_dataset(Dataset([]), k=0)
 
 
 class TestKmerRank:
@@ -82,48 +88,47 @@ def test_unrank_inverts_rank(mer):
 
 
 class TestComputeFrequencyVector:
+    """One sequence's k-mer counts, read from its row of featurize_dataset."""
+
     def test_hand_enumeration(self):
-        vec = compute_frequency_vector("ACACD", 2)
-        assert vec.counts == {kmer_rank("AC"): 2, kmer_rank("CA"): 1, kmer_rank("CD"): 1}
-        assert vec.total() == total_kmers(5, 2)
+        counts = sequence_counts("ACACD", 2)
+        assert counts == {kmer_rank("AC"): 2, kmer_rank("CA"): 1, kmer_rank("CD"): 1}
+        assert sum(counts.values()) == total_kmers(5, 2)
 
     def test_repeated_mer(self):
-        vec = compute_frequency_vector("AAAA", 2)
-        assert vec.counts == {0: 3}
+        assert sequence_counts("AAAA", 2) == {0: 3}
 
     def test_skip_invalid_windows(self):
-        vec = compute_frequency_vector("AXAC", 2, skip_invalid=True)
-        assert vec.counts == {kmer_rank("AC"): 1}
+        assert sequence_counts("AXAC", 2) == {kmer_rank("AC"): 1}
 
     def test_invalid_without_skip_raises(self):
+        """Rejecting out-of-alphabet residues is the strict Dataset's job."""
         with pytest.raises(AlphabetError):
-            compute_frequency_vector("AXAC", 2)
+            featurize_dataset(Dataset([SequenceRecord("s", "AXAC")], strict=True), k=2)
 
     def test_too_short_sequence(self):
         with pytest.raises(MerSizeError):
-            compute_frequency_vector("AC", 3)
+            sequence_counts("AC", 3)
 
     def test_window_count_identity_random(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             length = int(rng.integers(10, 400))
             k = int(rng.integers(2, 5))
-            seq = random_strict_sequence(rng, length)
-            vec = compute_frequency_vector(seq, k)
-            assert vec.total() == (length - k) + 1
-            assert len(vec.counts) <= min(length - k + 1, 20**k)
-            assert all(0 <= r < 20**k for r in vec.counts)
-            assert all(c > 0 for c in vec.counts.values())
+            counts = sequence_counts(random_strict_sequence(rng, length), k)
+            assert sum(counts.values()) == (length - k) + 1
+            assert len(counts) <= min(length - k + 1, 20**k)
+            assert all(0 <= r < 20**k for r in counts)
+            assert all(c > 0 for c in counts.values())
 
     def test_matches_naive_count(self):
         rng = np.random.default_rng(9)
         seq = random_strict_sequence(rng, 200)
-        vec = compute_frequency_vector(seq, 3)
         naive = {}
         for i in range(len(seq) - 2):
             r = kmer_rank(seq[i : i + 3])
             naive[r] = naive.get(r, 0) + 1
-        assert vec.counts == naive
+        assert sequence_counts(seq, 3) == naive
 
 
 class TestFeaturizeDataset:
@@ -140,7 +145,7 @@ class TestFeaturizeDataset:
         ds = synthesize_dataset(2, [3, 3], 50, 0.1, 10, seed=2)
         mat = featurize_dataset(ds, k=3)
         for i, rec in enumerate(ds):
-            assert row_counts(mat, i) == compute_frequency_vector(rec.residues, 3).counts
+            assert row_counts(mat, i) == counts_reference(rec.residues, 3)
 
     def test_permutation_equivariance(self):
         ds = synthesize_dataset(2, [4, 4], 40, 0.2, 8, seed=6)
@@ -220,18 +225,6 @@ class TestMatrixExport:
     def test_negative_value_rejected_by_the_block_writer(self, tmp_path):
         with open(tmp_path / "rows.csv", "wb") as fh, pytest.raises(ValueError):
             featurize._write_int_rows(fh, ([3, 4], [5, -1]), ",")
-
-    def test_dense_csv_export(self, tmp_path):
-        from seqnet.featurize import save_features_dense
-
-        ds = synthesize_dataset(1, [3], 25, 0.1, 0, seed=4)
-        mat = featurize_dataset(ds, k=2)
-        path = tmp_path / "dense.csv"
-        save_features_dense(mat, path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 4  # header + 3 rows
-        parsed = np.array([[int(v) for v in line.split(",")] for line in lines[1:]])
-        assert np.array_equal(parsed, mat.to_dense())
 
 
 RESIDUES = st.text(alphabet=ALPHABET + "XBZ*-", min_size=3, max_size=40)

@@ -15,7 +15,6 @@ from seqnet.seqio import (
     ALPHABET,
     Dataset,
     SequenceRecord,
-    make_split,
     parse_fasta,
     parse_fasta_text,
     read_labels_csv,
@@ -159,7 +158,7 @@ class TestSynthesize:
 class TestSplit:
     def test_sizes_round_contract(self):
         labels = ["A"] * 10
-        plan = split_indices(labels, 0.3, 2, seed=0, stratified=False)
+        plan = split_indices(labels, 0.3, 2, seed=0)
         assert len(plan.test_indices) == 3
         assert len(plan.train_indices) == 7
 
@@ -209,11 +208,6 @@ class TestSplit:
         with pytest.raises(StratifyError):
             split_indices(labels, 0.3, 5, seed=0)
 
-    def test_make_split_wraps_dataset(self):
-        ds = synthesize_dataset(2, [10, 10], 30, 0.0, 3, seed=0)
-        plan = make_split(ds, 0.3, 5, seed=0)
-        assert len(plan.test_indices) == 6
-
     def test_bad_fraction_rejected(self):
         with pytest.raises(ConfigError):
             split_indices(["A"] * 10, 1.5, 2, seed=0)
@@ -251,13 +245,13 @@ def split_cases(draw):
     return labels, draw(st.sampled_from([0.2, 0.3, 0.5])), folds, draw(st.integers(0, 50))
 
 
-@given(split_cases(), st.booleans())
-def test_split_invariants(case, stratified):
+@given(split_cases())
+def test_split_invariants(case):
     labels, fraction, folds, seed = case
     n = len(labels)
     n_train = int(round((1.0 - fraction) * n))
     assume(n_train >= folds and n - n_train >= 1)
-    plan = split_indices(labels, fraction, folds, seed, stratified=stratified)
+    plan = split_indices(labels, fraction, folds, seed)
     train, test = plan.train_indices, plan.test_indices
     assert len(test) == n - n_train
     assert not set(train) & set(test)
@@ -266,8 +260,7 @@ def test_split_invariants(case, stratified):
     assert sorted(validate) == sorted(train)
     for fit, val in plan.folds:
         assert sorted(fit + val) == sorted(train)
-    if stratified:
-        in_test = Counter(labels[i] for i in test)
-        for cls, size in Counter(labels).items():
-            assert abs(in_test[cls] - size * fraction) < 1.0
-    assert split_indices(labels, fraction, folds, seed, stratified=stratified) == plan
+    in_test = Counter(labels[i] for i in test)
+    for cls, size in Counter(labels).items():
+        assert abs(in_test[cls] - size * fraction) < 1.0
+    assert split_indices(labels, fraction, folds, seed) == plan
