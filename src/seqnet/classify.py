@@ -470,18 +470,13 @@ class ExperimentResult:
         return rows
 
 
-def save_result_csv(rows: Sequence[dict], path, timings: bool = True) -> None:
+def save_result_csv(rows: Sequence[dict], path) -> None:
     columns = ["embedding", "classifier", *METRIC_FIELDS]
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            cells = []
-            for col in columns:
-                value = row[col]
-                if col == "train_time_sec" and not timings:
-                    value = 0.0
-                cells.append(repr(value) if isinstance(value, float) else str(value))
-            fh.write(",".join(cells) + "\n")
+            values = [row[col] for col in columns]
+            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in values) + "\n")
 
 
 def _cv_accuracy(name, params, x, y, folds):

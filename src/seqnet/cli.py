@@ -35,7 +35,7 @@ from .seqio import (
     write_fasta,
     write_labels_csv,
 )
-from .ssn import build_ssn, load_graph, save_graph
+from .ssn import _default_nodes_path, build_ssn, load_graph, save_graph
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -74,6 +74,12 @@ def _require_input(path):
     if not Path(path).exists():
         raise FileNotFoundError(f"missing input file: {path}")
     return path
+
+
+def _load_graph(edges, nodes=None):
+    """The graph, and the edge file and node CSV it was read from (sidecar inputs)."""
+    nodes = nodes or _default_nodes_path(edges)
+    return load_graph(_require_input(edges), nodes), [edges, nodes]
 
 
 def _effective(args) -> PipelineConfig:
@@ -191,14 +197,14 @@ def cmd_graph(args):
 
 def cmd_embed(args):
     cfg = _effective(args)
-    graph = load_graph(_require_input(args.input), args.nodes_input)
+    graph, inputs = _load_graph(args.input, args.nodes_input)
     method = cfg.method
     if method not in EMBED_METHODS:
         raise ConfigError(f"unknown embedding method {method!r}")
     options = {k: v for k, v in _EMBED_OPTIONS[method](cfg, args).items() if v is not None}
     embedding = EMBED_METHODS[method](graph, cfg.dim, **options)
     # one sidecar: the provenance, then the embedding's own fields
-    save_embedding(embedding, args.output, provenance=_sidecar_lines("embed", cfg, [args.input]))
+    save_embedding(embedding, args.output, provenance=_sidecar_lines("embed", cfg, inputs))
     print(f"embed: {method} -> {embedding.n} x {embedding.d}")
     return EXIT_OK
 
@@ -213,8 +219,8 @@ def cmd_cluster(args):
     if method in ("ward", "average"):
         if not args.graph:
             raise ConfigError(f"--graph is required for {method} clustering")
-        graph = load_graph(_require_input(args.graph))
-        inputs.append(args.graph)
+        graph, graph_inputs = _load_graph(args.graph)
+        inputs += graph_inputs
     assignment = _CLUSTER_METHODS[method](matrix, graph, cfg)
     runtime = time.perf_counter() - t0
 
@@ -233,7 +239,9 @@ def cmd_elbow(args):
     cfg = _effective(args)
     matrix = load_features(_require_input(args.features))
     curve = cluster_mod.elbow_select_k(matrix, args.k_min, args.k_max, seed=cfg.seed)
-    cluster_mod.save_elbow(curve, args.output, timings=cfg.timings)
+    if not cfg.timings:
+        curve = replace(curve, runtimes_sec=(0.0,) * len(curve.ks))
+    cluster_mod.save_elbow(curve, args.output)
     _write_sidecar(args.output, "elbow", cfg, [args.features], {"chosen_k": curve.chosen_k})
     print(f"elbow: chose k={curve.chosen_k} over [{args.k_min}, {args.k_max}]")
     return EXIT_OK
@@ -316,13 +324,13 @@ def cmd_classify(args):
         test_fraction=cfg.test_fraction,
         num_folds=cfg.num_folds,
     )
-    mean_path = args.output_prefix + "_mean.csv"
-    std_path = args.output_prefix + "_std.csv"
-    classify_mod.save_result_csv(result.mean_rows(), mean_path, timings=cfg.timings)
-    classify_mod.save_result_csv(result.std_rows(), std_path, timings=cfg.timings)
-    _write_sidecar(mean_path, "classify", cfg, inputs)
-    _write_sidecar(std_path, "classify", cfg, inputs)
-    print(f"classify: wrote {mean_path} and {std_path}")
+    paths = [args.output_prefix + "_mean.csv", args.output_prefix + "_std.csv"]
+    for rows, path in zip((result.mean_rows(), result.std_rows()), paths):
+        if not cfg.timings:
+            rows = [dict(row, train_time_sec=0.0) for row in rows]
+        classify_mod.save_result_csv(rows, path)
+        _write_sidecar(path, "classify", cfg, inputs)
+    print(f"classify: wrote {paths[0]} and {paths[1]}")
     return EXIT_OK
 
 
@@ -356,8 +364,9 @@ def cmd_pca2d(args):
     projection = cluster_mod.pca_project(x, 2)
     with open(args.output, "w") as fh:
         fh.write("node_index,pc0,pc1\n")
-        for i, row in enumerate(projection):
-            fh.write(f"{i},{row[0]!r},{row[1]!r}\n")
+        # Python floats: their repr is the shortest round-trip text on any NumPy
+        for i, (pc0, pc1) in enumerate(projection.tolist()):
+            fh.write(f"{i},{pc0!r},{pc1!r}\n")
     _write_sidecar(args.output, "pca2d", cfg, [args.input])
     print(f"pca2d: projected {len(projection)} rows")
     return EXIT_OK

@@ -223,6 +223,8 @@ def agglomerative(
     error sum of squares; average linkage uses the mean pairwise Euclidean
     distance. When no connected pair remains before reaching ``k`` clusters,
     the nearest disconnected pair is merged and counted in ``forced_merges``.
+    Ties go to the lexicographically smallest pair. Every merge joins ids
+    a < b and keeps a, so a cluster is named by its smallest row.
     """
     if linkage not in ("ward", "average"):
         raise ConfigError(f"unknown linkage {linkage!r}")
@@ -233,91 +235,68 @@ def agglomerative(
     if not 1 <= k <= n:
         raise ConfigError(f"k={k} out of range for n={n}")
 
+    # each linkage's cluster state: the cost of a pair, and folding b into a
+    # while size still holds both clusters' old sizes
     size = np.ones(n)
-    centroid = x.astype(np.float64).copy()
-    if linkage == "average":
-        cross = np.sqrt(sq_distances(x))  # cross[a, b] = sum of pairwise distances
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    adj: dict[int, set[int]] = {i: set(graph.neighbors(i).tolist()) for i in range(n)}
-    active = set(range(n))
-    forced = 0
+    ward = linkage == "ward"
+    if ward:
+        centroid = x.astype(np.float64).copy()
 
-    def cost(a: int, b: int) -> float:
-        if linkage == "ward":
+        def cost(a: int, b: int) -> float:
             diff = centroid[a] - centroid[b]
             return size[a] * size[b] / (size[a] + size[b]) * float(diff @ diff)
-        return float(cross[a, b]) / (size[a] * size[b])
 
-    # cache costs of connected pairs; Ward costs after a merge come from the
-    # Lance-Williams recurrence so no O(dim) centroid work repeats per scan
-    costs: dict[tuple[int, int], float] = {}
-    for a in range(n):
-        for b in adj[a]:
-            if a < b:
-                costs[(a, b)] = cost(a, b)
+        def absorb(a: int, b: int) -> None:
+            centroid[a] = (size[a] * centroid[a] + size[b] * centroid[b]) / (size[a] + size[b])
+
+    else:
+        cross = np.sqrt(sq_distances(x))  # cross[a, b] = sum of pairwise distances
+
+        def cost(a: int, b: int) -> float:
+            return float(cross[a, b]) / (size[a] * size[b])
+
+        def absorb(a: int, b: int) -> None:
+            cross[a, :] += cross[b, :]
+            cross[:, a] += cross[:, b]
 
     def key(a: int, b: int) -> tuple[int, int]:
         return (a, b) if a < b else (b, a)
 
-    while len(active) > k:
+    owner = np.arange(n)  # owner[i]: row i's cluster, named by its smallest row
+    adj = {i: set(graph.neighbors(i).tolist()) for i in range(n)}
+    costs = {(a, b): cost(a, b) for a in range(n) for b in adj[a] if a < b}
+    forced = 0
+    for _ in range(n - k):
         if costs:
-            # ties resolve to the lexicographically smallest pair
-            (a, b) = min(costs, key=lambda p: (costs[p], p))
+            a, b = min(costs, key=lambda p: (costs[p], p))
         else:
-            ordered = sorted(active)
+            # costs holds every connected pair, so no cluster has a neighbour
+            live = np.flatnonzero(owner == np.arange(n)).tolist()
             a, b = min(
-                ((p, q) for i, p in enumerate(ordered) for q in ordered[i + 1 :]),
+                ((p, q) for i, p in enumerate(live) for q in live[i + 1 :]),
                 key=lambda p: (cost(*p), p),
             )
             forced += 1
-
         cost_ab = costs.pop((a, b), None)
-        if cost_ab is None:
-            cost_ab = cost(a, b)
-        merged_adj = (adj[a] | adj.pop(b)) - {a, b}
-        if linkage == "ward":
-            old = {
-                c: (costs.pop(key(a, c), None), costs.pop(key(b, c), None))
-                for c in merged_adj
-            }
-        else:
-            for c in merged_adj:
-                costs.pop(key(a, c), None)
-                costs.pop(key(b, c), None)
-
-        centroid[a] = (size[a] * centroid[a] + size[b] * centroid[b]) / (
-            size[a] + size[b]
-        )
-        if linkage == "average":
-            cross[a, :] += cross[b, :]
-            cross[:, a] += cross[:, b]
         size_a, size_b = size[a], size[b]
-        size[a] += size[b]
-        members[a].extend(members.pop(b))
-        adj[a] = merged_adj
-        for c in merged_adj:
+        absorb(a, b)
+        size[a] += size_b
+        owner[owner == b] = a
+        adj[a] = (adj[a] | adj.pop(b)) - {a, b}
+        for c in adj[a]:
             adj[c].discard(b)
             adj[c].add(a)
-            if linkage == "ward":
-                ac, bc = old[c]
-                if ac is not None and bc is not None:
-                    total = size_a + size_b + size[c]
-                    costs[key(a, c)] = (
-                        (size_a + size[c]) * ac
-                        + (size_b + size[c]) * bc
-                        - size[c] * cost_ab
-                    ) / total
-                else:
-                    costs[key(a, c)] = cost(a, c)
+            ac, bc = costs.pop(key(a, c), None), costs.pop(key(b, c), None)
+            if ward and ac is not None and bc is not None:
+                # Lance-Williams: no O(dim) centroid work for a pair both sides reached
+                costs[key(a, c)] = (
+                    (size_a + size[c]) * ac + (size_b + size[c]) * bc - size[c] * cost_ab
+                ) / (size_a + size_b + size[c])
             else:
                 costs[key(a, c)] = cost(a, c)
-        active.remove(b)
 
-    order = sorted(active, key=lambda c: min(members[c]))
-    labels = np.empty(n, dtype=np.int64)
-    for new_id, c in enumerate(order):
-        labels[members[c]] = new_id
-    return ClusterAssignment(labels, len(order), forced_merges=forced)
+    labels, k_found = _densify_labels(owner)
+    return ClusterAssignment(labels, k_found, forced_merges=forced)
 
 
 def dbscan(x, eps: float, min_pts: int) -> ClusterAssignment:
@@ -513,7 +492,7 @@ def load_assignment(path) -> np.ndarray:
         while header.startswith("#"):
             lineno, header = lineno + 1, fh.readline().strip()
         if header != "node_index,cluster":
-            raise ConfigError(f"expected 'node_index,cluster' header in {path}")
+            raise ParseError(f"expected 'node_index,cluster' header in {path}", line=lineno)
         labels = []
         for lineno, line in enumerate(fh, start=lineno + 1):
             line = line.strip()
@@ -526,10 +505,9 @@ def load_assignment(path) -> np.ndarray:
     return np.asarray(labels, dtype=np.int64)
 
 
-def save_elbow(curve: ElbowCurve, path, timings: bool = True) -> None:
-    """Write the k,sse,runtime_sec,chosen table; runtimes zeroed when disabled."""
+def save_elbow(curve: ElbowCurve, path) -> None:
+    """Write the k,sse,runtime_sec,chosen table."""
     with open(path, "w") as fh:
         fh.write("k,sse,runtime_sec,chosen\n")
         for k, s, r in zip(curve.ks, curve.sse, curve.runtimes_sec):
-            rt = r if timings else 0.0
-            fh.write(f"{k},{s!r},{rt!r},{int(k == curve.chosen_k)}\n")
+            fh.write(f"{k},{s!r},{r!r},{int(k == curve.chosen_k)}\n")

@@ -209,12 +209,12 @@ def read_labels_csv(path) -> list[tuple[str, Optional[str]]]:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["id", "label"]:
-            raise ParseError(f"expected 'id,label' header in {path}")
+            raise ParseError(f"expected 'id,label' header in {path}", line=1)
         for row in reader:
             if not row:
                 continue
             if len(row) < 2:
-                raise ParseError(f"short row in labels file {path}: {row!r}")
+                raise ParseError(f"short row in labels file {path}: {row!r}", line=reader.line_num)
             rows.append((row[0], row[1] or None))
     return rows
 

@@ -204,7 +204,7 @@ def load_graph(edges_path, nodes_path=None) -> SimilarityNetwork:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:3]] != ["index", "id", "label"]:
-            raise ParseError(f"expected 'index,id,label' header in {nodes_path}")
+            raise ParseError(f"expected 'index,id,label' header in {nodes_path}", line=1)
         for row in reader:
             if not row:
                 continue

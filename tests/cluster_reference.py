@@ -1,19 +1,26 @@
-"""Reference k-means: the dense Lloyd and mini-batch iterations
-``seqnet.cluster`` ran before its certified Gram assignment step.
+"""Reference clusterers: the code ``seqnet.cluster`` ran before its rewrites.
 
-Every distance comes from ``sq_distances`` on the densified rows, so an
-assignment takes explicit coordinate differences whenever a centre is not
-an integer vector; centres are ``mean`` over the member rows.
-``seqnet.cluster.kmeans`` must return the same labels, ``inertia`` and
-``history``, bit for bit.
+k-means: the dense Lloyd and mini-batch iterations from before the certified
+Gram assignment step. Every distance comes from ``sq_distances`` on the
+densified rows, so an assignment takes explicit coordinate differences
+whenever a centre is not an integer vector; centres are ``mean`` over the
+member rows. ``seqnet.cluster.kmeans`` must return the same labels,
+``inertia`` and ``history``, bit for bit.
+
+Agglomerative: the merge loop that tracked membership in a ``members`` dict
+and an ``active`` set and branched on ``linkage`` at each step.
+``seqnet.cluster.agglomerative`` must return the same labels, ``k_found``
+and ``forced_merges``.
 """
 
 import numpy as np
 from scipy import sparse
 
 from seqnet.cluster import ClusterAssignment, _densify_labels
-from seqnet.distances import sq_distances
+from seqnet.distances import _dense, _rows, sq_distances
+from seqnet.errors import ConfigError
 from seqnet.featurize import FeatureMatrix
+from seqnet.ssn import SimilarityNetwork
 
 
 def _as_array(x):
@@ -112,3 +119,112 @@ def kmeans_reference(x, k, seed=0, batch_size=None, max_iter=300, tol=1e-6, n_in
     assign, sse, history = best
     labels, k_found = _densify_labels(assign)
     return ClusterAssignment(labels, k_found, inertia=sse, history=tuple(history))
+
+
+def agglomerative_reference(
+    x,
+    graph: SimilarityNetwork,
+    k: int,
+    linkage: str = "ward",
+) -> ClusterAssignment:
+    """Bottom-up merging constrained to clusters connected in the network.
+
+    Ward linkage merges the connected pair with the smallest increase in the
+    error sum of squares; average linkage uses the mean pairwise Euclidean
+    distance. When no connected pair remains before reaching ``k`` clusters,
+    the nearest disconnected pair is merged and counted in ``forced_merges``.
+    """
+    if linkage not in ("ward", "average"):
+        raise ConfigError(f"unknown linkage {linkage!r}")
+    x = _dense(_rows(x))
+    n = len(x)
+    if graph.n != n:
+        raise ConfigError(f"graph has {graph.n} nodes for {n} rows")
+    if not 1 <= k <= n:
+        raise ConfigError(f"k={k} out of range for n={n}")
+
+    size = np.ones(n)
+    centroid = x.astype(np.float64).copy()
+    if linkage == "average":
+        cross = np.sqrt(sq_distances(x))  # cross[a, b] = sum of pairwise distances
+    members: dict[int, list[int]] = {i: [i] for i in range(n)}
+    adj: dict[int, set[int]] = {i: set(graph.neighbors(i).tolist()) for i in range(n)}
+    active = set(range(n))
+    forced = 0
+
+    def cost(a: int, b: int) -> float:
+        if linkage == "ward":
+            diff = centroid[a] - centroid[b]
+            return size[a] * size[b] / (size[a] + size[b]) * float(diff @ diff)
+        return float(cross[a, b]) / (size[a] * size[b])
+
+    # cache costs of connected pairs; Ward costs after a merge come from the
+    # Lance-Williams recurrence so no O(dim) centroid work repeats per scan
+    costs: dict[tuple[int, int], float] = {}
+    for a in range(n):
+        for b in adj[a]:
+            if a < b:
+                costs[(a, b)] = cost(a, b)
+
+    def key(a: int, b: int) -> tuple[int, int]:
+        return (a, b) if a < b else (b, a)
+
+    while len(active) > k:
+        if costs:
+            # ties resolve to the lexicographically smallest pair
+            (a, b) = min(costs, key=lambda p: (costs[p], p))
+        else:
+            ordered = sorted(active)
+            a, b = min(
+                ((p, q) for i, p in enumerate(ordered) for q in ordered[i + 1 :]),
+                key=lambda p: (cost(*p), p),
+            )
+            forced += 1
+
+        cost_ab = costs.pop((a, b), None)
+        if cost_ab is None:
+            cost_ab = cost(a, b)
+        merged_adj = (adj[a] | adj.pop(b)) - {a, b}
+        if linkage == "ward":
+            old = {
+                c: (costs.pop(key(a, c), None), costs.pop(key(b, c), None))
+                for c in merged_adj
+            }
+        else:
+            for c in merged_adj:
+                costs.pop(key(a, c), None)
+                costs.pop(key(b, c), None)
+
+        centroid[a] = (size[a] * centroid[a] + size[b] * centroid[b]) / (
+            size[a] + size[b]
+        )
+        if linkage == "average":
+            cross[a, :] += cross[b, :]
+            cross[:, a] += cross[:, b]
+        size_a, size_b = size[a], size[b]
+        size[a] += size[b]
+        members[a].extend(members.pop(b))
+        adj[a] = merged_adj
+        for c in merged_adj:
+            adj[c].discard(b)
+            adj[c].add(a)
+            if linkage == "ward":
+                ac, bc = old[c]
+                if ac is not None and bc is not None:
+                    total = size_a + size_b + size[c]
+                    costs[key(a, c)] = (
+                        (size_a + size[c]) * ac
+                        + (size_b + size[c]) * bc
+                        - size[c] * cost_ab
+                    ) / total
+                else:
+                    costs[key(a, c)] = cost(a, c)
+            else:
+                costs[key(a, c)] = cost(a, c)
+        active.remove(b)
+
+    order = sorted(active, key=lambda c: min(members[c]))
+    labels = np.empty(n, dtype=np.int64)
+    for new_id, c in enumerate(order):
+        labels[members[c]] = new_id
+    return ClusterAssignment(labels, len(order), forced_merges=forced)

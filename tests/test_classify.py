@@ -464,11 +464,12 @@ class TestRunExperiment:
             embeddings, labels, seeds=[0], classifiers=("gaussian_nb",),
         )
         path = tmp_path / "mean.csv"
-        save_result_csv(result.mean_rows(), path, timings=False)
+        save_result_csv(result.mean_rows(), path)
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("embedding,classifier,accuracy")
         assert len(lines) == 2
-        assert lines[1].split(",")[-1] == "0.0"
+        # the measured runtime; the CLI zeroes it without --timings
+        assert lines[1].split(",")[-1] == repr(result.mean_rows()[0]["train_time_sec"])
 
     @pytest.mark.parametrize("error, raised", [
         (ConfigError("bad grid"), ConfigError),

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 from dataclasses import fields
 from unittest import mock
 
@@ -268,6 +269,9 @@ class TestPipelineCommands:
             "--output", assign, "--method", "ward", "--k-clusters", 3,
             "--graph", pipeline_dir / "graph.tsv",
         ) == 0
+        meta = (pipeline_dir / "ward.csv.meta").read_text().splitlines()
+        assert f"input.1.path={pipeline_dir / 'graph.tsv'}" in meta
+        assert f"input.2.path={pipeline_dir / 'graph.tsv.nodes.csv'}" in meta
 
     def test_elbow_csv(self, pipeline_dir):
         out = pipeline_dir / "elbow.csv"
@@ -278,6 +282,12 @@ class TestPipelineCommands:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "k,sse,runtime_sec,chosen"
         assert sum(line.endswith(",1") for line in lines[1:]) == 1
+        assert all(line.split(",")[2] == "0.0" for line in lines[1:])  # no --timings
+        assert run(
+            "elbow", "--features", pipeline_dir / "features.csv",
+            "--output", out, "--k-min", 1, "--k-max", 3, "--seed", 0, "--timings",
+        ) == 0
+        assert all(float(line.split(",")[2]) > 0 for line in out.read_text().splitlines()[1:])
 
     def test_classify_end_to_end(self, pipeline_dir):
         emb = pipeline_dir / "emb.csv"
@@ -296,7 +306,10 @@ class TestPipelineCommands:
         mean_lines = (pipeline_dir / "result_mean.csv").read_text().splitlines()
         std_lines = (pipeline_dir / "result_std.csv").read_text().splitlines()
         assert mean_lines[0].startswith("embedding,classifier,accuracy")
+        assert mean_lines[0].endswith(",train_time_sec")
         assert len(mean_lines) == 2 and len(std_lines) == 2
+        # no --timings: the runtime column reads 0.0
+        assert mean_lines[1].endswith(",0.0") and std_lines[1].endswith(",0.0")
 
     @pytest.mark.parametrize("error, code", [
         (ConfigError("bad grid"), 4),
@@ -338,13 +351,22 @@ class TestPipelineCommands:
         assert run("report", "--inputs", a, b, "--output", pipeline_dir / "m.csv") == 4
 
     def test_pca2d_from_features_and_embeddings(self, pipeline_dir):
-        out = pipeline_dir / "proj.csv"
+        emb = pipeline_dir / "hope.csv"
         assert run(
-            "pca2d", "--input", pipeline_dir / "features.csv", "--output", out
+            "embed", "--input", pipeline_dir / "graph.tsv", "--output", emb,
+            "--method", "hope", "--dim", 4,
         ) == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "node_index,pc0,pc1"
-        assert len(lines) == 37
+        for source in (pipeline_dir / "features.csv", emb):
+            out = pipeline_dir / "proj.csv"
+            assert run("pca2d", "--input", source, "--output", out) == 0
+            lines = out.read_text().strip().splitlines()
+            assert lines[0] == "node_index,pc0,pc1"
+            assert len(lines) == 37
+            # every cell is a plain number, not a NumPy scalar repr
+            for i, line in enumerate(lines[1:]):
+                index, pc0, pc1 = line.split(",")
+                assert int(index) == i
+                float(pc0), float(pc1)
 
 
 class TestErrorChannels:
@@ -411,10 +433,40 @@ class TestErrorChannels:
                 ],
                 1,
             ),
+            (  # a labels file without its id,label header
+                {
+                    "f.csv": "# n=2 k=1 logical_length=20\n0,1,1\n1,2,1\n",
+                    "l.csv": "name,label\na,x\nb,y\n",
+                },
+                ["graph", "--input", "f.csv", "--output", "g.tsv", "--labels", "l.csv"],
+                1,
+            ),
+            (  # a labels row with one field
+                {
+                    "f.csv": "# n=2 k=1 logical_length=20\n0,1,1\n1,2,1\n",
+                    "l.csv": "id,label\na,x\nb\n",
+                },
+                ["graph", "--input", "f.csv", "--output", "g.tsv", "--labels", "l.csv"],
+                3,
+            ),
+            (  # a node CSV without its index,id,label header
+                {"g.tsv": "0\t1\n", "g.tsv.nodes.csv": "node,id,label\n0,a,\n1,b,\n"},
+                ["embed", "--input", "g.tsv", "--output", "e.csv", "--method", "hope"],
+                1,
+            ),
+            (  # an assignment file without its node_index,cluster header
+                {
+                    "f.csv": "# n=2 k=1 logical_length=20\n0,1,1\n1,2,1\n",
+                    "a.csv": "# runtime_sec=0.0\nnode,cluster\n0,0\n1,1\n",
+                },
+                ["evaluate", "--features", "f.csv", "--assignments", "a.csv", "--output", "q.csv"],
+                2,
+            ),
         ],
         ids=[
             "triplet", "edge", "node_row", "embedding", "assignment",
             "edge_out_of_range", "edge_negative", "runtime",
+            "labels_header", "labels_short_row", "nodes_header", "assignment_header",
         ],
     )
     def test_malformed_number_exit_4_with_line(self, tmp_path, capsys, files, argv, line):
@@ -527,6 +579,10 @@ class TestSidecarsAndDeterminism:
         meta = dict(line.split("=", 1) for line in (pipeline_dir / "hope.csv.meta")
                     .read_text().splitlines())
         assert meta["subcommand"] == "embed" and meta["input.0.sha256"]
+        # the node CSV sets n and the node ids, so it is an input too
+        nodes = pipeline_dir / "graph.tsv.nodes.csv"
+        assert meta["input.1.path"] == str(nodes)
+        assert meta["input.1.sha256"] == hashlib.sha256(nodes.read_bytes()).hexdigest()
         assert meta["method"] == "hope" and meta["d"] == "4"
         assert float(meta["spectral_radius"]) > 0 and "beta" in meta
         assert load_embedding(out).method == "hope"

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from cluster_reference import kmeans_reference
+from cluster_reference import agglomerative_reference, kmeans_reference
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
@@ -332,6 +332,31 @@ class TestAgglomerative:
             expected = reference(x, g, k)
             assert got.labels.tolist() == expected.tolist(), (trial, linkage)
 
+    def test_matches_reference_on_random_graphs(self):
+        # 1,000+ seeded cases against the merge loop with a members dict and
+        # an active set: sparse graphs force merges, small integer rows tie
+        rng = np.random.default_rng(10)
+        forced = ties = 0
+        for trial in range(250):
+            n = int(rng.integers(2, 31))
+            if trial % 2:
+                x = rng.integers(0, 3, size=(n, int(rng.integers(1, 4)))).astype(float)
+            else:
+                x = rng.normal(size=(n, int(rng.integers(1, 4))))
+            pairs = rng.integers(0, n, size=(int(rng.integers(0, 3 * n + 1)), 2))
+            g = network_from_edges(n, [(int(u), int(v)) for u, v in pairs if u != v])
+            ties += len(np.unique(x, axis=0)) < n
+            for k in sorted({1, n, int(rng.integers(1, n + 1))}):
+                for linkage in ("ward", "average"):
+                    got = agglomerative(x, g, k, linkage=linkage)
+                    want = agglomerative_reference(x, g, k, linkage=linkage)
+                    assert got.labels.tolist() == want.labels.tolist(), (trial, k, linkage)
+                    assert (got.k_found, got.forced_merges) == (
+                        want.k_found, want.forced_merges,
+                    ), (trial, k, linkage)
+                    forced += got.forced_merges > 0
+        assert forced > 100 and ties > 50
+
 
 class TestDbscan:
     def test_two_tight_triples(self):
@@ -499,9 +524,10 @@ class TestExports:
         x, _ = four_blobs(rng, per=15)
         curve = elbow_select_k(x, 1, 6, seed=0)
         path = tmp_path / "elbow.csv"
-        save_elbow(curve, path, timings=False)
+        save_elbow(curve, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "k,sse,runtime_sec,chosen"
+        assert [l.split(",")[2] for l in lines[1:]] == [repr(r) for r in curve.runtimes_sec]
         chosen_rows = [l for l in lines[1:] if l.endswith(",1")]
         assert len(chosen_rows) == 1
         assert chosen_rows[0].startswith(f"{curve.chosen_k},")
