@@ -219,7 +219,7 @@ def cmd_cluster(args):
     if method in ("ward", "average"):
         if not args.graph:
             raise ConfigError(f"--graph is required for {method} clustering")
-        graph, graph_inputs = _load_graph(args.graph)
+        graph, graph_inputs = _load_graph(args.graph, args.nodes_input)
         inputs += graph_inputs
     assignment = _CLUSTER_METHODS[method](matrix, graph, cfg)
     runtime = time.perf_counter() - t0
@@ -456,6 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", dest="cluster_method", default="kmeans", choices=list(_CLUSTER_METHODS)
     )
     sub.add_argument("--graph", help="edge TSV (required for ward/average)")
+    sub.add_argument("--nodes-input", default=None, help="node CSV of --graph")
     _add_config_flags(sub, "k_clusters", "eps", "min_pts", "batch_size", "gamma", "pca_dim")
     sub.set_defaults(func=cmd_cluster)
 

@@ -5,9 +5,10 @@ For every (target, context) pair within the window the trainer ascends
     log sigmoid(u_c . v_t) + sum_neg log sigmoid(-u_x . v_t)
 
 with negatives drawn from the corpus unigram distribution raised to 3/4.
-Updates are applied in deterministic mini-batches, so a fixed seed reproduces
-the embedding exactly. The per-pair loss and gradients are exposed for
-finite-difference checking.
+The pairs come from the walk array in one fixed order (:func:`corpus_pairs`),
+and updates are applied in deterministic mini-batches over a seeded
+permutation of them, so a fixed seed reproduces the embedding exactly. The
+per-pair loss and gradients are exposed for finite-difference checking.
 """
 
 from __future__ import annotations
@@ -47,11 +48,7 @@ def pair_gradients(v_t, u_c, u_neg):
 
 def unigram_distribution(corpus: WalkCorpus, n: int) -> np.ndarray:
     """Noise distribution: each node's corpus count to the 3/4 power, normalised."""
-    counts = np.zeros(n)
-    for walk in corpus.walks:
-        for node in walk:
-            counts[node] += 1
-    weights = counts**0.75
+    weights = np.bincount(corpus.walks[corpus.walks >= 0], minlength=n) ** 0.75
     total = weights.sum()
     if total == 0:
         raise ConfigError("empty corpus")
@@ -59,22 +56,23 @@ def unigram_distribution(corpus: WalkCorpus, n: int) -> np.ndarray:
 
 
 def corpus_pairs(corpus: WalkCorpus, window: int) -> tuple[np.ndarray, np.ndarray]:
-    """All (target, context) pairs within the symmetric window.
+    """All (target, context) pairs within the symmetric window, in the corpus dtype.
 
-    Enumerated per offset: both directions of every pair at distance
-    1..window, the same multiset a per-position scan would produce.
+    One position template over the corpus width is gathered from every walk,
+    and a pair is dropped where either end is the -1 fill. The order is walk,
+    then offset 1..window, then the offset's near->far pairs before its
+    far->near pairs, each by position; the trainer's permutation indexes it.
     """
-    t_parts: list[np.ndarray] = []
-    c_parts: list[np.ndarray] = []
-    for walk in corpus.walks:
-        arr = np.asarray(walk, dtype=np.int64)
-        for offset in range(1, min(window, len(arr) - 1) + 1):
-            near, far = arr[:-offset], arr[offset:]
-            t_parts.extend((near, far))
-            c_parts.extend((far, near))
-    if not t_parts:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(t_parts), np.concatenate(c_parts)
+    pos = np.arange(corpus.walks.shape[1])
+    # the empty slices keep the template defined when no offset fits a walk
+    t_pos, c_pos = [pos[:0]], [pos[:0]]
+    for offset in range(1, min(window, len(pos) - 1) + 1):
+        t_pos += [pos[:-offset], pos[offset:]]
+        c_pos += [pos[offset:], pos[:-offset]]
+    targets = corpus.walks[:, np.concatenate(t_pos)].ravel()
+    contexts = corpus.walks[:, np.concatenate(c_pos)].ravel()
+    keep = (targets >= 0) & (contexts >= 0)
+    return targets[keep], contexts[keep]
 
 
 def sgns_train(corpus: WalkCorpus, n: int, d: int, config: WalkConfig) -> np.ndarray:
@@ -89,8 +87,6 @@ def sgns_train(corpus: WalkCorpus, n: int, d: int, config: WalkConfig) -> np.nda
     batches on small graphs overshoot and diverge). Returns the target-side
     matrix.
     """
-    if not corpus.walks:
-        raise ConfigError("empty corpus")
     batch_size = min(_BATCH_CAP, max(256, _BATCH_PER_NODE * n))
     targets, contexts = corpus_pairs(corpus, config.window)
     noise_cdf = np.cumsum(unigram_distribution(corpus, n))

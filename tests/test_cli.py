@@ -273,6 +273,22 @@ class TestPipelineCommands:
         assert f"input.1.path={pipeline_dir / 'graph.tsv'}" in meta
         assert f"input.2.path={pipeline_dir / 'graph.tsv.nodes.csv'}" in meta
 
+    def test_cluster_ward_reads_nodes_input(self, pipeline_dir):
+        """A graph written with --nodes-output clusters through --nodes-input."""
+        edges, nodes = pipeline_dir / "g2.tsv", pipeline_dir / "nodes2.csv"
+        assert run(
+            "graph", "--input", pipeline_dir / "features.csv", "--output", edges,
+            "--nodes-output", nodes, "--K", 4,
+        ) == 0
+        assign = pipeline_dir / "ward2.csv"
+        assert run(
+            "cluster", "--features", pipeline_dir / "features.csv",
+            "--output", assign, "--method", "ward", "--k-clusters", 3,
+            "--graph", edges, "--nodes-input", nodes,
+        ) == 0
+        meta = (pipeline_dir / "ward2.csv.meta").read_text().splitlines()
+        assert f"input.2.path={nodes}" in meta
+
     def test_elbow_csv(self, pipeline_dir):
         out = pipeline_dir / "elbow.csv"
         assert run(

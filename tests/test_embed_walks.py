@@ -1,9 +1,13 @@
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
 import pytest
+import walks_reference as reference
 from conftest import finite_difference, relative_error
+from hypothesis import given, settings, strategies as st
 
+from seqnet.config import PipelineConfig
 from seqnet.embed import (
     WalkConfig,
     deepwalk,
@@ -45,6 +49,10 @@ class TestWalkConfig:
         assert (cfg.walks_per_node, cfg.walk_length, cfg.window) == (10, 80, 10)
         assert (cfg.p, cfg.q) == (1.0, 1.0)
 
+    def test_defaults_are_the_pipeline_defaults(self):
+        for f in fields(WalkConfig):
+            assert f.default == getattr(PipelineConfig, f.name), f.name
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             WalkConfig(p=0.0)
@@ -58,14 +66,17 @@ class TestGenerateWalks:
     def test_isolated_node_walk_is_singleton(self):
         g = network_from_edges(3, [(0, 1)])
         corpus = generate_walks(g, WalkConfig(walks_per_node=2, walk_length=10, seed=0))
-        isolated = [w for w in corpus.walks if w[0] == 2]
-        assert isolated and all(w == (2,) for w in isolated)
+        isolated = corpus.walks[corpus.walks[:, 0] == 2]
+        assert len(isolated) == 2
+        assert (isolated[:, 1:] == -1).all()
+        assert (corpus.walks[corpus.walks[:, 0] != 2] >= 0).all()
 
     def test_walk_count_and_length(self):
         cfg = WalkConfig(walks_per_node=3, walk_length=7, seed=1)
         corpus = generate_walks(TRIANGLE, cfg)
         assert len(corpus) == 9
-        assert all(len(w) == 7 for w in corpus.walks)
+        assert corpus.walks.shape == (9, 7) and corpus.walks.dtype == np.int32
+        assert (corpus.walks >= 0).all()
 
     def test_every_step_is_an_edge(self):
         rng = np.random.default_rng(2)
@@ -114,6 +125,106 @@ class TestGenerateWalks:
         assert generate_walks(TRIANGLE, cfg) == generate_walks(TRIANGLE, cfg)
 
 
+def rows(corpus):
+    """The walks of an array corpus as the reference's tuples."""
+    return tuple(tuple(row[row >= 0].tolist()) for row in corpus.walks)
+
+
+def padded(walks, width):
+    """A reference corpus as an int32 array, -1 after each walk."""
+    out = np.full((len(walks), width), -1, dtype=np.int32)
+    for i, walk in enumerate(walks):
+        out[i, : len(walk)] = walk
+    return WalkCorpus(out)
+
+
+@st.composite
+def graphs(draw):
+    """Small random graphs; most have isolated nodes."""
+    n = draw(st.integers(1, 16))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    return network_from_edges(n, edges)
+
+
+BIASES = [(1.0, 1.0), (0.5, 2.0), (1 / 3, 0.7)]
+
+
+class TestArrayCorpusMatchesReference:
+    """The array corpus keeps every bit of the tuple corpus it replaced."""
+
+    def check(self, graph, cfg):
+        corpus = generate_walks(graph, cfg)
+        walks = reference.generate_walks(graph, cfg)
+        assert corpus.walks.dtype == np.int32
+        assert corpus.walks.shape == (cfg.walks_per_node * graph.n, cfg.walk_length)
+        assert rows(corpus) == walks
+        # only a walk rooted at a node without neighbors ends early
+        isolated = np.diff(graph.adjacency.indptr)[corpus.walks[:, 0]] == 0
+        early = (corpus.walks < 0).any(axis=1)
+        assert np.array_equal(early, isolated & (cfg.walk_length > 1))
+        assert np.array_equal(
+            unigram_distribution(corpus, graph.n), reference.unigram_distribution(walks, graph.n)
+        )
+        for window in (1, 3, cfg.walk_length, cfg.walk_length + 2):
+            targets, contexts = corpus_pairs(corpus, window)
+            want_targets, want_contexts = reference.corpus_pairs(walks, window)
+            assert targets.dtype == contexts.dtype == np.int32
+            assert np.array_equal(targets, want_targets)
+            assert np.array_equal(contexts, want_contexts)
+        return corpus, walks
+
+    @given(graphs(), st.sampled_from(BIASES), st.sampled_from([1, 2, 3, 9]),
+           st.integers(1, 3), st.integers(0, 2**16))
+    @settings(max_examples=120, deadline=None)
+    def test_walks_noise_and_pairs(self, graph, bias, walk_length, walks_per_node, seed):
+        p, q = bias
+        self.check(graph, WalkConfig(walks_per_node=walks_per_node, walk_length=walk_length,
+                                     p=p, q=q, seed=seed))
+
+    @pytest.mark.parametrize("p, q", BIASES)
+    def test_larger_graph(self, p, q):
+        rng = np.random.default_rng(8)
+        graph = network_from_edges(80, rng.integers(0, 80, size=(400, 2)))
+        self.check(graph, WalkConfig(walks_per_node=2, walk_length=30, p=p, q=q, seed=3))
+
+    @pytest.mark.parametrize("p, q", BIASES)
+    @pytest.mark.parametrize("walk_length, window", [(1, 2), (2, 1), (2, 5), (12, 4), (12, 12)])
+    def test_sgns_vectors(self, p, q, walk_length, window):
+        # two bridged cliques plus the isolated nodes 10 and 11
+        graph = network_from_edges(12, zip(*two_cliques(5).adjacency.nonzero()))
+        cfg = WalkConfig(walks_per_node=3, walk_length=walk_length, window=window, p=p, q=q,
+                         epochs=2, seed=7)
+        corpus, walks = self.check(graph, cfg)
+        assert np.array_equal(
+            sgns_train(corpus, graph.n, 6, cfg), reference.sgns_train(walks, graph.n, 6, cfg)
+        )
+
+    @given(st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=8), max_size=6),
+           st.integers(1, 10))
+    @settings(max_examples=200, deadline=None)
+    def test_ragged_corpora(self, walks, window):
+        walks = tuple(tuple(walk) for walk in walks)
+        corpus = padded(walks, max((len(w) for w in walks), default=1))
+        targets, contexts = corpus_pairs(corpus, window)
+        want_targets, want_contexts = reference.corpus_pairs(walks, window)
+        assert np.array_equal(targets, want_targets)
+        assert np.array_equal(contexts, want_contexts)
+        if walks:
+            want = reference.unigram_distribution(walks, 10)
+            assert np.array_equal(unigram_distribution(corpus, 10), want)
+
+    def test_empty_graph_is_an_empty_corpus(self):
+        graph = network_from_edges(0, [])
+        cfg = WalkConfig(walks_per_node=2, walk_length=5)
+        corpus = generate_walks(graph, cfg)
+        walks = reference.generate_walks(graph, cfg)
+        assert corpus.walks.shape == (0, 5) and walks == ()
+        for train in (lambda: sgns_train(corpus, 0, 4, cfg),
+                      lambda: reference.sgns_train(walks, 0, 4, cfg)):
+            with pytest.raises(ConfigError, match="empty corpus"):
+                train()
+
+
 class TestSgns:
     def test_pair_gradients_match_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -136,13 +247,13 @@ class TestSgns:
         assert worst < 1e-4
 
     def test_unigram_distribution_powers_counts(self):
-        corpus = WalkCorpus(((0, 0, 1), (2,)))
+        corpus = WalkCorpus(np.array([[0, 0, 1], [2, -1, -1]], dtype=np.int32))
         dist = unigram_distribution(corpus, 3)
         raw = np.array([2.0, 1.0, 1.0]) ** 0.75
         assert np.allclose(dist, raw / raw.sum())
 
     def test_corpus_pairs_window(self):
-        targets, contexts = corpus_pairs(WalkCorpus(((0, 1, 2),)), window=1)
+        targets, contexts = corpus_pairs(WalkCorpus(np.array([[0, 1, 2]], np.int32)), window=1)
         got = set(zip(targets.tolist(), contexts.tolist()))
         assert got == {(0, 1), (1, 0), (1, 2), (2, 1)}
 
@@ -156,7 +267,7 @@ class TestSgns:
     def test_negative_draw_above_the_last_noise_value(self):
         """Rounding leaves this corpus's noise CDF below the largest uniform
         draw; such a draw samples the last node, not index n."""
-        corpus = WalkCorpus((tuple(range(7)),))
+        corpus = WalkCorpus(np.arange(7, dtype=np.int32)[None, :])
         top = np.nextafter(1.0, 0.0)
         assert np.cumsum(unigram_distribution(corpus, 7))[-1] < top
         cfg = WalkConfig(walks_per_node=1, walk_length=7, negatives=5, epochs=1)
