@@ -89,8 +89,8 @@ def save_embedding(embedding: EmbeddingMatrix, path, provenance: Sequence[str] =
     d = embedding.d
     with open(path, "w") as fh:
         fh.write("node_index," + ",".join(f"e{j}" for j in range(d)) + "\n")
-        for i, row in enumerate(embedding.vectors):
-            fh.write(str(i) + "," + ",".join(repr(float(x)) for x in row) + "\n")
+        for i, row in enumerate(embedding.vectors.tolist()):
+            fh.write(str(i) + "," + ",".join(map(repr, row)) + "\n")
     with open(str(path) + ".meta", "w") as fh:
         for line in provenance:
             fh.write(line + "\n")

@@ -75,17 +75,46 @@ def corpus_pairs(corpus: WalkCorpus, window: int) -> tuple[np.ndarray, np.ndarra
     return targets[keep], contexts[keep]
 
 
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """Chen & Asau's guide table: cell j of ``4 * len(cdf)`` counts the CDF
+    values in cells below j, none of which reaches a draw in cell j."""
+    return np.searchsorted(np.floor(cdf * (4 * len(cdf))), np.arange(4 * len(cdf)))
+
+
+def _inverse_cdf(cdf: np.ndarray, guide: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, x).ravel()`` for draws below ``cdf[-1]``: each
+    draw starts at its guide cell and steps up while the CDF is below it."""
+    x = x.ravel()
+    idx = guide[(x * len(guide)).astype(np.intp)]
+    while (low := np.flatnonzero(cdf[idx] < x)).size:
+        idx[low] += 1
+    return idx
+
+
+def _sgns_batch(u: np.ndarray, v: np.ndarray, t_idx, rows: np.ndarray, alpha) -> None:
+    """One in-place step, from the batch-start parameters, for the pairs
+    (``t_idx[i]``, ``rows[i, 0]``) with negatives ``rows[i, 1:]``: one
+    ``u[rows]`` gather, two batched matmuls for the scores and the target
+    gradients, and scatters through the transpose of a (b x n) CSR matrix
+    with m+1 entries alpha * (label - sigmoid) per row for u, one alpha for v."""
+    b, width = rows.shape
+    vt, ur = v[t_idx], u[rows]
+    coeff = -expit(np.matmul(ur, vt[:, :, None])[:, :, 0])
+    coeff[:, 0] += 1.0
+    dv = np.matmul(coeff[:, None, :], ur)[:, 0]
+    layout = np.arange(0, b * width + 1, width)
+    u += sparse.csr_matrix(((alpha * coeff).ravel(), rows.ravel(), layout), (b, len(u))).T @ vt
+    v += sparse.csr_matrix((np.full(b, alpha), t_idx, np.arange(b + 1)), (b, len(v))).T @ dv
+
+
 def sgns_train(corpus: WalkCorpus, n: int, d: int, config: WalkConfig) -> np.ndarray:
     """Train target vectors (n x d) for ``config.epochs`` passes over the pairs.
 
-    The learning rate decays linearly per batch down to a small floor, the
-    word2vec convention. Per-pair gradients within a batch are computed from
-    the batch-start parameters and aggregated through sparse matrix products,
-    which keeps the update deterministic and fast without changing what each
-    pair contributes. The batch size grows with the node count so a
-    parameter row only ever absorbs a few summed gradients per step (large
-    batches on small graphs overshoot and diverge). Returns the target-side
-    matrix.
+    Each batch of a seeded permutation of the pairs takes one :func:`_sgns_batch`
+    step at a learning rate decaying linearly per batch to a small floor, the
+    word2vec convention. The batch grows with n so a row absorbs only a few
+    summed gradients per step (large batches on small graphs overshoot and
+    diverge). Returns the target-side matrix.
     """
     batch_size = min(_BATCH_CAP, max(256, _BATCH_PER_NODE * n))
     targets, contexts = corpus_pairs(corpus, config.window)
@@ -93,47 +122,20 @@ def sgns_train(corpus: WalkCorpus, n: int, d: int, config: WalkConfig) -> np.nda
     # rounding can leave the last value below 1.0, and a draw above it would
     # index n: the last node with noise weight takes every draw up to 1.0
     noise_cdf[noise_cdf == noise_cdf[-1]] = max(noise_cdf[-1], 1.0)
+    guide = _guide_table(noise_cdf)
     rng = np.random.default_rng(config.seed)
     # float32 parameters: the trainer streams tens of GB of row gathers, and
     # single precision halves that without affecting the learned structure
     v = ((rng.random((n, d)) - 0.5) / d).astype(np.float32)
     u = np.zeros((n, d), dtype=np.float32)
     n_pairs = len(targets)
-    if n_pairs == 0:
-        return v.astype(np.float64)
-    m = config.negatives
-    batches_total = config.epochs * ((n_pairs + batch_size - 1) // batch_size)
-    batch_index = 0
-    for _ in range(config.epochs):
+    m, batches = config.negatives, (n_pairs + batch_size - 1) // batch_size
+    for epoch in range(config.epochs):
         order = rng.permutation(n_pairs)
-        for start in range(0, n_pairs, batch_size):
+        for batch, start in enumerate(range(0, n_pairs, batch_size), epoch * batches):
             chunk = order[start : start + batch_size]
-            b = len(chunk)
-            t_idx = targets[chunk]
-            c_idx = contexts[chunk]
-            neg_idx = np.searchsorted(noise_cdf, rng.random((b, m)))
-            alpha = np.float32(
-                config.learning_rate
-                * max(1.0 - batch_index / batches_total, _MIN_LR_FRACTION)
-            )
-            vt = v[t_idx]
-            uc = u[c_idx]
-            un = u[neg_idx]
-            s_pos = expit(np.einsum("bd,bd->b", vt, uc))
-            s_neg = expit(np.einsum("bmd,bd->bm", un, vt))
-            coeff = 1.0 - s_pos
-            dv = coeff[:, None] * uc - np.einsum("bm,bmd->bd", s_neg, un)
-            # scatter row updates as one (n x b) sparse product per matrix:
-            # contexts gain coeff * v_t, negatives lose s_neg * v_t
-            cols = np.arange(b)
-            u_rows = np.concatenate([c_idx, neg_idx.ravel()])
-            u_cols = np.concatenate([cols, np.repeat(cols, m)])
-            u_data = np.concatenate([coeff, -s_neg.ravel()])
-            scatter_u = sparse.csr_matrix((u_data, (u_rows, u_cols)), shape=(n, b))
-            u += alpha * (scatter_u @ vt)
-            scatter_v = sparse.csr_matrix(
-                (np.ones(b, dtype=np.float32), (t_idx, cols)), shape=(n, b)
-            )
-            v += alpha * (scatter_v @ dv)
-            batch_index += 1
+            negatives = _inverse_cdf(noise_cdf, guide, rng.random((len(chunk), m)))
+            rows = np.column_stack([contexts[chunk], negatives.reshape(-1, m)])
+            rate = max(1.0 - batch / (config.epochs * batches), _MIN_LR_FRACTION)
+            _sgns_batch(u, v, targets[chunk], rows, np.float32(config.learning_rate * rate))
     return v.astype(np.float64)

@@ -59,18 +59,21 @@ class WalkCorpus:
         return isinstance(other, WalkCorpus) and np.array_equal(self.walks, other.walks)
 
 
-def _bias_weights(
-    prev: int, prev_nbrs: np.ndarray, nbrs: np.ndarray, p: float, q: float
-) -> np.ndarray:
-    """Unnormalized p/q weights for stepping to each of ``nbrs`` after ``prev``.
+def _edge_keys(graph: SimilarityNetwork) -> np.ndarray:
+    """Directed-edge keys ``u * n + v``, ascending when the CSR rows are sorted."""
+    rows = np.repeat(np.arange(graph.n, dtype=np.int64), np.diff(graph.adjacency.indptr))
+    keys = rows * graph.n + graph.adjacency.indices
+    if np.any(keys[1:] <= keys[:-1]):
+        raise ValueError("adjacency rows must have sorted, distinct column indices")
+    return keys
 
-    Returning to ``prev`` weighs 1/p, a neighbor of ``prev`` (membership by
-    binary search in its sorted neighbor row) weighs 1, anything else 1/q.
-    """
-    pos = np.minimum(np.searchsorted(prev_nbrs, nbrs), len(prev_nbrs) - 1)
-    weights = np.where(prev_nbrs[pos] == nbrs, 1.0, 1.0 / q)
-    weights[nbrs == prev] = 1.0 / p
-    return weights
+
+def _bias_weights(keys: np.ndarray, n: int, prev, cand, p: float, q: float) -> np.ndarray:
+    """p/q weights of stepping to ``cand`` after ``prev`` (arrays broadcast): 1/p
+    back to prev, 1 to a neighbor of prev (its edge key is found), else 1/q."""
+    key = np.asarray(prev, dtype=np.int64) * n + cand
+    found = keys[np.minimum(np.searchsorted(keys, key), len(keys) - 1)] == key
+    return np.where(cand == prev, 1.0 / p, np.where(found, 1.0, 1.0 / q))
 
 
 def step_distribution(
@@ -78,24 +81,31 @@ def step_distribution(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Neighbors of ``cur`` and their transition probabilities given ``prev``."""
     nbrs = graph.neighbors(cur)
-    weights = _bias_weights(prev, graph.neighbors(prev), nbrs, p, q)
+    weights = _bias_weights(_edge_keys(graph), graph.n, prev, nbrs, p, q)
     return nbrs, weights / weights.sum()
 
 
 def generate_walks(graph: SimilarityNetwork, config: WalkConfig) -> WalkCorpus:
     """``walks_per_node`` truncated walks from every node, roots shuffled per pass.
 
-    A pass draws its roots, then one ``(n, walk_length - 1)`` block of
-    uniforms (row i for the i-th root), and moves its walkers in lockstep.
-    The first step, and every step at p = q = 1, takes neighbor
-    ``floor(draw * degree)``; a biased step inverts its walker's cumulative
-    p/q weights.
+    A pass draws its roots, then one ``(n, walk_length - 1)`` block of uniforms
+    (row i for the i-th root), and moves its walkers in lockstep. The first
+    step, and every step at p = q = 1, takes neighbor ``floor(draw * degree)``.
+    A biased step is rejection-sampled (KnightKing's outlier folding): a round
+    draws ``x, r = rng.random((2, pending))`` for the pending walkers, over an
+    envelope of height ``top = max(1, 1/q)`` on the ``deg`` neighbors of ``cur``
+    beside a return box of area ``spare = max(0, 1/p - top)``. ``col = floor(x *
+    (deg + spare / top))`` returns to ``prev`` if ``col >= deg``, else takes
+    neighbor ``col`` if ``r * top`` is below its weight (as 1/p, beyond top, is).
+    Expected proposals per step are at most ``max(1, 1/q) / min(1, 1/q, 1/p)``,
+    which is ``max(1, 1/q) / min(1, 1/q)`` for p <= max(1, q).
     """
     rng = np.random.default_rng(config.seed)
     n, length, p, q = graph.n, config.walk_length, config.p, config.q
     indptr, indices = graph.adjacency.indptr, graph.adjacency.indices
-    degree = np.diff(indptr)
-    neighbors = [graph.neighbors(u) for u in range(n)]
+    degree, keys = np.diff(indptr), _edge_keys(graph)
+    top = max(1.0, 1.0 / q)
+    box = max(0.0, 1.0 / p - top) / top
     walks = np.full((config.walks_per_node, n, length), -1, dtype=np.int32)
     for block in walks:
         block[:, 0] = rng.permutation(n)
@@ -106,9 +116,15 @@ def generate_walks(graph: SimilarityNetwork, config: WalkConfig) -> WalkCorpus:
             if step == 0 or p == q == 1.0:
                 block[live, step + 1] = indices[indptr[cur] + (draw * degree[cur]).astype(np.intp)]
                 continue
-            walkers = zip(live, block[live, step - 1].tolist(), cur.tolist(), draw)
-            for row, prev, node, x in walkers:
-                cumulative = np.cumsum(_bias_weights(prev, neighbors[prev], neighbors[node], p, q))
-                pos = int(np.searchsorted(cumulative, x * cumulative[-1], side="right"))
-                block[row, step + 1] = neighbors[node][min(pos, degree[node] - 1)]
+            prev = block[live, step - 1]
+            nxt, pending = prev.copy(), np.arange(len(live))
+            while pending.size:
+                x, r = rng.random((2, pending.size))
+                deg = degree[cur[pending]]
+                col = (x * (deg + box)).astype(np.intp)
+                cand = indices[indptr[cur[pending]] + np.minimum(col, deg - 1)]
+                take = (col < deg) & (r * top < _bias_weights(keys, n, prev[pending], cand, p, q))
+                nxt[pending[take]] = cand[take]
+                pending = pending[(col < deg) & ~take]
+            block[live, step + 1] = nxt
     return WalkCorpus(walks.reshape(-1, length))

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -6,9 +10,11 @@ import pytest
 import walks_reference as reference
 from conftest import finite_difference, relative_error
 from hypothesis import given, settings, strategies as st
+from scipy.stats import chi2, poisson
 
 from seqnet.config import PipelineConfig
 from seqnet.embed import (
+    EmbeddingMatrix,
     WalkConfig,
     deepwalk,
     generate_walks,
@@ -25,7 +31,7 @@ from seqnet.embed import (
     unigram_distribution,
 )
 from seqnet.embed import sgns
-from seqnet.embed.sgns import corpus_pairs
+from seqnet.embed.sgns import _guide_table, _inverse_cdf, _sgns_batch, corpus_pairs
 from seqnet.embed.walks import WalkCorpus
 from seqnet.errors import ConfigError
 from seqnet.ssn import network_from_edges
@@ -147,17 +153,24 @@ def graphs(draw):
 
 
 BIASES = [(1.0, 1.0), (0.5, 2.0), (1 / 3, 0.7)]
+SGNS_EPS = 32 * np.finfo(np.float32).eps
 
 
 class TestArrayCorpusMatchesReference:
-    """The array corpus keeps every bit of the tuple corpus it replaced."""
+    """The array corpus against the tuple reference: the same walks at p = q = 1
+    and for walks of at most two nodes, and on any corpus the same noise and
+    pairs."""
 
     def check(self, graph, cfg):
         corpus = generate_walks(graph, cfg)
-        walks = reference.generate_walks(graph, cfg)
+        walks = rows(corpus)
         assert corpus.walks.dtype == np.int32
         assert corpus.walks.shape == (cfg.walks_per_node * graph.n, cfg.walk_length)
-        assert rows(corpus) == walks
+        if cfg.p == cfg.q == 1.0 or cfg.walk_length <= 2:
+            assert walks == reference.generate_walks(graph, cfg)
+        steps = (corpus.walks[:, :-1] >= 0) & (corpus.walks[:, 1:] >= 0)
+        ends = corpus.walks[:, :-1][steps], corpus.walks[:, 1:][steps]
+        assert (graph.adjacency.toarray()[ends] == 1).all()
         # only a walk rooted at a node without neighbors ends early
         isolated = np.diff(graph.adjacency.indptr)[corpus.walks[:, 0]] == 0
         early = (corpus.walks < 0).any(axis=1)
@@ -195,9 +208,11 @@ class TestArrayCorpusMatchesReference:
         cfg = WalkConfig(walks_per_node=3, walk_length=walk_length, window=window, p=p, q=q,
                          epochs=2, seed=7)
         corpus, walks = self.check(graph, cfg)
-        assert np.array_equal(
-            sgns_train(corpus, graph.n, 6, cfg), reference.sgns_train(walks, graph.n, 6, cfg)
-        )
+        got = sgns_train(corpus, graph.n, 6, cfg)
+        want = reference.sgns_train(walks, graph.n, 6, cfg)
+        # float32 rounding only; the largest deviation seen on this grid is
+        # 8.0e-7 at |want| <= 1.54, about 4.4 eps
+        assert np.abs(got - want).max() <= SGNS_EPS * np.abs(want).max()
 
     @given(st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=8), max_size=6),
            st.integers(1, 10))
@@ -223,6 +238,157 @@ class TestArrayCorpusMatchesReference:
                       lambda: reference.sgns_train(walks, 0, 4, cfg)):
             with pytest.raises(ConfigError, match="empty corpus"):
                 train()
+
+
+def step_law_tests(graph, walks, p, q):
+    """Chi-square tests of each (prev, cur) cell's next-node counts against
+    ``step_distribution``, over the cells with at least 200 visits: the cell
+    p-values, and the p-value of their pooled statistic. In each cell the
+    least expected next nodes are merged into one category until it is
+    expected at least 5 times."""
+    prev, cur, nxt = (walks[:, i : walks.shape[1] - 2 + i].ravel() for i in range(3))
+    cells = prev.astype(np.int64) * graph.n + cur
+    stats, dofs = [], []
+    for cell, visits in zip(*np.unique(cells, return_counts=True)):
+        if visits < 200:
+            continue
+        nbrs, probs = step_distribution(graph, cell // graph.n, cell % graph.n, p, q)
+        seen = np.bincount(np.searchsorted(nbrs, nxt[cells == cell]), minlength=len(nbrs))
+        expected = probs * visits
+        order = np.argsort(expected)
+        merged, rest = np.split(order, [np.searchsorted(np.cumsum(expected[order]), 5.0) + 1])
+        if rest.size:
+            seen = np.append(seen[rest], seen[merged].sum())
+            expected = np.append(expected[rest], expected[merged].sum())
+            stats.append(((seen - expected) ** 2 / expected).sum())
+            dofs.append(len(rest))
+    stats, dofs = np.array(stats), np.array(dofs)
+    return chi2.sf(stats, dofs), chi2.sf(stats.sum(), dofs.sum())
+
+
+def law_graph():
+    """24 nodes, about 70 edges, no isolated node: every step law has returns,
+    triangles and outward moves."""
+    rng = np.random.default_rng(12)
+    ring = [(i, (i + 1) % 24) for i in range(24)]
+    return network_from_edges(24, ring + rng.integers(0, 24, size=(48, 2)).tolist())
+
+
+STEP_LAW_BIASES = [(0.5, 2.0), (1 / 3, 0.7), (4.0, 0.25), (0.01, 1.0), (0.05, 20.0), (2.0, 2.0)]
+
+
+class TestBiasedStepLaw:
+    """Biased walks follow ``step_distribution`` in every well-visited
+    (prev, cur) cell: seeded chi-square tests, Bonferroni-corrected at a
+    family-wise level of 0.001. The reference's inverse-CDF walker passes the
+    same test. The pooled statistic of all cells adds power against small
+    errors spread over many cells."""
+
+    @staticmethod
+    def walk(walker, graph, p, q):
+        cfg = WalkConfig(walks_per_node=100, walk_length=42, p=p, q=q, seed=5)
+        if walker == "reference":
+            return padded(reference.generate_walks(graph, cfg), cfg.walk_length).walks
+        return generate_walks(graph, cfg).walks
+
+    @staticmethod
+    def check(graph, walks, p, q):
+        cells, pooled = step_law_tests(graph, walks, p, q)
+        assert len(cells) >= 20
+        assert cells.min() * len(cells) > 1e-3
+        assert pooled > 1e-3
+
+    @pytest.mark.parametrize("walker", ["rejection", "reference"])
+    @pytest.mark.parametrize("p, q", STEP_LAW_BIASES)
+    def test_step_law(self, walker, p, q):
+        graph = law_graph()
+        self.check(graph, self.walk(walker, graph, p, q), p, q)
+
+    def test_extreme_bias_finishes_with_the_law(self):
+        """A return box of area 1/p - 1 = 1e6 - 1 beside an envelope of height 1:
+        the law all but always returns, so each cell is one merged category and
+        the check is the count of steps that do not return, a Poisson count."""
+        graph = law_graph()
+        walks = self.walk("rejection", graph, 1e-6, 1e3)
+        prev, cur, nxt = walks[:, :-2].ravel(), walks[:, 1:-1].ravel(), walks[:, 2:].ravel()
+        expected = 0.0
+        for a, b in set(zip(prev.tolist(), cur.tolist())):
+            nbrs, probs = step_distribution(graph, a, b, 1e-6, 1e3)
+            visits = np.count_nonzero((prev == a) & (cur == b))
+            expected += visits * (1.0 - probs[nbrs == a][0])
+        assert expected < 1
+        assert poisson.sf(np.count_nonzero(nxt != prev) - 1, expected) > 1e-3
+
+    def test_unsorted_rows_are_refused(self):
+        graph = law_graph()
+        graph.adjacency.indices[:2] = graph.adjacency.indices[1::-1]
+        with pytest.raises(ValueError, match="sorted"):
+            generate_walks(graph, WalkConfig(walks_per_node=1, walk_length=3, p=0.5))
+
+
+def noise_cdf(weights):
+    """A noise CDF as ``sgns_train`` clamps it: the last node with weight takes
+    every draw up to 1.0."""
+    cdf = np.cumsum(weights / weights.sum())
+    cdf[cdf == cdf[-1]] = max(cdf[-1], 1.0)
+    return cdf
+
+
+class TestNegativeDraw:
+    """The guide-table draw is exactly ``np.searchsorted(cdf, x)``."""
+
+    @staticmethod
+    def check(cdf, x):
+        assert np.array_equal(_inverse_cdf(cdf, _guide_table(cdf), x), np.searchsorted(cdf, x))
+
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-12, 1e6), st.integers(0, 9)),
+                    min_size=1, max_size=60).filter(lambda w: sum(w) > 0),
+           st.integers(0, 2**16))
+    @settings(max_examples=300, deadline=None)
+    def test_zero_weight_runs(self, weights, seed):
+        cdf = noise_cdf(np.array(weights, dtype=np.float64) ** 0.75)
+        self.check(cdf, np.random.default_rng(seed).random(500))
+
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=40).filter(any))
+    @settings(max_examples=200, deadline=None)
+    def test_draws_on_cdf_values_and_zero(self, counts):
+        cdf = noise_cdf(np.array(counts, dtype=np.float64) ** 0.75)
+        on = cdf[cdf < 1.0]
+        edges = np.concatenate([on, np.nextafter(on, 0.0), np.nextafter(on, 1.0)])
+        self.check(cdf, np.concatenate([[0.0, np.nextafter(1.0, 0.0)], edges]))
+
+    def test_two_dimensional_draws_are_flattened(self):
+        cdf = noise_cdf(np.array([0.0, 3.0, 0.0, 0.0, 1.0, 2.0]))
+        x = np.random.default_rng(0).random((7, 5))
+        assert np.array_equal(_inverse_cdf(cdf, _guide_table(cdf), x),
+                              np.searchsorted(cdf, x).ravel())
+
+
+class TestSgnsBatch:
+    def test_update_is_the_sum_of_pair_gradients(self):
+        """One batch moves each row by -alpha times the float64 sum of its
+        pairs' ``pair_gradients``; contexts repeat among the negatives."""
+        rng = np.random.default_rng(4)
+        n, d, b, m, alpha = 7, 5, 12, 3, 0.3
+        u0 = rng.normal(size=(n, d)).astype(np.float32)
+        v0 = rng.normal(size=(n, d)).astype(np.float32)
+        t_idx = rng.integers(0, n, b).astype(np.int32)
+        batch_rows = rng.integers(0, n, (b, m + 1)).astype(np.int32)
+        batch_rows[0, 2] = batch_rows[0, 0]
+        u, v = u0.copy(), v0.copy()
+        _sgns_batch(u, v, t_idx, batch_rows, np.float32(alpha))
+        du, dv = np.zeros((n, d)), np.zeros((n, d))
+        u64, v64 = u0.astype(np.float64), v0.astype(np.float64)
+        for t, (c, *negs) in zip(t_idx, batch_rows):
+            g_vt, g_uc, g_un = pair_gradients(v64[t], u64[c], u64[negs])
+            dv[t] -= alpha * g_vt
+            du[c] -= alpha * g_uc
+            np.add.at(du, negs, -alpha * g_un)
+        assert np.abs(dv).max() > 0.1 and np.abs(du).max() > 0.1
+        scale = max(np.abs(u0).max(), np.abs(v0).max(), np.abs(du).max(), np.abs(dv).max())
+        tol = 16 * np.finfo(np.float32).eps * scale
+        assert np.abs((u - u0) - du).max() <= tol
+        assert np.abs((v - v0) - dv).max() <= tol
 
 
 class TestSgns:
@@ -355,6 +521,43 @@ class TestWalkEmbeddings:
         cfg = WalkConfig(walks_per_node=1, walk_length=4, epochs=1, seed=0)
         emb = deepwalk(TRIANGLE, config=cfg)
         assert emb.vectors.shape == (3, 200)
+
+    def test_node2vec_bytes_do_not_depend_on_blas_threads(self):
+        root = Path(__file__).resolve().parents[1]
+        script = (
+            "import sys, numpy as np\n"
+            "from seqnet.embed import WalkConfig, node2vec\n"
+            "from seqnet.ssn import network_from_edges\n"
+            "edges = np.random.default_rng(8).integers(0, 200, size=(1200, 2))\n"
+            "cfg = WalkConfig(walks_per_node=2, walk_length=20, p=0.5, q=2.0, epochs=1, seed=3)\n"
+            "sys.stdout.buffer.write(node2vec(network_from_edges(200, edges), 64, cfg)"
+            ".vectors.tobytes())\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+            )
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert len(outputs[0]) == 200 * 64 * 8
+        assert outputs[0] == outputs[1]
+
+    def test_save_embedding_text_is_the_per_float_repr(self, tmp_path):
+        vectors = np.array([[-0.0, 5e-324, 1e300, -1e300],
+                            [0.1, -2.5, 1 / 3, np.nextafter(1.0, 2.0)],
+                            [np.inf, -np.inf, 7.0, 1e-7]])
+        vectors = np.vstack([vectors, np.random.default_rng(3).normal(size=(4, 4))])
+        path = tmp_path / "emb.csv"
+        save_embedding(EmbeddingMatrix(vectors, "hope", 4), path)
+        want = "node_index,e0,e1,e2,e3\n" + "".join(
+            str(i) + "," + ",".join(repr(float(x)) for x in row) + "\n"
+            for i, row in enumerate(vectors)
+        )
+        assert path.read_text() == want
 
     def test_save_load_round_trip(self, tmp_path):
         cfg = WalkConfig(walks_per_node=2, walk_length=8, epochs=1, seed=6)

@@ -1,21 +1,34 @@
-"""Reference walk corpus: the tuple code ``seqnet.embed`` ran before the array corpus.
+"""Reference walks and skip-gram trainer: the code ``seqnet.embed`` ran before
+the rejection-sampled walker and the batch kernel.
 
 A corpus here is a tuple of walks, each a tuple of Python ints. The walker
 draws one ``rng.random(walk_length - 1)`` per root and steps one walker at a
-time; the unigram counts and the skip-gram pairs loop over the walks in
-Python. ``seqnet.embed.generate_walks`` must give the same walks row for
-row, ``unigram_distribution`` the same array and ``corpus_pairs`` the same
-pairs in the same order, so that ``sgns_train`` returns the same vectors as
-:func:`sgns_train` here, the trainer fed by these tuple functions.
+time, a biased step by inverting the cumulative p/q weights; the unigram
+counts and the skip-gram pairs loop over the walks in Python, and
+:func:`sgns_train` is the einsum trainer with COO scatters.
+
+``seqnet.embed.generate_walks`` must give the same walks row for row at
+p = q = 1 and for walks of at most two nodes; for other biases only the step
+law (:func:`seqnet.embed.step_distribution`) is shared. ``unigram_distribution``
+and ``corpus_pairs`` must give the same arrays on any corpus, and
+``seqnet.embed.sgns_train`` the vectors of :func:`sgns_train` up to float32
+rounding.
 """
 
-from unittest import mock
-
 import numpy as np
+from scipy import sparse
+from scipy.special import expit
 
-from seqnet.embed import sgns
-from seqnet.embed.walks import _bias_weights
+from seqnet.embed.sgns import _BATCH_CAP, _BATCH_PER_NODE, _MIN_LR_FRACTION
 from seqnet.errors import ConfigError
+
+
+def bias_weights(prev, prev_nbrs, nbrs, p, q):
+    """Unnormalized p/q weights for stepping to each of ``nbrs`` after ``prev``."""
+    pos = np.minimum(np.searchsorted(prev_nbrs, nbrs), len(prev_nbrs) - 1)
+    weights = np.where(prev_nbrs[pos] == nbrs, 1.0, 1.0 / q)
+    weights[nbrs == prev] = 1.0 / p
+    return weights
 
 
 def generate_walks(graph, config):
@@ -39,7 +52,7 @@ def generate_walks(graph, config):
                     nxt = int(nbrs[int(draws[step] * nbrs.size)])
                 else:
                     prev = walk[-2]
-                    weights = _bias_weights(prev, neighbors[prev], nbrs, config.p, config.q)
+                    weights = bias_weights(prev, neighbors[prev], nbrs, config.p, config.q)
                     cumulative = np.cumsum(weights)
                     pos = int(
                         np.searchsorted(cumulative, draws[step] * cumulative[-1], side="right")
@@ -81,8 +94,51 @@ def corpus_pairs(walks, window):
 
 
 def sgns_train(walks, n, d, config):
-    """``seqnet.embed.sgns_train`` with its pairs and noise from the tuple corpus."""
-    with mock.patch.object(sgns, "corpus_pairs", corpus_pairs), mock.patch.object(
-        sgns, "unigram_distribution", unigram_distribution
-    ):
-        return sgns.sgns_train(walks, n, d, config)
+    """Skip-gram vectors from the tuple corpus: negatives by ``np.searchsorted``
+    on the noise CDF, three einsums per batch and scatters through COO-built
+    CSR matrices, with the batch size, permutation, learning-rate schedule and
+    RNG calls of ``seqnet.embed.sgns_train``."""
+    batch_size = min(_BATCH_CAP, max(256, _BATCH_PER_NODE * n))
+    targets, contexts = corpus_pairs(walks, config.window)
+    noise_cdf = np.cumsum(unigram_distribution(walks, n))
+    noise_cdf[noise_cdf == noise_cdf[-1]] = max(noise_cdf[-1], 1.0)
+    rng = np.random.default_rng(config.seed)
+    v = ((rng.random((n, d)) - 0.5) / d).astype(np.float32)
+    u = np.zeros((n, d), dtype=np.float32)
+    n_pairs = len(targets)
+    if n_pairs == 0:
+        return v.astype(np.float64)
+    m = config.negatives
+    batches_total = config.epochs * ((n_pairs + batch_size - 1) // batch_size)
+    batch_index = 0
+    for _ in range(config.epochs):
+        order = rng.permutation(n_pairs)
+        for start in range(0, n_pairs, batch_size):
+            chunk = order[start : start + batch_size]
+            b = len(chunk)
+            t_idx = targets[chunk]
+            c_idx = contexts[chunk]
+            neg_idx = np.searchsorted(noise_cdf, rng.random((b, m)))
+            alpha = np.float32(
+                config.learning_rate
+                * max(1.0 - batch_index / batches_total, _MIN_LR_FRACTION)
+            )
+            vt = v[t_idx]
+            uc = u[c_idx]
+            un = u[neg_idx]
+            s_pos = expit(np.einsum("bd,bd->b", vt, uc))
+            s_neg = expit(np.einsum("bmd,bd->bm", un, vt))
+            coeff = 1.0 - s_pos
+            dv = coeff[:, None] * uc - np.einsum("bm,bmd->bd", s_neg, un)
+            cols = np.arange(b)
+            u_rows = np.concatenate([c_idx, neg_idx.ravel()])
+            u_cols = np.concatenate([cols, np.repeat(cols, m)])
+            u_data = np.concatenate([coeff, -s_neg.ravel()])
+            scatter_u = sparse.csr_matrix((u_data, (u_rows, u_cols)), shape=(n, b))
+            u += alpha * (scatter_u @ vt)
+            scatter_v = sparse.csr_matrix(
+                (np.ones(b, dtype=np.float32), (t_idx, cols)), shape=(n, b)
+            )
+            v += alpha * (scatter_v @ dv)
+            batch_index += 1
+    return v.astype(np.float64)
