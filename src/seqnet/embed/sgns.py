@@ -75,22 +75,6 @@ def corpus_pairs(corpus: WalkCorpus, window: int) -> tuple[np.ndarray, np.ndarra
     return targets[keep], contexts[keep]
 
 
-def _guide_table(cdf: np.ndarray) -> np.ndarray:
-    """Chen & Asau's guide table: cell j of ``4 * len(cdf)`` counts the CDF
-    values in cells below j, none of which reaches a draw in cell j."""
-    return np.searchsorted(np.floor(cdf * (4 * len(cdf))), np.arange(4 * len(cdf)))
-
-
-def _inverse_cdf(cdf: np.ndarray, guide: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cdf, x).ravel()`` for draws below ``cdf[-1]``: each
-    draw starts at its guide cell and steps up while the CDF is below it."""
-    x = x.ravel()
-    idx = guide[(x * len(guide)).astype(np.intp)]
-    while (low := np.flatnonzero(cdf[idx] < x)).size:
-        idx[low] += 1
-    return idx
-
-
 def _sgns_batch(u: np.ndarray, v: np.ndarray, t_idx, rows: np.ndarray, alpha) -> None:
     """One in-place step, from the batch-start parameters, for the pairs
     (``t_idx[i]``, ``rows[i, 0]``) with negatives ``rows[i, 1:]``: one
@@ -122,7 +106,9 @@ def sgns_train(corpus: WalkCorpus, n: int, d: int, config: WalkConfig) -> np.nda
     # rounding can leave the last value below 1.0, and a draw above it would
     # index n: the last node with noise weight takes every draw up to 1.0
     noise_cdf[noise_cdf == noise_cdf[-1]] = max(noise_cdf[-1], 1.0)
-    guide = _guide_table(noise_cdf)
+    # Chen & Asau's guide table: cell j of 4n counts the CDF values in cells
+    # below j, so a draw in cell j steps up from there to searchsorted's index
+    guide = np.searchsorted(np.floor(noise_cdf * (4 * n)), np.arange(4 * n))
     rng = np.random.default_rng(config.seed)
     # float32 parameters: the trainer streams tens of GB of row gathers, and
     # single precision halves that without affecting the learned structure
@@ -134,7 +120,10 @@ def sgns_train(corpus: WalkCorpus, n: int, d: int, config: WalkConfig) -> np.nda
         order = rng.permutation(n_pairs)
         for batch, start in enumerate(range(0, n_pairs, batch_size), epoch * batches):
             chunk = order[start : start + batch_size]
-            negatives = _inverse_cdf(noise_cdf, guide, rng.random((len(chunk), m)))
+            x = rng.random((len(chunk), m)).ravel()
+            negatives = guide[(x * (4 * n)).astype(np.intp)]
+            while (low := np.flatnonzero(noise_cdf[negatives] < x)).size:
+                negatives[low] += 1
             rows = np.column_stack([contexts[chunk], negatives.reshape(-1, m)])
             rate = max(1.0 - batch / (config.epochs * batches), _MIN_LR_FRACTION)
             _sgns_batch(u, v, targets[chunk], rows, np.float32(config.learning_rate * rate))

@@ -13,6 +13,7 @@ root has no neighbors ends early, as the one-node walk [root].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,11 @@ import numpy as np
 from ..config import PipelineConfig
 from ..errors import ConfigError
 from ..ssn import SimilarityNetwork
+
+# rejection rounds of one biased step before its pending walkers invert the
+# law: whatever p and q are, a step costs at most this many vectorised rounds
+# plus one pass over a neighbor row per walker still pending
+_MAX_ROUNDS = 32
 
 
 @dataclass(frozen=True)
@@ -40,8 +46,9 @@ class WalkConfig:
         for name in ("walks_per_node", "walk_length", "window", "negatives", "epochs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.p <= 0 or self.q <= 0:
-            raise ConfigError("p and q must be positive")
+        # 1/p and 1/q are step weights, so they must be finite too
+        if not all(x > 0 and math.isfinite(x) and math.isfinite(1 / x) for x in (self.p, self.q)):
+            raise ConfigError("p and q must be positive and finite, with finite inverses")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
 
@@ -81,7 +88,8 @@ def step_distribution(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Neighbors of ``cur`` and their transition probabilities given ``prev``."""
     nbrs = graph.neighbors(cur)
-    weights = _bias_weights(_edge_keys(graph), graph.n, prev, nbrs, p, q)
+    row = prev * np.int64(graph.n) + graph.neighbors(prev)  # the edge keys of prev's row
+    weights = _bias_weights(row, graph.n, prev, nbrs, p, q)
     return nbrs, weights / weights.sum()
 
 
@@ -98,7 +106,9 @@ def generate_walks(graph: SimilarityNetwork, config: WalkConfig) -> WalkCorpus:
     (deg + spare / top))`` returns to ``prev`` if ``col >= deg``, else takes
     neighbor ``col`` if ``r * top`` is below its weight (as 1/p, beyond top, is).
     Expected proposals per step are at most ``max(1, 1/q) / min(1, 1/q, 1/p)``,
-    which is ``max(1, 1/q) / min(1, 1/q)`` for p <= max(1, q).
+    which is ``max(1, 1/q) / min(1, 1/q)`` for p <= max(1, q). A walker on a
+    node of degree 1 returns without a draw; one rejected ``_MAX_ROUNDS`` times
+    inverts :func:`step_distribution` exactly at its unused block draw.
     """
     rng = np.random.default_rng(config.seed)
     n, length, p, q = graph.n, config.walk_length, config.p, config.q
@@ -117,14 +127,21 @@ def generate_walks(graph: SimilarityNetwork, config: WalkConfig) -> WalkCorpus:
                 block[live, step + 1] = indices[indptr[cur] + (draw * degree[cur]).astype(np.intp)]
                 continue
             prev = block[live, step - 1]
-            nxt, pending = prev.copy(), np.arange(len(live))
-            while pending.size:
+            # a node of degree 1 has only prev to go to
+            nxt, pending, rounds = prev.copy(), np.flatnonzero(degree[cur] > 1), 0
+            while pending.size and rounds < _MAX_ROUNDS:
                 x, r = rng.random((2, pending.size))
                 deg = degree[cur[pending]]
-                col = (x * (deg + box)).astype(np.intp)
+                # floor in float first: a huge box would overflow the int cast
+                col = np.minimum(x * (deg + box), deg).astype(np.intp)
                 cand = indices[indptr[cur[pending]] + np.minimum(col, deg - 1)]
                 take = (col < deg) & (r * top < _bias_weights(keys, n, prev[pending], cand, p, q))
                 nxt[pending[take]] = cand[take]
-                pending = pending[(col < deg) & ~take]
+                pending, rounds = pending[(col < deg) & ~take], rounds + 1
+            # still rejected: invert the exact law at the block draw; the last
+            # neighbor takes every draw past the other cumulative probabilities
+            for i in pending:
+                nbrs, probs = step_distribution(graph, prev[i], cur[i], p, q)
+                nxt[i] = nbrs[np.searchsorted(np.cumsum(probs)[:-1], draw[i], side="right")]
             block[live, step + 1] = nxt
     return WalkCorpus(walks.reshape(-1, length))

@@ -31,7 +31,8 @@ from seqnet.embed import (
     unigram_distribution,
 )
 from seqnet.embed import sgns
-from seqnet.embed.sgns import _guide_table, _inverse_cdf, _sgns_batch, corpus_pairs
+from seqnet.embed import walks as walks_module
+from seqnet.embed.sgns import _sgns_batch, corpus_pairs
 from seqnet.embed.walks import WalkCorpus
 from seqnet.errors import ConfigError
 from seqnet.ssn import network_from_edges
@@ -66,6 +67,13 @@ class TestWalkConfig:
             WalkConfig(walk_length=0)
         with pytest.raises(ConfigError):
             WalkConfig(learning_rate=-1.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0, 1e-320])
+    def test_p_and_q_and_their_inverses_are_finite(self, bad):
+        # 1e-320 is finite, but its inverse is not
+        for pq in ({"p": bad}, {"q": bad}):
+            with pytest.raises(ConfigError, match="finite"):
+                WalkConfig(**pq)
 
 
 class TestGenerateWalks:
@@ -211,7 +219,7 @@ class TestArrayCorpusMatchesReference:
         got = sgns_train(corpus, graph.n, 6, cfg)
         want = reference.sgns_train(walks, graph.n, 6, cfg)
         # float32 rounding only; the largest deviation seen on this grid is
-        # 8.0e-7 at |want| <= 1.54, about 4.4 eps
+        # 8.3e-7 at |want| <= 1.58, about 4.4 eps
         assert np.abs(got - want).max() <= SGNS_EPS * np.abs(want).max()
 
     @given(st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=8), max_size=6),
@@ -274,7 +282,8 @@ def law_graph():
     return network_from_edges(24, ring + rng.integers(0, 24, size=(48, 2)).tolist())
 
 
-STEP_LAW_BIASES = [(0.5, 2.0), (1 / 3, 0.7), (4.0, 0.25), (0.01, 1.0), (0.05, 20.0), (2.0, 2.0)]
+STEP_LAW_BIASES = [(0.5, 2.0), (1 / 3, 0.7), (4.0, 0.25), (0.01, 1.0), (0.05, 20.0), (2.0, 2.0),
+                   (1e3, 1e3)]
 
 
 class TestBiasedStepLaw:
@@ -319,6 +328,36 @@ class TestBiasedStepLaw:
         assert expected < 1
         assert poisson.sf(np.count_nonzero(nxt != prev) - 1, expected) > 1e-3
 
+    @pytest.mark.parametrize("p", [1e9, 1e-300])
+    def test_extreme_p_on_a_path(self, p):
+        """At p = 1e9 a step from node 1 goes on to the leaf it did not come
+        from (odds 1e9 : 1) and a leaf returns without a draw; at p = 1e-300
+        every step returns, through a return box 1e300 columns wide."""
+        walks = generate_walks(PATH3, WalkConfig(walks_per_node=50, walk_length=60, p=p, seed=2))
+        back = walks.walks[:, 2:] == walks.walks[:, :-2]
+        assert back.all() if p < 1 else np.array_equal(back, walks.walks[:, 1:-1] != 1)
+
+    def test_rejected_walkers_invert_the_law(self):
+        """On a ring no step has a neighbor of prev to go to, so at p = q = 1e9
+        every candidate weighs 1e-9 against an envelope of 1: all but a few
+        walkers exhaust their rejection rounds and invert ``step_distribution``."""
+        ring = network_from_edges(24, [(i, (i + 1) % 24) for i in range(24)])
+        cfg = WalkConfig(walks_per_node=20, walk_length=42, p=1e9, q=1e9, seed=5)
+        with mock.patch.object(walks_module, "step_distribution",
+                               wraps=walks_module.step_distribution) as law:
+            walks = generate_walks(ring, cfg).walks
+        steps = walks.shape[0] * (walks.shape[1] - 2)
+        assert law.call_count > 0.99 * steps
+        self.check(ring, walks, 1e9, 1e9)
+
+    def test_step_distribution_from_two_rows_matches_whole_graph_keys(self):
+        graph = law_graph()
+        keys = walks_module._edge_keys(graph)
+        for prev, cur in zip(*graph.adjacency.nonzero()):
+            nbrs, probs = step_distribution(graph, prev, cur, 0.5, 2.0)
+            weights = walks_module._bias_weights(keys, graph.n, prev, nbrs, 0.5, 2.0)
+            assert np.array_equal(probs, weights / weights.sum())
+
     def test_unsorted_rows_are_refused(self):
         graph = law_graph()
         graph.adjacency.indices[:2] = graph.adjacency.indices[1::-1]
@@ -326,42 +365,55 @@ class TestBiasedStepLaw:
             generate_walks(graph, WalkConfig(walks_per_node=1, walk_length=3, p=0.5))
 
 
-def noise_cdf(weights):
-    """A noise CDF as ``sgns_train`` clamps it: the last node with weight takes
-    every draw up to 1.0."""
-    cdf = np.cumsum(weights / weights.sum())
-    cdf[cdf == cdf[-1]] = max(cdf[-1], 1.0)
-    return cdf
-
-
 class TestNegativeDraw:
-    """The guide-table draw is exactly ``np.searchsorted(cdf, x)``."""
+    """The guide-table negatives of ``sgns_train`` are exactly
+    ``np.searchsorted`` on its clamped noise CDF: on the trainer's own draws,
+    and on draws forced onto the CDF values, their float neighbors, 0.0 and the
+    largest draw below 1. Corpora over 10 nodes leave runs of zero noise weight."""
 
     @staticmethod
-    def check(cdf, x):
-        assert np.array_equal(_inverse_cdf(cdf, _guide_table(cdf), x), np.searchsorted(cdf, x))
-
-    @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-12, 1e6), st.integers(0, 9)),
-                    min_size=1, max_size=60).filter(lambda w: sum(w) > 0),
-           st.integers(0, 2**16))
-    @settings(max_examples=300, deadline=None)
-    def test_zero_weight_runs(self, weights, seed):
-        cdf = noise_cdf(np.array(weights, dtype=np.float64) ** 0.75)
-        self.check(cdf, np.random.default_rng(seed).random(500))
-
-    @given(st.lists(st.integers(0, 5), min_size=1, max_size=40).filter(any))
-    @settings(max_examples=200, deadline=None)
-    def test_draws_on_cdf_values_and_zero(self, counts):
-        cdf = noise_cdf(np.array(counts, dtype=np.float64) ** 0.75)
+    def check(walks, forced):
+        corpus = padded(walks, max(len(w) for w in walks))
+        cfg = WalkConfig(walks_per_node=1, walk_length=corpus.walks.shape[1], window=3,
+                         negatives=5, epochs=2)
+        cdf = np.cumsum(unigram_distribution(corpus, 10))
+        cdf[cdf == cdf[-1]] = max(cdf[-1], 1.0)
         on = cdf[cdf < 1.0]
-        edges = np.concatenate([on, np.nextafter(on, 0.0), np.nextafter(on, 1.0)])
-        self.check(cdf, np.concatenate([[0.0, np.nextafter(1.0, 0.0)], edges]))
+        pool = np.concatenate([on, np.nextafter(on, 0.0), np.nextafter(on, 1.0),
+                               [0.0, np.nextafter(1.0, 0.0)]])
+        draws, picked = [], []
+        seeded = np.random.default_rng
 
-    def test_two_dimensional_draws_are_flattened(self):
-        cdf = noise_cdf(np.array([0.0, 3.0, 0.0, 0.0, 1.0, 2.0]))
-        x = np.random.default_rng(0).random((7, 5))
-        assert np.array_equal(_inverse_cdf(cdf, _guide_table(cdf), x),
-                              np.searchsorted(cdf, x).ravel())
+        class Draws:
+            def __init__(self, seed):
+                self.rng = seeded(seed)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def random(self, size):
+                x = self.rng.random(size)
+                if size[1] == cfg.negatives:  # the initial vectors are (10, 4)
+                    if forced:
+                        x[:] = np.resize(pool, x.shape)
+                    draws.append(x.copy())
+                return x
+
+        def batch(u, v, t_idx, rows, alpha):
+            picked.append(rows[:, 1:].copy())
+
+        with mock.patch.object(sgns.np.random, "default_rng", Draws), \
+                mock.patch.object(sgns, "_sgns_batch", batch):
+            sgns_train(corpus, 10, 4, cfg)
+        assert len(draws) == len(picked) > 0
+        for x, got in zip(draws, picked):
+            assert np.array_equal(got, np.searchsorted(cdf, x))
+
+    @given(st.lists(st.lists(st.integers(0, 9), min_size=2, max_size=8), min_size=1, max_size=6),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_negatives_are_searchsorted(self, walks, forced):
+        self.check(tuple(tuple(w) for w in walks), forced)
 
 
 class TestSgnsBatch:
