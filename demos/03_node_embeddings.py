@@ -39,14 +39,16 @@ features = featurize_dataset(dataset, k=3)
 graph = build_ssn(features, k=20, labels=dataset.labels())
 labels = np.array(dataset.labels())
 
-# Spectral methods need a connected graph; this one is connected within
-# lineages but may split between them, so embed the largest component and
-# zero-fill the rest when necessary.
+# This graph is connected within lineages but may split between them. The
+# spectral methods solve each component on its own and keep the d smallest
+# nontrivial eigenpairs over all of them, each zero outside its component, so
+# a component whose modes all rank below the d-th keeps zero rows
+# (info["zero_rows"]).
 walk_config = WalkConfig(walks_per_node=10, walk_length=40, window=5,
                          epochs=3, seed=7)
 embeddings = {
-    "laplacian_eigenmaps": laplacian_eigenmaps(graph, 16, on_disconnected="largest"),
-    "lle": lle_embed(graph, 16, on_disconnected="largest"),
+    "laplacian_eigenmaps": laplacian_eigenmaps(graph, 16),
+    "lle": lle_embed(graph, 16),
     "hope": hope_embed(graph, 16),
     "graph_factorization": graph_factorization(graph, 16, epochs=50, seed=7),
     "deepwalk": deepwalk(graph, 16, walk_config),

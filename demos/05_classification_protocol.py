@@ -31,15 +31,17 @@ dataset = synthesize_dataset(
 features = featurize_dataset(dataset, k=3)
 graph = build_ssn(features, k=20, labels=dataset.labels())
 
-# The SSN splits into one component per lineage (25 nodes each), and a
-# spectral embedding of a component can use at most n-1 dimensions, so the
-# Laplacian method is capped at d=16 here; node2vec has no such limit.
+# The SSN splits into one component per lineage (25 nodes each). Laplacian
+# eigenmaps solves each component on its own and keeps the 16 smallest
+# nontrivial eigenpairs over all four, each zero outside its component; a
+# lineage none of whose modes made the cut would keep zero rows
+# (info["zero_rows"]).
 embeddings = {
     "node2vec": node2vec(
         graph, 32,
         WalkConfig(walks_per_node=10, walk_length=40, window=5, epochs=3, seed=1),
     ),
-    "laplacian_eigenmaps": laplacian_eigenmaps(graph, 16, on_disconnected="largest"),
+    "laplacian_eigenmaps": laplacian_eigenmaps(graph, 16),
 }
 
 result = run_experiment(

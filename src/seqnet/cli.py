@@ -92,15 +92,9 @@ def _walk_config(cfg: PipelineConfig) -> WalkConfig:
     return WalkConfig(**{f.name: getattr(cfg, f.name) for f in fields(WalkConfig)})
 
 
-def _on_disconnected(args) -> str:
-    return "largest" if args.allow_disconnected else "error"
-
-
-# keyword arguments of each EMBED_METHODS entry beyond the graph and d; a
-# None value is left out, so the method's own default applies
+# keyword arguments of the EMBED_METHODS entries that take any beyond the
+# graph and d; a None value is left out, so the method's own default applies
 _EMBED_OPTIONS = {
-    "laplacian_eigenmaps": lambda cfg, args: {"on_disconnected": _on_disconnected(args)},
-    "lle": lambda cfg, args: {"on_disconnected": _on_disconnected(args)},
     "hope": lambda cfg, args: {"beta": args.beta},
     "graph_factorization": lambda cfg, args: {
         "lam": args.lam, "lr": args.gf_lr, "epochs": args.gf_epochs, "seed": cfg.seed,
@@ -201,7 +195,8 @@ def cmd_embed(args):
     method = cfg.method
     if method not in EMBED_METHODS:
         raise ConfigError(f"unknown embedding method {method!r}")
-    options = {k: v for k, v in _EMBED_OPTIONS[method](cfg, args).items() if v is not None}
+    options = _EMBED_OPTIONS[method](cfg, args) if method in _EMBED_OPTIONS else {}
+    options = {k: v for k, v in options.items() if v is not None}
     embedding = EMBED_METHODS[method](graph, cfg.dim, **options)
     # one sidecar: the provenance, then the embedding's own fields
     save_embedding(embedding, args.output, provenance=_sidecar_lines("embed", cfg, inputs))
@@ -438,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--input", required=True, help="edge list TSV")
     sub.add_argument("--nodes-input", default=None)
     sub.add_argument("--output", required=True)
-    sub.add_argument("--allow-disconnected", action="store_true")
     sub.add_argument("--beta", type=float, default=None, help="hope proximity decay")
     sub.add_argument("--lam", type=float, default=None, help="gf regularization")
     sub.add_argument("--gf-lr", type=float, default=None)

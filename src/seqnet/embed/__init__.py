@@ -7,6 +7,7 @@ trainer; DeepWalk is exactly Node2Vec at p = q = 1).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -45,13 +46,7 @@ def _check_dim(d: int) -> None:
 from .walks import WalkConfig, WalkCorpus, generate_walks, step_distribution  # noqa: E402
 from .sgns import pair_gradients, pair_loss, sgns_train, unigram_distribution  # noqa: E402
 from .factorization import gf_gradient, gf_objective, graph_factorization  # noqa: E402
-from .spectral import (  # noqa: E402
-    hope_embed,
-    katz_similarity,
-    laplacian_eigenmaps,
-    lle_embed,
-    spectral_radius,
-)
+from .spectral import hope_embed, laplacian_eigenmaps, lle_embed  # noqa: E402
 
 
 def node2vec(graph, d: int = 200, config: Optional[WalkConfig] = None) -> EmbeddingMatrix:
@@ -103,23 +98,53 @@ def save_embedding(embedding: EmbeddingMatrix, path, provenance: Sequence[str] =
             fh.write(f"{key}={value}\n")
 
 
+def _parse_rows(path, d: int) -> Optional[np.ndarray]:
+    """The n x d body in one numpy call, or None where a line is not an
+    integer node index and d floats in numpy's syntax or the indices do not
+    count up from 0. NumPy rounds each float correctly, as ``float()`` does.
+    A node index such as ``1.0`` is an error here (from NumPy 1.23 only a
+    DeprecationWarning, made an error), so it goes to the line scan."""
+    layout = np.dtype([("index", np.int64), ("vector", np.float64, (d,))])
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        warnings.filterwarnings("error", category=DeprecationWarning)
+        try:
+            body = np.loadtxt(path, delimiter=",", dtype=layout, ndmin=1, comments=None, skiprows=1)
+        except (ValueError, DeprecationWarning):
+            return None
+    if not np.array_equal(body["index"], np.arange(len(body))):
+        return None
+    return np.ascontiguousarray(body["vector"])
+
+
+def _scan_rows(fh, d: int) -> np.ndarray:
+    """The body line by line, as ``int()`` and ``float()`` read it; the first
+    malformed line raises."""
+    rows = []
+    for lineno, line in enumerate(fh, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != d + 1 or parse_numbers(parts[:1], lineno) != [len(rows)]:
+            raise ParseError(f"bad embedding row {line!r}", line=lineno)
+        rows.append(parse_numbers(parts[1:], lineno, float))
+    return np.asarray(rows, dtype=np.float64)
+
+
 def load_embedding(path) -> EmbeddingMatrix:
     """Read a CSV written by :func:`save_embedding`; the method and info
-    fields come from ``<path>.meta`` when it exists."""
+    fields come from ``<path>.meta`` when it exists. The body is parsed in
+    one numpy call; a body that call rejects is read again line by line,
+    which names the first bad line."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if not header or header[0] != "node_index":
             raise ParseError(f"expected node_index header in {path}", line=1)
         d = len(header) - 1
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != d + 1 or parse_numbers(parts[:1], lineno) != [len(rows)]:
-                raise ParseError(f"bad embedding row {line!r}", line=lineno)
-            rows.append(parse_numbers(parts[1:], lineno, float))
+        vectors = _parse_rows(path, d)
+        if vectors is None:
+            vectors = _scan_rows(fh, d)
     method = "unknown"
     info = {}
     try:
@@ -135,4 +160,4 @@ def load_embedding(path) -> EmbeddingMatrix:
                     info[key] = value
     except FileNotFoundError:
         pass
-    return EmbeddingMatrix(np.asarray(rows, dtype=np.float64), method, d, info=info)
+    return EmbeddingMatrix(vectors, method, d, info=info)

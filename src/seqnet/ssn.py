@@ -75,9 +75,6 @@ class SimilarityNetwork:
     def edges(self) -> Iterator[tuple[int, int]]:
         return map(tuple, self.edge_array().tolist())
 
-    def adjacency_matrix(self) -> np.ndarray:
-        return self.adjacency.toarray()
-
 
 def _network(adjacency, node_ids, labels) -> SimilarityNetwork:
     """Wrap a canonical 0/1 CSR adjacency; default ids are the node indices."""
@@ -164,16 +161,6 @@ def connected_components(graph: SimilarityNetwork) -> np.ndarray:
     """Component id per node; ids dense, ordered by smallest contained index."""
     _, comp = csgraph.connected_components(graph.adjacency, directed=False)
     return comp.astype(np.int64)
-
-
-def subgraph(graph: SimilarityNetwork, nodes: Sequence[int]) -> SimilarityNetwork:
-    """Induced subgraph with nodes renumbered in the given order."""
-    keep = np.asarray(nodes, dtype=np.int64)
-    adjacency = graph.adjacency[keep][:, keep]
-    adjacency.sort_indices()
-    ids = tuple(graph.node_ids[v] for v in nodes)
-    labs = tuple(graph.labels[v] for v in nodes) if graph.labels else None
-    return _network(adjacency, ids, labs)
 
 
 def _default_nodes_path(edges_path) -> str:

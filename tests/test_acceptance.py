@@ -122,7 +122,7 @@ def test_criterion_03_spectral_correctness():
         graph = network_from_edges(n, edges)
         d = min(3, n - 1)
         emb = laplacian_eigenmaps(graph, d)
-        adjacency = graph.adjacency_matrix()
+        adjacency = graph.adjacency.toarray()
         degree = np.diag(adjacency.sum(axis=1))
         lap = degree - adjacency
         for j, lam in enumerate(emb.info["eigenvalues"]):

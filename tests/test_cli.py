@@ -12,7 +12,7 @@ from seqnet.config import SECTIONS, PipelineConfig, load_config
 from seqnet.embed import load_embedding
 from seqnet.errors import ConfigError, DimensionError
 from seqnet.featurize import load_features
-from seqnet.ssn import load_graph
+from seqnet.ssn import connected_components, load_graph, network_from_edges, save_graph
 
 
 def run(*argv):
@@ -183,14 +183,24 @@ class TestPipelineCommands:
         assert emb.method == "node2vec"
 
     def test_embed_spectral_methods(self, pipeline_dir):
+        comp = connected_components(load_graph(pipeline_dir / "graph.tsv"))
+        n_comp = int(comp.max()) + 1
+        assert n_comp > 1
         for method in ("laplacian_eigenmaps", "lle", "hope"):
             out = pipeline_dir / f"{method}.csv"
             code = run(
                 "embed", "--input", pipeline_dir / "graph.tsv", "--output", out,
-                "--method", method, "--dim", 4, "--allow-disconnected",
+                "--method", method, "--dim", 4,
             )
             assert code == 0, method
-            assert load_embedding(out).vectors.shape == (36, 4)
+            emb = load_embedding(out)
+            assert emb.vectors.shape == (36, 4)
+            if method != "hope":
+                # the disconnected graph embeds per component; the sidecar
+                # says how many and how many rows got no column
+                assert emb.info["components"] == str(n_comp)
+                embedded = np.isin(comp, comp[emb.vectors.any(axis=1)])
+                assert emb.info["zero_rows"] == str(int((~embedded).sum()))
 
     def test_embed_factorization_and_deepwalk(self, pipeline_dir):
         for method, extra in (
@@ -337,7 +347,7 @@ class TestPipelineCommands:
         emb = pipeline_dir / "hope.csv"
         assert run(
             "embed", "--input", pipeline_dir / "graph.tsv", "--output", emb,
-            "--method", "hope", "--dim", 4, "--allow-disconnected",
+            "--method", "hope", "--dim", 4,
         ) == 0
         with mock.patch.object(classify.KNNClassifier, "fit", side_effect=error):
             assert run(
@@ -505,6 +515,20 @@ class TestErrorChannels:
         with pytest.raises(SystemExit) as exit_info:
             run("graph", "--no-such-flag")
         assert exit_info.value.code == 2
+
+    def test_allow_disconnected_flag_is_gone_exit_2(self, pipeline_dir):
+        with pytest.raises(SystemExit) as exit_info:
+            run("embed", "--input", pipeline_dir / "graph.tsv", "--output",
+                pipeline_dir / "e.csv", "--method", "lle", "--allow-disconnected")
+        assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize("method", ["laplacian_eigenmaps", "lle"])
+    def test_isolated_node_exit_5(self, tmp_path, capsys, method):
+        edges = tmp_path / "g.tsv"
+        save_graph(network_from_edges(5, [(0, 1), (1, 2), (2, 3)]), edges)
+        assert run("embed", "--input", edges, "--output", tmp_path / "e.csv",
+                   "--method", method, "--dim", 2) == 5
+        assert "isolated" in capsys.readouterr().err
 
     def test_linkage_key_rejected_exit_4(self, pipeline_dir, tmp_path, capsys):
         conf = tmp_path / "linkage.ini"

@@ -34,7 +34,7 @@ from seqnet.embed import sgns
 from seqnet.embed import walks as walks_module
 from seqnet.embed.sgns import _sgns_batch, corpus_pairs
 from seqnet.embed.walks import WalkCorpus
-from seqnet.errors import ConfigError
+from seqnet.errors import ConfigError, ParseError
 from seqnet.ssn import network_from_edges
 
 TRIANGLE = network_from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -575,15 +575,19 @@ class TestWalkEmbeddings:
         assert emb.vectors.shape == (3, 200)
 
     def test_node2vec_bytes_do_not_depend_on_blas_threads(self):
+        # node2vec, then the three spectral methods, whose ARPACK solves
+        # (d=16 on 200 nodes) run through BLAS too
         root = Path(__file__).resolve().parents[1]
         script = (
             "import sys, numpy as np\n"
-            "from seqnet.embed import WalkConfig, node2vec\n"
+            "from seqnet.embed import WalkConfig, hope_embed, laplacian_eigenmaps, lle_embed, node2vec\n"
             "from seqnet.ssn import network_from_edges\n"
             "edges = np.random.default_rng(8).integers(0, 200, size=(1200, 2))\n"
+            "graph = network_from_edges(200, edges)\n"
             "cfg = WalkConfig(walks_per_node=2, walk_length=20, p=0.5, q=2.0, epochs=1, seed=3)\n"
-            "sys.stdout.buffer.write(node2vec(network_from_edges(200, edges), 64, cfg)"
-            ".vectors.tobytes())\n"
+            "sys.stdout.buffer.write(node2vec(graph, 64, cfg).vectors.tobytes())\n"
+            "for method in (laplacian_eigenmaps, lle_embed, hope_embed):\n"
+            "    sys.stdout.buffer.write(method(graph, 16).vectors.tobytes())\n"
         )
         outputs = []
         for threads in ("1", "2"):
@@ -595,7 +599,7 @@ class TestWalkEmbeddings:
                                   capture_output=True, timeout=300)
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
-        assert len(outputs[0]) == 200 * 64 * 8
+        assert len(outputs[0]) == 200 * (64 + 3 * 16) * 8
         assert outputs[0] == outputs[1]
 
     def test_save_embedding_text_is_the_per_float_repr(self, tmp_path):
@@ -610,6 +614,36 @@ class TestWalkEmbeddings:
             for i, row in enumerate(vectors)
         )
         assert path.read_text() == want
+
+    def test_load_embedding_round_trips_extreme_floats(self, tmp_path):
+        vectors = np.array([[-0.0, 5e-324, 1e300, -1e300],
+                            [np.inf, -np.inf, 0.1, np.nextafter(1.0, 2.0)]])
+        vectors = np.vstack([vectors, np.random.default_rng(4).normal(size=(5, 4))])
+        path = tmp_path / "emb.csv"
+        save_embedding(EmbeddingMatrix(vectors, "hope", 4), path)
+        back = load_embedding(path).vectors
+        assert back.shape == (7, 4) and back.flags["C_CONTIGUOUS"]
+        assert back.tobytes() == vectors.tobytes()  # -0.0 keeps its sign bit
+
+    @pytest.mark.parametrize("body, line", [
+        ("0,0.5\n1.0,0.5\n", 3),  # a node index numpy's float reader takes
+        ("0,0.5\n2,0.5\n", 3),  # an index out of order
+        ("0,0.5\n\n1,0.5,0.5\n", 4),  # a surplus field after a blank line
+        ("0,0.5\n1,nope\n", 3),
+    ])
+    def test_load_embedding_names_the_bad_line(self, tmp_path, body, line):
+        path = tmp_path / "emb.csv"
+        path.write_text("node_index,e0\n" + body)
+        with pytest.raises(ParseError) as info:
+            load_embedding(path)
+        assert info.value.line == line
+
+    def test_load_embedding_line_scan_reads_what_float_reads(self, tmp_path):
+        # numpy's reader refuses digit separators; the line scan, like
+        # float(), takes them
+        path = tmp_path / "emb.csv"
+        path.write_text("node_index,e0\n0,1_000.5\n1,-2\n")
+        assert load_embedding(path).vectors.tolist() == [[1000.5], [-2.0]]
 
     def test_save_load_round_trip(self, tmp_path):
         cfg = WalkConfig(walks_per_node=2, walk_length=8, epochs=1, seed=6)

@@ -17,14 +17,23 @@ from seqnet.errors import NeighborCountError
 from seqnet.featurize import featurize_dataset
 from seqnet.seqio import synthesize_dataset
 from seqnet.ssn import (
+    SimilarityNetwork,
     build_ssn,
     connected_components,
     knn_query,
     load_graph,
     network_from_edges,
     save_graph,
-    subgraph,
 )
+
+
+def subgraph(graph, nodes):
+    """Induced subgraph by CSR slicing, renumbered in the given order: the
+    slice the spectral embeddings take of each component's block."""
+    keep = np.asarray(nodes, dtype=np.int64)
+    adjacency = graph.adjacency[keep][:, keep]
+    adjacency.sort_indices()
+    return SimilarityNetwork(adjacency, tuple(str(v) for v in nodes))
 
 
 def oracle_knn_edges(x, k, mode="union"):
