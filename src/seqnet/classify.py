@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cluster import _log_gaussian_diag
-from .distances import _dense, _rows, k_nearest
+from .distances import _dense, _gamma, _rows, k_nearest
 from .errors import ConfigError
 from .evalmetrics import ClassificationReport, classification_report
 from .seqio import split_indices
@@ -219,8 +219,9 @@ class LinearSVM(_TimedFit):
         return xa @ self._w.T
 
 
-# Class-count cells in one block of the CART split scan. It keeps each float64
-# temporary of the scan to 8 MB unless a single feature needs more.
+# Row cells (node rows times candidate features) in one block of the CART
+# split scan. It keeps each temporary of the scan to 8 MB unless a single
+# feature column of one node needs more.
 _SCAN_CELLS = 1 << 20
 
 
@@ -230,96 +231,332 @@ def _gini(counts):
     return 1.0 - (frac * frac).sum(axis=-1)
 
 
-@dataclass
-class _Leaf:
-    probs: np.ndarray
+def _ranges(lengths):
+    """Range id and position within its range of every cell of consecutive
+    ranges of the given lengths."""
+    seg = np.repeat(np.arange(len(lengths)), lengths)
+    offsets = np.cumsum(lengths) - lengths
+    return seg, np.arange(len(seg)) - offsets[seg], offsets
 
 
-@dataclass
-class _Split:
-    feature: int
-    threshold: float
-    left: object
-    right: object
+def _value_ranks(x):
+    """(features, rows) dense rank of each value within its column. Equal
+    values share a rank, and so do all NaNs, which rank above every number,
+    so ordering a node's rows by (rank, position) is the stable sort of their
+    values."""
+    order = np.argsort(x, axis=0, kind="stable")
+    values = np.take_along_axis(x, order, axis=0)
+    dense = np.zeros(x.shape, dtype=np.int64)
+    # the sort puts NaNs last, so a value after a NaN is a NaN
+    dense[1:] = (values[1:] != values[:-1]) & ~np.isnan(values[:-1])
+    ranks = np.empty(x.shape, dtype=np.int64)
+    np.put_along_axis(ranks, order, np.cumsum(dense, axis=0), axis=0)
+    return np.ascontiguousarray(ranks.T)
 
 
-def _grow_tree(x, encoded, n_classes, depth, max_depth, min_leaf, m_features, rng):
-    counts = np.bincount(encoded, minlength=n_classes).astype(np.float64)
-    impurity = _gini(counts)
-    if (
-        (max_depth is not None and depth >= max_depth)
-        or len(x) < 2 * min_leaf
-        or impurity == 0.0
-    ):
-        return _Leaf(counts / counts.sum())
+def _tie_chain(scores):
+    """Index the split tie rule picks from scores in scan order: a candidate
+    replaces the best so far only when it is lower by more than 1e-12."""
+    best, pick, pos = np.inf, -1, 0
+    while (ahead := np.flatnonzero(scores[pos:] < best - 1e-12)).size:
+        pos += ahead[0]
+        best, pick = scores[pos], pos
+        pos += 1
+    return pick
 
-    n, d = x.shape
-    if m_features is not None and m_features < d:
-        features = np.sort(rng.choice(d, size=m_features, replace=False))
-    else:
-        features = np.arange(d)
 
-    # Threshold i of a feature sends its i + 1 smallest rows left. The class
-    # counts on both sides of every threshold come from one cumulative sum of
-    # one-hot counts, taken over a block of features at a time to bound memory.
-    n_left = np.arange(1, n)
-    n_right = n - n_left
-    sizes_ok = (n_left >= min_leaf) & (n_right >= min_leaf)
-    one_hot = np.eye(n_classes)
-    block = max(1, _SCAN_CELLS // (n * n_classes))
-    best, best_split = np.inf, None  # weighted impurity, (feature, lo, hi)
-    for start in range(0, len(features), block):
-        cols = features[start : start + block]
-        block_x = x[:, cols]
-        order = np.argsort(block_x, axis=0, kind="stable")
-        values = np.take_along_axis(block_x, order, axis=0).T
-        left = np.cumsum(one_hot[encoded[order[:-1].T]], axis=1)
-        weighted = _gini(left) * n_left + _gini(counts - left) * n_right
-        # Row-major order is features by index, then thresholds ascending; a
-        # later candidate replaces the best only when lower by more than 1e-12.
-        candidates = np.flatnonzero(sizes_ok & (values[:, 1:] != values[:, :-1]))
-        scores = weighted.ravel()[candidates]
-        pos = 0
-        while True:
-            ahead = np.flatnonzero(scores[pos:] < best - 1e-12)
-            if not ahead.size:
-                break
-            pos += ahead[0]
-            f, i = divmod(int(candidates[pos]), n - 1)
-            best, best_split = scores[pos], (int(cols[f]), values[f, i], values[f, i + 1])
-            pos += 1
-    if best_split is None or best >= impurity * n - 1e-12:
-        return _Leaf(counts / counts.sum())
+def _scan_block(cols, feats, starts, counts, order, ranks, encoded, min_leaf, carry):
+    """Screen and rescore the thresholds of a block of (node, feature) columns.
 
-    feature, lo, hi = best_split
-    threshold = float((lo + hi) / 2.0)
-    if threshold == hi:
-        # lo and hi are one ulp apart and the midpoint rounded up: a split at
-        # hi would send every row left.
-        threshold = float(lo)
-    mask = x[:, feature] <= threshold
-    return _Split(
-        feature,
-        threshold,
-        _grow_tree(x[mask], encoded[mask], n_classes, depth + 1, max_depth, min_leaf, m_features, rng),
-        _grow_tree(x[~mask], encoded[~mask], n_classes, depth + 1, max_depth, min_leaf, m_features, rng),
+    Column c belongs to node ``c // m`` and scans feature ``feats.flat[c]``;
+    threshold i of a column sends the node's i + 1 smallest rows left. Each
+    threshold is screened by its exact integer class sums: with l the left
+    class counts, C the node's and n its size, the Gini split score is
+    n - sum(l^2) / n_l - sum((C - l)^2) / n_r, and sum(l^2) grows by
+    2 * (rank of the row within its class) + 1 per row. A threshold is kept
+    when its screened score is within twice the rounding bound of its node's
+    running minimum in scan order (``carry`` enters a node continued from
+    the previous block); the tie rule only ever picks a threshold lower than
+    every earlier one, so the kept set holds every one it can pick. Kept
+    thresholds are rescored by ``_gini`` on their class counts.
+
+    Returns per kept threshold (node, column, score, row at it, row after it,
+    value rank at it), and the running minimum of the block's last node.
+    """
+    m, n_classes = feats.shape[1], counts.shape[1]
+    node = cols // m
+    col_counts = counts[node]
+    sizes = col_counts.sum(axis=1)
+    seg, pos, offsets = _ranges(sizes)
+    cell_node = node[seg]
+    rows = order[(starts[node] - offsets)[seg] + np.arange(len(seg))]
+    rank = ranks.ravel()[(feats.ravel()[cols] * ranks.shape[1])[seg] + rows]
+    # keys are unique, so the unstable sort is the stable one by (rank, position)
+    by_value = np.argsort((offsets * ranks.shape[1])[seg] + rank * sizes[seg] + pos)
+    rows, rank = rows[by_value], rank[by_value]
+    labels = encoded[rows]
+
+    # Each row's rank within its class in its column: a stable sort by
+    # (column, class) groups the rows by class, in scan order within a group.
+    group = seg * n_classes + labels
+    small = np.uint16 if len(cols) * n_classes <= 1 << 16 else np.int64
+    by_class = np.argsort(group.astype(small), kind="stable")
+    firsts = (offsets[:, None] + np.cumsum(col_counts, axis=1) - col_counts).ravel()
+    slot = np.empty(len(seg), dtype=np.int64)
+    slot[by_class] = np.arange(len(seg))
+    squares = np.cumsum(2 * (slot - firsts[group]) + 1)
+    cross = np.cumsum(counts.ravel()[cell_node * n_classes + labels])
+    sq = squares - np.concatenate(([0], squares))[offsets][seg]
+    cr = cross - np.concatenate(([0], cross))[offsets][seg]
+
+    n_left = pos + 1
+    n_right = sizes[seg] - n_left
+    right_sq = (counts * counts).sum(axis=1)[cell_node] - 2 * cr + sq
+    valid = (n_left >= min_leaf) & (n_right >= min_leaf)
+    valid[:-1] &= rank[1:] != rank[:-1]
+    screened = np.where(
+        valid, sizes[seg] - sq / n_left - right_sq / np.maximum(n_right, 1), np.inf
     )
 
+    # With gamma_k = k u / (1 - k u), u = 2^-53, the rescored score lies
+    # within n * gamma_{classes + 8} of the exact one and the screened score
+    # within n * gamma_5; the bound adds three roundings for the comparison.
+    bound = 2.0 * sizes * _gamma(n_classes + 16)
+    first_col = np.flatnonzero(np.r_[True, node[1:] != node[:-1]])
+    edges = offsets[first_col].tolist() + [len(seg)]
+    running = np.empty(len(seg))
+    for a, b in zip(edges, edges[1:]):
+        np.minimum.accumulate(screened[a:b], out=running[a:b])
+    running[: edges[1]] = np.minimum(running[: edges[1]], carry)
+    prior = np.empty(len(seg))
+    prior[0] = carry
+    prior[1:] = running[:-1]
+    prior[edges[1:-1]] = np.inf
+    kept = np.flatnonzero(valid & (screened <= prior + bound[seg]))
 
-def _tree_scores(node, x, out, rows):
-    if isinstance(node, _Leaf):
-        out[rows] = node.probs
-        return
-    mask = x[rows, node.feature] <= node.threshold
-    _tree_scores(node.left, x, out, rows[mask])
-    _tree_scores(node.right, x, out, rows[~mask])
+    # Class counts left of each kept threshold: the block's cumulative
+    # counts at it, less those of the block's earlier columns.
+    is_kept = np.bincount(kept, minlength=len(seg))
+    before = np.cumsum(is_kept) - is_kept
+    inside = before < len(kept)
+    left = np.cumsum(
+        np.bincount(
+            before[inside] * n_classes + labels[inside], minlength=len(kept) * n_classes
+        ).reshape(len(kept), n_classes),
+        axis=0,
+    ) - (np.cumsum(col_counts, axis=0) - col_counts)[seg[kept]]
+    total = counts[cell_node[kept]]
+    scores = (
+        _gini(left.astype(np.float64)) * n_left[kept]
+        + _gini((total - left).astype(np.float64)) * n_right[kept]
+    )
+    found = (cell_node[kept], cols[seg[kept]], scores, rows[kept], rows[kept + 1], rank[kept])
+    return found, running[-1]
+
+
+def _best_splits(feats, starts, counts, order, ranks, encoded, min_leaf):
+    """Split of each node the scalar CART scan picks, over blocks of at most
+    ``_SCAN_CELLS`` row cells: (node index, column, row at and after the
+    threshold, value rank at it) for the nodes that split."""
+    k, m = feats.shape
+    cells = np.cumsum(np.repeat(counts.sum(axis=1), m))
+    parts, carry, c0 = [], np.inf, 0
+    while c0 < k * m:
+        base = cells[c0 - 1] if c0 else 0
+        c1 = max(c0 + 1, int(np.searchsorted(cells, base + _SCAN_CELLS, side="right")))
+        found, running = _scan_block(
+            np.arange(c0, c1), feats, starts, counts, order, ranks, encoded, min_leaf,
+            carry if c0 % m else np.inf,
+        )
+        parts.append(found)
+        carry, c0 = running, c1
+    found = [np.concatenate(p) for p in zip(*parts)]
+    if not found or not len(found[0]):
+        return (np.zeros(0, dtype=np.int64),) * 5
+    node, col, scores, row_lo, row_hi, rank_lo = found
+
+    # The tie rule picks a node's first minimum unless an earlier kept score
+    # lies within 1e-12 above it; those nodes run the rule itself.
+    heads = np.flatnonzero(np.r_[True, node[1:] != node[:-1]])
+    group = np.cumsum(np.r_[False, node[1:] != node[:-1]])
+    low = np.minimum.reduceat(scores, heads)
+    hits = np.flatnonzero(scores == low[group])
+    pick = hits[np.r_[True, group[hits][1:] != group[hits][:-1]]]
+    near = (scores - 1e-12 <= scores[pick][group]) & (np.arange(len(scores)) < pick[group])
+    ends = np.r_[heads[1:], len(scores)]
+    for g in np.unique(group[near]):
+        pick[g] = heads[g] + _tie_chain(scores[heads[g] : ends[g]])
+
+    sizes = counts.sum(axis=1)
+    nodes = node[pick]
+    split = ~(scores[pick] >= _gini(counts[nodes].astype(np.float64)) * sizes[nodes] - 1e-12)
+    pick = pick[split]
+    return node[pick], col[pick], row_lo[pick], row_hi[pick], rank_lo[pick]
+
+
+@dataclass
+class _Trees:
+    """CART trees as flat node arrays; tree t's root is node t.
+
+    An internal node sends a row left when its ``feature`` value is at most
+    ``threshold`` and right otherwise. A leaf has feature -1 and scores
+    ``probs``, its training class frequencies.
+    """
+
+    n_trees: int
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    probs: np.ndarray
+
+    def leaves(self, x):
+        """(trees, rows) leaf each row reaches in each tree; all rows descend
+        all trees together, one level per pass."""
+        node = np.repeat(np.arange(self.n_trees), len(x))
+        row = np.tile(np.arange(len(x)), self.n_trees)
+        live = np.flatnonzero(self.feature[node] >= 0)
+        while live.size:
+            at = node[live]
+            goes_left = x[row[live], self.feature[at]] <= self.threshold[at]
+            node[live] = np.where(goes_left, self.left[at], self.right[at])
+            live = live[self.feature[node[live]] >= 0]
+        return node.reshape(self.n_trees, len(x))
+
+    def scores(self, x):
+        """Leaf class frequencies summed over the trees in index order, over
+        the number of trees."""
+        out = np.zeros((len(x), self.probs.shape[1]))
+        for leaf in self.leaves(x):
+            out += self.probs[leaf]
+        return out / self.n_trees
+
+
+def _grow_trees(x, samples, encoded, n_classes, max_depth, min_leaf, m_features=None, rngs=None):
+    """Grow one CART per row of ``samples`` (its training rows of x, in
+    order), all trees in lockstep; the result equals growing each tree by
+    depth-first recursion.
+
+    Where ``m_features < d``, every node that scans draws its sorted
+    candidate features from its tree's generator in ``rngs``, so each step
+    takes the next depth-first node of every tree and the draws keep their
+    order. Otherwise every node scans all features and each step takes every
+    open node.
+    """
+    n_trees, n = samples.shape
+    d = x.shape[1]
+    draws = m_features is not None and m_features < d
+    ranks = _value_ranks(x)
+    # tree t's rows are order[t * n : (t + 1) * n], each node's a range of them
+    order = samples.ravel().copy()
+    cap = 2 * n_trees
+    start = np.zeros(cap, dtype=np.int64)
+    depth = np.zeros(cap, dtype=np.int64)
+    counts = np.zeros((cap, n_classes), dtype=np.int64)
+    feature = np.full(cap, -1, dtype=np.int64)
+    threshold = np.zeros(cap)
+    left = np.full(cap, -1, dtype=np.int64)
+    right = np.full(cap, -1, dtype=np.int64)
+
+    def open_nodes(ids):
+        """Which of the new nodes ids scan; the rest stay leaves."""
+        c = counts[ids]
+        return ~(
+            (depth[ids] >= max_depth if max_depth is not None else False)
+            | (c.sum(axis=1) < 2 * min_leaf)
+            | (_gini(c.astype(np.float64)) == 0.0)
+        )
+
+    start[:n_trees] = np.arange(n_trees) * n
+    counts[:n_trees] = np.bincount(
+        (np.arange(n_trees)[:, None] * n_classes + encoded[samples]).ravel(),
+        minlength=n_trees * n_classes,
+    ).reshape(n_trees, n_classes)
+    size = n_trees
+    stacks = [[t] if scans else [] for t, scans in enumerate(open_nodes(np.arange(n_trees)))]
+
+    while True:
+        if draws:
+            taken = [(t, stack.pop()) for t, stack in enumerate(stacks) if stack]
+        else:
+            taken = [(t, i) for t, stack in enumerate(stacks) for i in stack]
+            stacks = [[] for _ in stacks]
+        if not taken:
+            break
+        trees = np.array([t for t, _ in taken])
+        ids = np.array([i for _, i in taken])
+        if draws:
+            feats = np.array(
+                [np.sort(rngs[t].choice(d, size=m_features, replace=False)) for t, _ in taken]
+            )
+        else:
+            feats = np.tile(np.arange(d), (len(ids), 1))
+        at, col, row_lo, row_hi, rank_lo = _best_splits(
+            feats, start[ids], counts[ids], order, ranks, encoded, min_leaf
+        )
+        if not len(at):
+            continue
+
+        parents = ids[at]
+        f = feats.ravel()[col]
+        lo, hi = x[row_lo, f], x[row_hi, f]
+        with np.errstate(invalid="ignore", over="ignore"):
+            midpoint = (lo + hi) / 2.0
+        # A midpoint not below hi (lo and hi one ulp apart, an infinite sum
+        # or a NaN hi) would not send the rows at hi right: split at lo.
+        feature[parents] = f
+        threshold[parents] = np.where(midpoint < hi, midpoint, lo)
+
+        # stable partition of each parent's rows: left rows first, by value rank
+        sizes = counts[parents].sum(axis=1)
+        seg, _, offsets = _ranges(sizes)
+        spots = (start[parents] - offsets)[seg] + np.arange(len(seg))
+        rows = order[spots]
+        goes_right = ranks.ravel()[f[seg] * ranks.shape[1] + rows] > rank_lo[seg]
+        small = np.uint16 if 2 * len(parents) <= 1 << 16 else np.int64
+        order[spots] = rows[np.argsort((2 * seg + goes_right).astype(small), kind="stable")]
+        left_counts = np.bincount(
+            (seg * n_classes + encoded[rows])[~goes_right], minlength=len(parents) * n_classes
+        ).reshape(len(parents), n_classes)
+
+        new = size + np.arange(2 * len(parents))
+        size += len(new)
+        if size > len(start):
+            grow = max(size, 2 * len(start)) - len(start)
+            start, depth, threshold = (np.pad(a, (0, grow)) for a in (start, depth, threshold))
+            counts = np.pad(counts, ((0, grow), (0, 0)))
+            feature, left, right = (
+                np.pad(a, (0, grow), constant_values=-1) for a in (feature, left, right)
+            )
+        left[parents], right[parents] = new[::2], new[1::2]
+        start[new[::2]] = start[parents]
+        start[new[1::2]] = start[parents] + left_counts.sum(axis=1)
+        depth[new] = np.repeat(depth[parents] + 1, 2)
+        counts[new[::2]] = left_counts
+        counts[new[1::2]] = counts[parents] - left_counts
+        scans = open_nodes(new).reshape(-1, 2)
+        for t, (l_id, r_id), (l_scans, r_scans) in zip(
+            trees[at].tolist(), new.reshape(-1, 2).tolist(), scans.tolist()
+        ):
+            # right first, so that the left subtree is grown (and draws) first
+            if r_scans:
+                stacks[t].append(r_id)
+            if l_scans:
+                stacks[t].append(l_id)
+
+    c = counts[:size]
+    return _Trees(
+        n_trees, feature[:size], threshold[:size], left[:size], right[:size],
+        c / c.sum(axis=1, keepdims=True),
+    )
 
 
 class DecisionTree(_TimedFit):
     """Binary CART on Gini impurity with midpoint thresholds.
 
     When two adjacent values are one ulp apart and their midpoint rounds up,
-    the lower value is the threshold, so both sides stay non-empty.
+    the lower value is the threshold, so both sides stay non-empty; so it is
+    when the midpoint overflows or is NaN. NaN sorts above every number.
 
     Split ties go to the lower feature index then the lower threshold;
     ``max_depth=0`` yields a majority-class stump.
@@ -335,14 +572,13 @@ class DecisionTree(_TimedFit):
 
     def _fit(self, x, y):
         x, self.classes_, encoded = _prepare(x, y)
-        self._root = _grow_tree(
-            x, encoded, len(self.classes_), 0, self.max_depth, self.min_leaf, None, None
+        self._trees = _grow_trees(
+            x, np.arange(len(x))[None], encoded, len(self.classes_),
+            self.max_depth, self.min_leaf,
         )
 
     def _scores(self, x):
-        out = np.zeros((len(x), len(self.classes_)))
-        _tree_scores(self._root, x, out, np.arange(len(x)))
-        return out
+        return self._trees.scores(x)
 
 
 class RandomForest(_TimedFit):
@@ -384,25 +620,17 @@ class RandomForest(_TimedFit):
             m = max(1, int(round(self.feature_frac * d)))
         master = np.random.default_rng(self.seed)
         tree_seeds = master.integers(0, 2**31, size=self.n_trees)
-        self._trees = []
-        for s in tree_seeds:
-            rng = np.random.default_rng(int(s))
-            idx = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
-            self._trees.append(
-                _grow_tree(
-                    x[idx], encoded[idx], len(self.classes_), 0,
-                    self.max_depth, self.min_leaf, m if m < d else None, rng,
-                )
-            )
+        rngs = [np.random.default_rng(int(s)) for s in tree_seeds]
+        samples = np.array(
+            [rng.integers(0, n, size=n) if self.bootstrap else np.arange(n) for rng in rngs]
+        )
+        self._trees = _grow_trees(
+            x, samples, encoded, len(self.classes_), self.max_depth, self.min_leaf,
+            m if m < d else None, rngs,
+        )
 
     def _scores(self, x):
-        out = np.zeros((len(x), len(self.classes_)))
-        scratch = np.zeros_like(out)
-        for tree in self._trees:
-            scratch[:] = 0.0
-            _tree_scores(tree, x, scratch, np.arange(len(x)))
-            out += scratch
-        return out / self.n_trees
+        return self._trees.scores(x)
 
 
 CLASSIFIERS = {
@@ -555,8 +783,8 @@ def run_experiment(
                     else:
                         params = grid[0]
                     model = make_classifier(name, **params).fit(x_train, y_train)
-                    pred = model.predict(x_test)
                     scores = model.predict_scores(x_test)
+                    pred = model.classes_[np.argmax(scores, axis=1)]
                     report = _score_report(
                         y_test, pred, scores, model.classes_, model.train_time_sec
                     )

@@ -1,10 +1,19 @@
+import sys
 from unittest import mock
 
+import classify_reference
 import numpy as np
 import pytest
-from classify_reference import grow_tree_reference, pegasos_reference
+from classify_reference import (
+    _Leaf,
+    _Split,
+    _grow_tree,
+    _tree_scores,
+    grow_tree_reference,
+    pegasos_reference,
+)
 from conftest import finite_difference, relative_error
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seqnet import classify
 from seqnet.classify import (
@@ -23,6 +32,10 @@ from seqnet.classify import (
     METRIC_FIELDS,
 )
 from seqnet.errors import ConfigError
+
+# a divide-by-zero or invalid-value warning, e.g. from a one-sided or tied
+# threshold of the split scan, is a failure
+pytestmark = pytest.mark.filterwarnings("error")
 
 
 def two_blob_data(rng, per=30, dim=3, sep=8.0):
@@ -230,12 +243,22 @@ def tree_cases(draw):
     )
 
 
+def nested(trees, node):
+    """The flat tree below ``node`` as the reference's linked nodes."""
+    if trees.feature[node] < 0:
+        return _Leaf(trees.probs[node])
+    return _Split(
+        int(trees.feature[node]), float(trees.threshold[node]),
+        nested(trees, trees.left[node]), nested(trees, trees.right[node]),
+    )
+
+
 def assert_same_tree(got, expected):
-    if isinstance(expected, classify._Leaf):
-        assert isinstance(got, classify._Leaf)
+    if isinstance(expected, _Leaf):
+        assert isinstance(got, _Leaf)
         assert np.array_equal(got.probs, expected.probs)
         return
-    assert isinstance(got, classify._Split)
+    assert isinstance(got, _Split)
     assert (got.feature, got.threshold) == (expected.feature, expected.threshold)
     assert_same_tree(got.left, expected.left)
     assert_same_tree(got.right, expected.right)
@@ -251,8 +274,131 @@ def test_grow_tree_equals_scalar_reference(case):
     expected = grow_tree_reference(*args, np.random.default_rng(case["seed"]))
     # small scan blocks split the features of a node across several blocks
     with mock.patch.object(classify, "_SCAN_CELLS", case["scan_cells"]):
-        got = classify._grow_tree(*args, np.random.default_rng(case["seed"]))
-    assert_same_tree(got, expected)
+        trees = classify._grow_trees(
+            case["x"], np.arange(len(case["x"]))[None], case["encoded"], case["n_classes"],
+            case["max_depth"], case["min_leaf"], case["m_features"],
+            [np.random.default_rng(case["seed"])],
+        )
+    assert_same_tree(nested(trees, 0), expected)
+    # the recursive one-hot scan the lockstep grower replaced
+    with mock.patch.object(classify_reference, "_SCAN_CELLS", case["scan_cells"]):
+        assert_same_tree(_grow_tree(*args, np.random.default_rng(case["seed"])), expected)
+
+
+@st.composite
+def scan_cases(draw):
+    n = draw(st.integers(2, 300))
+    d = draw(st.integers(1, 4))
+    n_classes = draw(st.integers(2, 4) | st.integers(20, 30))
+    pool = draw(st.lists(st.floats(-4, 4, allow_nan=False), min_size=2, max_size=8))
+    cells = draw(st.lists(st.sampled_from(pool), min_size=n * d, max_size=n * d))
+    labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
+    return dict(
+        x=np.array(cells).reshape(n, d),
+        encoded=np.array(labels),
+        n_classes=n_classes,
+        min_leaf=draw(st.integers(1, 3)),
+        block_end=draw(st.integers(0, d)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(scan_cases())
+# in each, a threshold whose exact score ties an earlier one's rescores one
+# rounding lower, while its screened score ties (first) or exceeds (second)
+@example(dict(
+    x=np.array([[1.0], [0.0], [0.0], [0.0], [2.0], [1.0]]),
+    encoded=np.array([5, 1, 0, 3, 0, 8]), n_classes=9, min_leaf=1, block_end=1,
+))
+@example(dict(
+    x=np.array([[0.0], [3.0], [1.0], [1.0], [2.0], [0.0], [1.0], [3.0]]),
+    encoded=np.array([1, 1, 0, 1, 1, 1, 1, 0]), n_classes=2, min_leaf=1, block_end=0,
+))
+def test_screen_keeps_every_strict_prefix_minimum(case):
+    """The tie rule can pick only a threshold scoring strictly below every
+    earlier one of its node; the screen must keep all of those, also when a
+    node's features span two blocks."""
+    x, encoded, n_classes, min_leaf = (
+        case["x"], case["encoded"], case["n_classes"], case["min_leaf"]
+    )
+    n, d = x.shape
+    counts = np.bincount(encoded, minlength=n_classes)[None]
+    args = (
+        np.arange(d)[None], np.zeros(1, dtype=np.int64), counts, np.arange(n),
+        classify._value_ranks(x), encoded, min_leaf,
+    )
+    kept, carry = set(), np.inf
+    for cols in np.split(np.arange(d), [case["block_end"]]):
+        if len(cols):
+            found, carry = classify._scan_block(cols, *args, carry)
+            kept |= set(zip(found[1].tolist(), found[3].tolist()))
+    # every threshold scored as the recursive one-hot scan scores it
+    n_left = np.arange(1, n)
+    lowest = np.inf
+    for f in range(d):
+        order = np.argsort(x[:, f], kind="stable")
+        left = np.cumsum(np.eye(n_classes)[encoded[order[:-1]]], axis=0)
+        scores = (
+            classify._gini(left) * n_left + classify._gini(counts[0] - left) * (n - n_left)
+        )
+        feasible = (
+            (n_left >= min_leaf) & (n - n_left >= min_leaf)
+            & (x[order[1:], f] != x[order[:-1], f])
+        )
+        for i in np.flatnonzero(feasible):
+            if scores[i] < lowest:
+                assert (f, int(order[i])) in kept
+            lowest = min(lowest, scores[i])
+
+
+@st.composite
+def forest_cases(draw):
+    n = draw(st.integers(1, 300))
+    d = draw(st.integers(1, 5))
+    # many classes over few rows make equal exact split scores common, whose
+    # screened scores then differ by less than the rounding bound
+    n_classes = draw(st.integers(1, 4) | st.integers(20, 30))
+    pool = draw(st.lists(st.floats(-4, 4, allow_nan=False), min_size=1, max_size=8))
+    cells = draw(st.lists(st.sampled_from(pool), min_size=n * d, max_size=n * d))
+    labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
+    return dict(
+        x=np.array(cells).reshape(n, d),
+        y=np.array(labels),
+        n_trees=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 2**31 - 1)),
+        feature_frac=draw(st.none() | st.sampled_from([0.2, 0.5, 1.0])),
+        max_depth=draw(st.none() | st.integers(0, 6)),
+        min_leaf=draw(st.integers(1, 3)),
+        scan_cells=draw(st.sampled_from([1, 64])),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(forest_cases())
+def test_forest_equals_scalar_reference_per_tree(case):
+    x, n_trees = case["x"], case["n_trees"]
+    params = {k: case[k] for k in ("n_trees", "seed", "feature_frac", "max_depth", "min_leaf")}
+    with mock.patch.object(classify, "_SCAN_CELLS", case["scan_cells"]):
+        forest = RandomForest(**params).fit(x, case["y"])
+    classes, encoded = np.unique(case["y"], return_inverse=True)
+    n, d = x.shape
+    frac = case["feature_frac"]
+    m = max(1, int(round(np.sqrt(d) if frac is None else frac * d)))
+    queries = np.vstack([x, x[::-1] + 0.25])
+    expected = np.zeros((len(queries), len(classes)))
+    seeds = np.random.default_rng(case["seed"]).integers(0, 2**31, size=n_trees)
+    for t, s in enumerate(seeds):
+        rng = np.random.default_rng(int(s))
+        idx = rng.integers(0, n, size=n)
+        tree = grow_tree_reference(
+            x[idx], encoded[idx], len(classes), 0, case["max_depth"], case["min_leaf"],
+            m if m < d else None, rng,
+        )
+        assert_same_tree(nested(forest._trees, t), tree)
+        scratch = np.zeros_like(expected)
+        _tree_scores(tree, queries, scratch, np.arange(len(queries)))
+        expected += scratch
+    assert forest.predict_scores(queries).tobytes() == (expected / n_trees).tobytes()
 
 
 class TestDecisionTree:
@@ -266,8 +412,7 @@ class TestDecisionTree:
         x = np.array([[0.0], [1.0], [10.0], [11.0]])
         y = np.array(["A", "A", "B", "B"])
         model = DecisionTree().fit(x, y)
-        root = model._root
-        assert root.threshold == pytest.approx(5.5)
+        assert model._trees.threshold[0] == pytest.approx(5.5)
         assert (model.predict(x) == y).all()
 
     def test_depth_zero_majority_stump(self):
@@ -282,7 +427,7 @@ class TestDecisionTree:
         x = rng.normal(size=(25, 2))
         y = (x[:, 0] + 0.3 * rng.normal(size=25) > 0).astype(int)
         model = DecisionTree(max_depth=1).fit(x, y)
-        root = model._root
+        feature, threshold = model._trees.feature[0], model._trees.threshold[0]
 
         def weighted_gini(mask):
             def gini(labels):
@@ -299,7 +444,7 @@ class TestDecisionTree:
             for f in range(2)
             for a, b in zip(np.unique(x[:, f]), np.unique(x[:, f])[1:])
         )
-        got = weighted_gini(x[:, root.feature] <= root.threshold)
+        got = weighted_gini(x[:, feature] <= threshold)
         assert got == pytest.approx(best)
 
     def test_near_tie_keeps_the_earlier_feature(self):
@@ -308,7 +453,7 @@ class TestDecisionTree:
         x = np.array([[0, 1], [0, 1], [1, 1], [1, 1], [0, 0], [0, 0], [0, 1]], dtype=float)
         y = np.array([0, 1, 1, 1, 2, 2, 2])
         model = DecisionTree(max_depth=1).fit(x, y)
-        assert model._root.feature == 0
+        assert model._trees.feature[0] == 0
 
     @pytest.mark.parametrize("max_depth", [None, 3])
     def test_one_ulp_gap_splits_at_lower_value(self, max_depth):
@@ -318,9 +463,42 @@ class TestDecisionTree:
         x = np.array([[lo], [hi]])
         y = np.array([0, 1])
         model = DecisionTree(max_depth=max_depth).fit(x, y)
-        assert model._root.threshold == lo
+        assert model._trees.threshold[0] == lo
         assert model.predict(x).tolist() == [0, 1]
         assert np.isfinite(model.predict_scores(x)).all()
+
+    def test_growth_and_prediction_use_no_recursion(self):
+        # Singleton classes on one feature tie every threshold, so each split
+        # peels the lowest row off into a leaf: a chain n - 1 splits deep.
+        n = 400
+        x = np.arange(n, dtype=float)[:, None]
+        y = np.arange(n)
+        frames, frame = 0, sys._getframe()
+        while frame is not None:
+            frames, frame = frames + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(frames + 100)
+        try:
+            model = DecisionTree().fit(x, y)
+            pred = model.predict(x)
+        finally:
+            sys.setrecursionlimit(limit)
+        trees, node, splits = model._trees, 0, 0
+        while trees.feature[node] >= 0:
+            assert trees.feature[trees.left[node]] == -1
+            node, splits = trees.right[node], splits + 1
+        assert splits == n - 1 > frames + 100
+        assert (pred == y).all()
+
+    def test_non_finite_values_split_where_they_sort(self):
+        # NaN sorts above +inf; each split next to an infinite or NaN value,
+        # or between -inf and +inf, sits at the lower value
+        x = np.array([[np.nan], [-np.inf], [np.inf], [np.nan], [0.0], [-np.inf], [np.inf]])
+        y = np.array([3, 0, 2, 3, 1, 0, 2])
+        model = DecisionTree().fit(x, y)
+        assert model.predict(x).tolist() == y.tolist()
+        assert model.predict(np.array([[np.nan], [1e308], [-np.inf], [0.5]])).tolist() == [3, 2, 0, 2]
+        assert RandomForest(n_trees=3, seed=1).fit(x, y).predict(x).shape == (7,)
 
     def test_training_accuracy_one_on_distinct_points(self):
         rng = np.random.default_rng(7)
@@ -485,6 +663,13 @@ class TestRunExperiment:
         assert type(info.value) is raised
         assert str(info.value) == f"[method=toy classifier=gaussian_nb seed=4] {error}"
         assert info.value.__cause__ is error
+
+    def test_held_out_part_scored_once(self):
+        embeddings, labels = self._embeddings_and_labels(np.random.default_rng(18))
+        scores = mock.Mock(wraps=classify.GaussianNB._scores)
+        with mock.patch.object(classify.GaussianNB, "_scores", autospec=True, side_effect=scores):
+            run_experiment(embeddings, labels, seeds=[0], classifiers=("gaussian_nb",))
+        assert scores.call_count == 1
 
     def test_grid_defaults_cover_all_classifiers(self):
         assert set(DEFAULT_GRIDS) == {
