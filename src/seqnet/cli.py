@@ -5,9 +5,10 @@
 
 Every subcommand reads and writes only the documented file formats, accepts
 `--config` (INI) with CLI flags taking precedence, and drops a `<output>.meta`
-sidecar per artifact recording the tool version, effective configuration and
-input digests. Runtime columns are written as 0.0 unless `--timings` is given,
-so identical configs and seeds reproduce artifacts byte for byte.
+sidecar per artifact recording the tool version, the config fields the
+subcommand reads and input digests. Runtime columns are written as 0.0 unless
+`--timings` is given, so identical configs and seeds reproduce artifacts byte
+for byte.
 
 Exit codes: 0 success, 2 usage, 3 missing input file, 4 schema/config error,
 5 data error, 1 unexpected failure.
@@ -53,9 +54,9 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _sidecar_lines(subcommand, config, inputs, extra=None) -> list[str]:
-    lines = ["tool=seqnet", f"version={__version__}", f"subcommand={subcommand}"]
-    for key, value in config_items(config):
+def _sidecar_lines(args, config, inputs, extra=None) -> list[str]:
+    lines = ["tool=seqnet", f"version={__version__}", f"subcommand={args.subcommand}"]
+    for key, value in config_items(config, args.config_fields):
         lines.append(f"config.{key}={value}")
     for i, path in enumerate(inputs):
         lines.append(f"input.{i}.path={path}")
@@ -65,8 +66,8 @@ def _sidecar_lines(subcommand, config, inputs, extra=None) -> list[str]:
     return lines
 
 
-def _write_sidecar(output, subcommand, config, inputs, extra=None):
-    lines = _sidecar_lines(subcommand, config, inputs, extra)
+def _write_sidecar(output, args, config, inputs, extra=None):
+    lines = _sidecar_lines(args, config, inputs, extra)
     Path(str(output) + ".meta").write_text("\n".join(lines) + "\n")
 
 
@@ -142,11 +143,15 @@ def cmd_synth(args):
         args.between_count,
         cfg.seed,
     )
+    # the flags that shape the dataset, as given
+    shape = dict(lineages=args.lineages, per_lineage=",".join(map(str, args.per_lineage)),
+                 length=args.length, within_rate=args.within_rate,
+                 between_count=args.between_count)
     write_fasta(dataset, args.output)
-    _write_sidecar(args.output, "synth", cfg, [], {"records": len(dataset)})
+    _write_sidecar(args.output, args, cfg, [], dict(shape, records=len(dataset)))
     if args.labels_output:
         write_labels_csv(dataset, args.labels_output)
-        _write_sidecar(args.labels_output, "synth", cfg, [])
+        _write_sidecar(args.labels_output, args, cfg, [], shape)
     print(f"synth: wrote {len(dataset)} records to {args.output}")
     return EXIT_OK
 
@@ -156,7 +161,7 @@ def cmd_featurize(args):
     dataset = parse_fasta(_require_input(args.input), strict=cfg.strict)
     matrix = featurize_dataset(dataset, k=cfg.k)
     save_features(matrix, args.output)
-    _write_sidecar(args.output, "featurize", cfg, [args.input])
+    _write_sidecar(args.output, args, cfg, [args.input])
     print(f"featurize: {matrix.n} rows, k={cfg.k}, bins={matrix.logical_length}")
     return EXIT_OK
 
@@ -184,7 +189,8 @@ def cmd_graph(args):
         mode="mutual" if args.mutual else "union",
     )
     save_graph(graph, args.output, args.nodes_output)
-    _write_sidecar(args.output, "graph", cfg, inputs, {"edges": graph.num_edges})
+    extra = {"edges": graph.num_edges, "mutual": args.mutual}
+    _write_sidecar(args.output, args, cfg, inputs, extra)
     print(f"graph: {graph.n} nodes, {graph.num_edges} edges (K={cfg.K})")
     return EXIT_OK
 
@@ -199,7 +205,7 @@ def cmd_embed(args):
     options = {k: v for k, v in options.items() if v is not None}
     embedding = EMBED_METHODS[method](graph, cfg.dim, **options)
     # one sidecar: the provenance, then the embedding's own fields
-    save_embedding(embedding, args.output, provenance=_sidecar_lines("embed", cfg, inputs))
+    save_embedding(embedding, args.output, provenance=_sidecar_lines(args, cfg, inputs))
     print(f"embed: {method} -> {embedding.n} x {embedding.d}")
     return EXIT_OK
 
@@ -223,7 +229,7 @@ def cmd_cluster(args):
         assignment, args.output, runtime_sec=runtime if cfg.timings else None
     )
     _write_sidecar(
-        args.output, "cluster", cfg, inputs,
+        args.output, args, cfg, inputs,
         {"cluster_method": method, "k_found": assignment.k_found},
     )
     print(f"cluster: {method} found {assignment.k_found} clusters")
@@ -237,7 +243,7 @@ def cmd_elbow(args):
     if not cfg.timings:
         curve = replace(curve, runtimes_sec=(0.0,) * len(curve.ks))
     cluster_mod.save_elbow(curve, args.output)
-    _write_sidecar(args.output, "elbow", cfg, [args.features], {"chosen_k": curve.chosen_k})
+    _write_sidecar(args.output, args, cfg, [args.features], {"chosen_k": curve.chosen_k})
     print(f"elbow: chose k={curve.chosen_k} over [{args.k_min}, {args.k_max}]")
     return EXIT_OK
 
@@ -277,7 +283,7 @@ def cmd_evaluate(args):
             f"{args.name},{report.silhouette!r},{report.calinski_harabasz!r},"
             f"{report.davies_bouldin!r},{report.runtime_sec!r}\n"
         )
-    _write_sidecar(args.output, "evaluate", cfg, [args.features, args.assignments])
+    _write_sidecar(args.output, args, cfg, [args.features, args.assignments])
     print(
         f"evaluate: silhouette={report.silhouette:.4f} "
         f"ch={report.calinski_harabasz:.2f} db={report.davies_bouldin:.4f}"
@@ -324,7 +330,7 @@ def cmd_classify(args):
         if not cfg.timings:
             rows = [dict(row, train_time_sec=0.0) for row in rows]
         classify_mod.save_result_csv(rows, path)
-        _write_sidecar(path, "classify", cfg, inputs)
+        _write_sidecar(path, args, cfg, inputs)
     print(f"classify: wrote {paths[0]} and {paths[1]}")
     return EXIT_OK
 
@@ -348,7 +354,7 @@ def cmd_report(args):
         fh.write(header + "\n")
         for row in rows:
             fh.write(row + "\n")
-    _write_sidecar(args.output, "report", cfg, list(args.inputs))
+    _write_sidecar(args.output, args, cfg, list(args.inputs))
     print(f"report: merged {len(args.inputs)} files, {len(rows)} rows")
     return EXIT_OK
 
@@ -362,7 +368,7 @@ def cmd_pca2d(args):
         # Python floats: their repr is the shortest round-trip text on any NumPy
         for i, (pc0, pc1) in enumerate(projection.tolist()):
             fh.write(f"{i},{pc0!r},{pc1!r}\n")
-    _write_sidecar(args.output, "pca2d", cfg, [args.input])
+    _write_sidecar(args.output, args, cfg, [args.input])
     print(f"pca2d: projected {len(projection)} rows")
     return EXIT_OK
 
@@ -372,18 +378,21 @@ def cmd_pca2d(args):
 
 # argparse options of a config flag beyond its parser
 _FLAG_OPTIONS = {
-    "workers": {"help": "cap on internal parallelism (results are identical)"},
+    "workers": {"help": "cap on internal parallelism (no stage reads it yet)"},
     "timings": {"help": "write real wall-clock columns instead of 0.0"},
     "method": {"choices": sorted(EMBED_METHODS)},
 }
 
 
-def _add_config_flags(sub, *names):
+def _add_config_flags(sub, *names, without_flag=()):
     """--config and one flag per named config field, plus --workers, --seed
     and --timings. A flag reads its text as the field's INI key does; a flag
-    left out sets nothing, so the file and the default stand."""
+    left out sets nothing, so the file and the default stand. The names and
+    ``without_flag`` are the config fields the subcommand reads: its sidecar
+    lists those."""
     sub.add_argument("--config", help="INI config file")
-    for name in names + ("workers", "seed", "timings"):
+    sub.set_defaults(config_fields=names + without_flag)
+    for name in dict.fromkeys(names + ("workers", "seed", "timings")):
         options = dict(_FLAG_OPTIONS.get(name, {}))
         if PARSERS[name] is parse_bool:
             options.update(action="store_const", const=True)
@@ -411,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--length", type=int, default=300)
     sub.add_argument("--within-rate", type=float, default=0.01)
     sub.add_argument("--between-count", type=int, default=30)
-    _add_config_flags(sub)
+    _add_config_flags(sub, "seed")
     sub.set_defaults(func=cmd_synth)
 
     sub = subs.add_parser("featurize", help="k-mer frequency vectors from FASTA")
@@ -439,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--gf-epochs", type=int, default=None)
     _add_config_flags(
         sub, "method", "dim", "p", "q", "walks_per_node", "walk_length", "window",
-        "negatives", "epochs", "learning_rate",
+        "negatives", "epochs", "learning_rate", "seed",
     )
     sub.set_defaults(func=cmd_embed)
 
@@ -451,7 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--graph", help="edge TSV (required for ward/average)")
     sub.add_argument("--nodes-input", default=None, help="node CSV of --graph")
-    _add_config_flags(sub, "k_clusters", "eps", "min_pts", "batch_size", "gamma", "pca_dim")
+    _add_config_flags(sub, "k_clusters", "eps", "min_pts", "batch_size", "gamma", "pca_dim",
+                      "seed", "timings", without_flag=("var_floor",))
     sub.set_defaults(func=cmd_cluster)
 
     sub = subs.add_parser("elbow", help="SSE sweep and knee selection")
@@ -459,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--output", required=True)
     sub.add_argument("--k-min", type=int, default=1)
     sub.add_argument("--k-max", type=int, default=10)
-    _add_config_flags(sub)
+    _add_config_flags(sub, "seed", "timings")
     sub.set_defaults(func=cmd_elbow)
 
     sub = subs.add_parser("evaluate", help="internal clustering quality scores")
@@ -467,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--assignments", required=True)
     sub.add_argument("--output", required=True)
     sub.add_argument("--name", default="clustering", help="algorithm column value")
-    _add_config_flags(sub)
+    _add_config_flags(sub, "timings")
     sub.set_defaults(func=cmd_evaluate)
 
     sub = subs.add_parser("classify", help="seeded classification protocol")
@@ -478,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--labels", required=True)
     sub.add_argument("--output-prefix", required=True)
     sub.add_argument("--classifiers", help="comma list; default all six")
-    _add_config_flags(sub, "seeds", "test_fraction", "num_folds")
+    _add_config_flags(sub, "seeds", "test_fraction", "num_folds", "timings")
     sub.set_defaults(func=cmd_classify)
 
     sub = subs.add_parser("report", help="merge per-run CSVs sharing a schema")

@@ -18,8 +18,9 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .distances import _dense, _gram_is_exact, _rows, _sq_norms, nearest, sq_distances
-from .errors import ConfigError, ParseError, parse_numbers
+from .errors import ConfigError, ParseError
 from .ssn import SimilarityNetwork
+from .tables import read_rows
 
 _LLOYD_TOL = 1e-6
 
@@ -487,22 +488,17 @@ def save_assignment(
 
 
 def load_assignment(path) -> np.ndarray:
+    """Labels of a CSV written by :func:`save_assignment`; the body is read by
+    :func:`tables.read_rows`, so a bad line is named."""
     with open(path) as fh:
         lineno, header = 1, fh.readline().strip()
         while header.startswith("#"):
             lineno, header = lineno + 1, fh.readline().strip()
-        if header != "node_index,cluster":
-            raise ParseError(f"expected 'node_index,cluster' header in {path}", line=lineno)
-        labels = []
-        for lineno, line in enumerate(fh, start=lineno + 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = parse_numbers(line.split(","), lineno)
-            if len(parts) != 2 or parts[0] != len(labels):
-                raise ParseError(f"bad assignment row {line!r} in {path}", line=lineno)
-            labels.append(parts[1])
-    return np.asarray(labels, dtype=np.int64)
+    if header != "node_index,cluster":
+        raise ParseError(f"expected 'node_index,cluster' header in {path}", line=lineno)
+    rows, _ = read_rows(path, lineno + 1, "node_index,cluster", "assignment row", ints=2,
+                        counted=True)
+    return np.ascontiguousarray(rows[:, 1])
 
 
 def save_elbow(curve: ElbowCurve, path) -> None:

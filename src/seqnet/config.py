@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Optional, get_type_hints
 
 from .errors import ConfigError
@@ -47,11 +47,17 @@ def _optional(convert):
 
 
 def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
+    """``SEQNET_WORKERS``, or 1 where it is unset or blank."""
+    raw = os.environ.get(WORKERS_ENV, "").strip()
+    if not raw:
         return 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
+    return workers
 
 
 @dataclass(frozen=True)
@@ -86,6 +92,10 @@ class PipelineConfig:
     # classification protocol
     test_fraction: float = 0.3
     num_folds: int = 5
+
+    def __post_init__(self):
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
 
 # the INI section of each field
@@ -141,20 +151,7 @@ def load_config(path=None) -> PipelineConfig:
     return replace(config, **updates)
 
 
-def config_items(config: PipelineConfig) -> list[tuple[str, str]]:
-    """Stable (key, rendered value) pairs for sidecar echoing.
-
-    ``workers`` is omitted: it caps execution parallelism and can never
-    change results, so artifacts stay byte-identical across worker counts.
-    """
-    items = []
-    for f in sorted(fields(PipelineConfig), key=lambda f: f.name):
-        if f.name == "workers":
-            continue
-        value = getattr(config, f.name)
-        if isinstance(value, tuple):
-            rendered = ",".join(str(v) for v in value)
-        else:
-            rendered = str(value)
-        items.append((f.name, rendered))
-    return items
+def config_items(config: PipelineConfig, names) -> list[tuple[str, str]]:
+    """Sorted (key, rendered value) pairs of the named fields, for sidecars."""
+    values = [(name, getattr(config, name)) for name in sorted(names)]
+    return [(k, ",".join(map(str, v)) if isinstance(v, tuple) else str(v)) for k, v in values]

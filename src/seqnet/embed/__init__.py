@@ -7,13 +7,13 @@ trainer; DeepWalk is exactly Node2Vec at p = q = 1).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ..errors import ConfigError, ParseError, parse_numbers
+from ..errors import ConfigError, ParseError
+from ..tables import read_rows
 
 
 @dataclass
@@ -98,66 +98,21 @@ def save_embedding(embedding: EmbeddingMatrix, path, provenance: Sequence[str] =
             fh.write(f"{key}={value}\n")
 
 
-def _parse_rows(path, d: int) -> Optional[np.ndarray]:
-    """The n x d body in one numpy call, or None where a line is not an
-    integer node index and d floats in numpy's syntax or the indices do not
-    count up from 0. NumPy rounds each float correctly, as ``float()`` does.
-    A node index such as ``1.0`` is an error here (from NumPy 1.23 only a
-    DeprecationWarning, made an error), so it goes to the line scan."""
-    layout = np.dtype([("index", np.int64), ("vector", np.float64, (d,))])
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        warnings.filterwarnings("error", category=DeprecationWarning)
-        try:
-            body = np.loadtxt(path, delimiter=",", dtype=layout, ndmin=1, comments=None, skiprows=1)
-        except (ValueError, DeprecationWarning):
-            return None
-    if not np.array_equal(body["index"], np.arange(len(body))):
-        return None
-    return np.ascontiguousarray(body["vector"])
-
-
-def _scan_rows(fh, d: int) -> np.ndarray:
-    """The body line by line, as ``int()`` and ``float()`` read it; the first
-    malformed line raises."""
-    rows = []
-    for lineno, line in enumerate(fh, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != d + 1 or parse_numbers(parts[:1], lineno) != [len(rows)]:
-            raise ParseError(f"bad embedding row {line!r}", line=lineno)
-        rows.append(parse_numbers(parts[1:], lineno, float))
-    return np.asarray(rows, dtype=np.float64)
-
-
 def load_embedding(path) -> EmbeddingMatrix:
     """Read a CSV written by :func:`save_embedding`; the method and info
-    fields come from ``<path>.meta`` when it exists. The body is parsed in
-    one numpy call; a body that call rejects is read again line by line,
-    which names the first bad line."""
+    fields come from ``<path>.meta`` when it exists. The body is read by
+    :func:`tables.read_rows`, so a bad line is named."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        if not header or header[0] != "node_index":
-            raise ParseError(f"expected node_index header in {path}", line=1)
-        d = len(header) - 1
-        vectors = _parse_rows(path, d)
-        if vectors is None:
-            vectors = _scan_rows(fh, d)
-    method = "unknown"
-    info = {}
+    if not header or header[0] != "node_index":
+        raise ParseError(f"expected node_index header in {path}", line=1)
+    d = len(header) - 1
+    _, vectors = read_rows(path, 2, f"node_index and {d} values", "embedding row", ints=1,
+                           floats=d, counted=True)
     try:
         with open(str(path) + ".meta") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or "=" not in line:
-                    continue
-                key, value = line.split("=", 1)
-                if key == "method":
-                    method = value
-                elif key != "d":
-                    info[key] = value
+            info = dict(line.strip().split("=", 1) for line in fh if "=" in line)
     except FileNotFoundError:
-        pass
-    return EmbeddingMatrix(vectors, method, d, info=info)
+        info = {}
+    info.pop("d", None)
+    return EmbeddingMatrix(vectors, info.pop("method", "unknown"), d, info=info)

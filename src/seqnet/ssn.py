@@ -19,7 +19,7 @@ from scipy.sparse import csgraph
 
 from .distances import _rows, k_nearest
 from .errors import ConfigError, NeighborCountError, ParseError, parse_numbers
-from .featurize import _write_int_rows
+from .tables import read_rows, write_int_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,8 +93,10 @@ def network_from_edges(
     node_ids: Optional[Sequence[str]] = None,
     labels: Optional[Sequence[Optional[str]]] = None,
 ) -> SimilarityNetwork:
-    """Build a network from an edge list; self-loops and repeats are dropped."""
-    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    """Build a network from an edge list or an (m, 2) array; self-loops and
+    repeats are dropped."""
+    pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+    pairs = pairs.reshape(-1, 2)
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
     outside = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
     if outside.size:
@@ -172,7 +174,7 @@ def save_graph(graph: SimilarityNetwork, edges_path, nodes_path=None) -> None:
     if nodes_path is None:
         nodes_path = _default_nodes_path(edges_path)
     with open(edges_path, "wb") as fh:
-        _write_int_rows(fh, graph.edge_array().T, "\t")
+        write_int_rows(fh, graph.edge_array().T, "\t")
     with open(nodes_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "id", "label"])
@@ -199,17 +201,6 @@ def load_graph(edges_path, nodes_path=None) -> SimilarityNetwork:
                 raise ParseError(f"bad node row {row!r} in {nodes_path}", line=reader.line_num)
             ids.append(row[1])
             labels.append(row[2] or None)
-    edges = []
-    with open(edges_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(f"expected 'u\\tv' got {line!r}", line=lineno)
-            u, v = parse_numbers(parts, lineno)
-            if not (0 <= u < len(ids) and 0 <= v < len(ids)):
-                raise ParseError(f"edge ({u}, {v}) out of range for {len(ids)} nodes", line=lineno)
-            edges.append((u, v))
+    edges, _ = read_rows(edges_path, 1, r"u\tv", "edge", ints=2, delimiter="\t",
+                         bounds=[(0, len(ids) - 1)] * 2)
     return network_from_edges(len(ids), edges, node_ids=ids, labels=labels)

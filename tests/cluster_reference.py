@@ -11,6 +11,11 @@ Agglomerative: the merge loop that tracked membership in a ``members`` dict
 and an ``active`` set and branched on ``linkage`` at each step.
 ``seqnet.cluster.agglomerative`` must return the same labels, ``k_found``
 and ``forced_merges``.
+
+Assignments: ``load_assignment_reference`` reads the CSV one line at a time
+with ``int()``, the way ``seqnet.cluster.load_assignment`` did before it read
+the body through ``seqnet.tables.read_rows``; tests require the same labels,
+or a ``ParseError`` on the same line.
 """
 
 import numpy as np
@@ -18,7 +23,7 @@ from scipy import sparse
 
 from seqnet.cluster import ClusterAssignment, _densify_labels
 from seqnet.distances import _dense, _rows, sq_distances
-from seqnet.errors import ConfigError
+from seqnet.errors import ConfigError, ParseError, parse_numbers
 from seqnet.featurize import FeatureMatrix
 from seqnet.ssn import SimilarityNetwork
 
@@ -228,3 +233,22 @@ def agglomerative_reference(
     for new_id, c in enumerate(order):
         labels[members[c]] = new_id
     return ClusterAssignment(labels, len(order), forced_merges=forced)
+
+
+def load_assignment_reference(path):
+    with open(path) as fh:
+        lineno, header = 1, fh.readline().strip()
+        while header.startswith("#"):
+            lineno, header = lineno + 1, fh.readline().strip()
+        if header != "node_index,cluster":
+            raise ParseError(f"expected 'node_index,cluster' header in {path}", line=lineno)
+        labels = []
+        for lineno, line in enumerate(fh, start=lineno + 1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = parse_numbers(line.split(","), lineno)
+            if len(parts) != 2 or parts[0] != len(labels):
+                raise ParseError(f"bad assignment row {line!r} in {path}", line=lineno)
+            labels.append(parts[1])
+    return np.asarray(labels, dtype=np.int64)

@@ -6,9 +6,15 @@ here is a tuple of sorted neighbor tuples. Tests require the library to give
 the same neighbor rows, edge order, component labels and subgraphs.
 ``save_edges_reference`` writes the edge file one f-string per edge, the way
 ``seqnet.ssn.save_graph`` did before it wrote blocks of lines.
+``load_edges_reference`` reads the edge file one line at a time with
+``int()``, the way ``seqnet.ssn.load_graph`` did before it read the body
+through ``seqnet.tables.read_rows``; tests require the same edges, or a
+``ParseError`` on the same line.
 """
 
 import numpy as np
+
+from seqnet.errors import ParseError, parse_numbers
 
 
 def neighbors_reference(n, edges):
@@ -62,3 +68,21 @@ def save_edges_reference(graph, path):
     with open(path, "w") as fh:
         for u, v in graph.edges():
             fh.write(f"{u}\t{v}\n")
+
+
+def load_edges_reference(path, n):
+    """The (u, v) pairs of an edge file over n nodes, in file order."""
+    edges = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ParseError(f"expected 'u\\tv' got {line!r}", line=lineno)
+            u, v = parse_numbers(parts, lineno)
+            if not (0 <= u < n and 0 <= v < n):
+                raise ParseError(f"edge ({u}, {v}) out of range for {n} nodes", line=lineno)
+            edges.append((u, v))
+    return edges

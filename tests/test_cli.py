@@ -567,6 +567,25 @@ class TestErrorChannels:
         assert run(*argv) == 4
         assert not (pipeline_dir / argv[4]).exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--output", "d.fa", "--workers", 0],
+        ["featurize", "--input", "data.fa", "--output", "o.csv", "--workers", -1],
+    ])
+    def test_workers_below_one_exit_4(self, pipeline_dir, monkeypatch, capsys, argv):
+        monkeypatch.chdir(pipeline_dir)
+        assert run(*argv) == 4
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not (pipeline_dir / argv[argv.index("--output") + 1]).exists()
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_workers_environment_value_exit_4(self, pipeline_dir, monkeypatch, capsys,
+                                                  value):
+        monkeypatch.setenv("SEQNET_WORKERS", value)
+        out = pipeline_dir / "o.csv"
+        assert run("featurize", "--input", pipeline_dir / "data.fa", "--output", out) == 4
+        assert "SEQNET_WORKERS must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_classify_duplicate_embedding_names_exit_4(self, pipeline_dir, capsys):
         embeddings = []
         for beta in ("0.01", "0.02"):
@@ -610,6 +629,44 @@ class TestSidecarsAndDeterminism:
         assert "input.0.sha256=" in meta
         assert "config.k=2" in meta
 
+    def test_sidecars_list_the_config_fields_their_subcommand_reads(self, pipeline_dir):
+        def config_keys(path):
+            lines = path.read_text().splitlines()
+            return {line.split("=")[0][len("config."):] for line in lines
+                    if line.startswith("config.")}
+
+        assert run("cluster", "--features", pipeline_dir / "features.csv",
+                   "--output", pipeline_dir / "c.csv", "--k-clusters", 3) == 0
+        assert run("report", "--inputs", pipeline_dir / "c.csv",
+                   "--output", pipeline_dir / "r.csv") == 0
+        assert config_keys(pipeline_dir / "data.fa.meta") == {"seed"}
+        assert config_keys(pipeline_dir / "features.csv.meta") == {"k", "strict"}
+        assert config_keys(pipeline_dir / "graph.tsv.meta") == {"K"}
+        assert config_keys(pipeline_dir / "c.csv.meta") == {
+            "k_clusters", "eps", "min_pts", "batch_size", "gamma", "pca_dim", "var_floor",
+            "seed", "timings",
+        }
+        assert config_keys(pipeline_dir / "r.csv.meta") == set()
+
+    def test_graph_sidecar_records_mutual(self, pipeline_dir):
+        metas = []
+        for flags in ([], ["--mutual"]):
+            edges = pipeline_dir / "g.tsv"
+            assert run("graph", "--input", pipeline_dir / "features.csv", "--output", edges,
+                       "--K", 3, *flags) == 0
+            metas.append(set((pipeline_dir / "g.tsv.meta").read_text().splitlines()))
+        assert "mutual=False" in metas[0] and "mutual=True" in metas[1]
+
+    def test_synth_sidecar_records_the_dataset_flags(self, tmp_path):
+        fasta, labels = tmp_path / "d.fa", tmp_path / "l.csv"
+        assert run("synth", "--output", fasta, "--labels-output", labels, "--lineages", 2,
+                   "--per-lineage", "3,4", "--length", 30, "--within-rate", 0.05,
+                   "--between-count", 6) == 0
+        for meta in (fasta, labels):
+            lines = (tmp_path / (meta.name + ".meta")).read_text().splitlines()
+            assert {"lineages=2", "per_lineage=3,4", "length=30", "within_rate=0.05",
+                    "between_count=6"} <= set(lines)
+
     def test_embed_sidecar_keeps_provenance_and_embedding_fields(self, pipeline_dir):
         out = pipeline_dir / "hope.csv"
         assert run(
@@ -651,7 +708,8 @@ class TestSidecarsAndDeterminism:
             }
 
         # rerun in place with a different worker cap: every artifact,
-        # sidecars included, must come back byte for byte
+        # sidecars included, must come back byte for byte. No stage reads
+        # workers yet, so only the rerun leg checks something for now
         first = run_pipeline(tmp_path / "run", 1)
         second = run_pipeline(tmp_path / "run", 2)
         assert first.keys() == second.keys()

@@ -4,11 +4,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from cluster_reference import agglomerative_reference, kmeans_reference
-from hypothesis import given, settings, strategies as st
+from cluster_reference import (
+    agglomerative_reference,
+    kmeans_reference,
+    load_assignment_reference,
+)
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy import sparse
 
-from seqnet import distances
+from seqnet import distances, tables
 from seqnet.cluster import (
     ClusterAssignment,
     agglomerative,
@@ -24,7 +28,7 @@ from seqnet.cluster import (
     spectral_clustering,
 )
 from seqnet.distances import nearest, sq_distances
-from seqnet.errors import ConfigError
+from seqnet.errors import ConfigError, ParseError
 from seqnet.featurize import FeatureMatrix, featurize_dataset
 from seqnet.seqio import synthesize_dataset
 from seqnet.ssn import network_from_edges
@@ -519,6 +523,13 @@ class TestExports:
         save_assignment(a, path)
         assert load_assignment(path).tolist() == [0, 1, 1, -1]
 
+    def test_saved_assignment_is_parsed_without_the_line_scan(self, tmp_path):
+        labels = np.array([0, 12, -1, 3, 10**6, -1, 7, 0] * 40)
+        path = tmp_path / "assign.csv"
+        save_assignment(ClusterAssignment(labels, 5), path, runtime_sec=0.25)
+        with mock.patch.object(tables, "_scan", side_effect=AssertionError):
+            assert np.array_equal(load_assignment(path), labels)
+
     def test_elbow_csv_marks_choice(self, tmp_path):
         rng = np.random.default_rng(1)
         x, _ = four_blobs(rng, per=15)
@@ -539,3 +550,70 @@ class TestExports:
         p2 = pca_project(x, 2)
         assert p1.shape == (30, 2)
         assert np.array_equal(p1, p2)
+
+
+ASSIGNMENT_MUTATIONS = (
+    None, "1.5", "1_0", "non_ascii_digit", "comment", "hash_line", "one_field",
+    "three_fields", "index_skipped", "indices_swapped", "negative_index",
+)
+
+
+@st.composite
+def assignment_files(draw):
+    """An assignment CSV after up to two comment lines, with blank and padded
+    lines, LF or CRLF, possibly no rows, and at most one mutation."""
+    labels = draw(st.lists(st.integers(-1, 12), max_size=8))
+    lines = [[str(i), str(label)] for i, label in enumerate(labels)]
+    mutation = draw(st.sampled_from(ASSIGNMENT_MUTATIONS)) if lines else None
+    if mutation is not None:
+        at = draw(st.integers(0, len(lines) - 1))
+        field = draw(st.integers(0, 1))
+        line = lines[at]
+        if mutation == "1.5":
+            line[field] = "1.5"
+        elif mutation == "1_0":
+            line[field] = "0_" + line[field]  # int() reads the same value
+        elif mutation == "non_ascii_digit":
+            line[field] = line[field].replace("1", "\u0661").replace("0", "\u0660")
+        elif mutation == "comment":
+            line[1] += " # c"
+        elif mutation == "hash_line":
+            lines.insert(at, ["#x"])
+        elif mutation == "one_field":
+            del line[field]
+        elif mutation == "three_fields":
+            line.append(line[1])
+        elif mutation == "index_skipped":
+            for later in lines[at:]:
+                later[0] = str(int(later[0]) + 1)
+        elif mutation == "indices_swapped":
+            other = lines[draw(st.integers(0, len(lines) - 1))]
+            line[0], other[0] = other[0], line[0]
+        else:
+            line[0] = "-1"
+    pad = st.sampled_from(["", "", " ", "\t", "  "])
+    text = [",".join(draw(pad) + f + draw(pad) for f in line) for line in lines]
+    for _ in range(draw(st.integers(0, 2))):
+        text.insert(draw(st.integers(0, len(text))), draw(st.sampled_from(["", " ", "\t"])))
+    comments = draw(st.lists(st.sampled_from(["# runtime_sec=0.5", "#", " # x"]), max_size=2))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    body = comments + ["node_index,cluster"] + text
+    return newline.join(body) + draw(st.sampled_from(["", newline]))
+
+
+def parse_outcome(load, path):
+    try:
+        return load(path).tolist()
+    except ParseError as exc:
+        return type(exc), exc.line
+
+
+# tmp_path is shared by the examples; each one overwrites the file
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(assignment_files())
+def test_load_assignment_matches_line_by_line_reference(tmp_path, text):
+    """The same labels as the per-line loop, or a ParseError on its line."""
+    path = tmp_path / "assign.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert parse_outcome(load_assignment, path) == parse_outcome(load_assignment_reference, path)

@@ -12,6 +12,7 @@ from conftest import finite_difference, relative_error
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2, poisson
 
+from seqnet import tables
 from seqnet.config import PipelineConfig
 from seqnet.embed import (
     EmbeddingMatrix,
@@ -637,6 +638,15 @@ class TestWalkEmbeddings:
         with pytest.raises(ParseError) as info:
             load_embedding(path)
         assert info.value.line == line
+
+    def test_saved_embedding_is_parsed_without_the_line_scan(self, tmp_path):
+        vectors = np.array([[-0.0, 5e-324, 1e300, np.nan],
+                            [np.inf, -np.inf, 0.1, np.nextafter(1.0, 2.0)]])
+        vectors = np.vstack([vectors, np.random.default_rng(5).normal(size=(30, 4))])
+        path = tmp_path / "emb.csv"
+        save_embedding(EmbeddingMatrix(vectors, "hope", 4), path)
+        with mock.patch.object(tables, "_scan", side_effect=AssertionError):
+            assert load_embedding(path).vectors.tobytes() == vectors.tobytes()
 
     def test_load_embedding_line_scan_reads_what_float_reads(self, tmp_path):
         # numpy's reader refuses digit separators; the line scan, like

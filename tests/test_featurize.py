@@ -11,7 +11,7 @@ from featurize_reference import (
 )
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from seqnet import featurize
+from seqnet import featurize, tables
 from seqnet.errors import AlphabetError, ConfigError, MerSizeError, ParseError
 from seqnet.featurize import (
     FeatureMatrix,
@@ -194,7 +194,7 @@ class TestMatrixExport:
         mat = featurize_dataset(ds, k=2)
         path = tmp_path / "features.csv"
         save_features(mat, path)
-        with mock.patch.object(featurize, "_scan_triplets", side_effect=AssertionError):
+        with mock.patch.object(tables, "_scan", side_effect=AssertionError):
             assert load_features(path) == mat
 
     @pytest.mark.parametrize("count", ["1.5", "1e1"])
@@ -224,7 +224,7 @@ class TestMatrixExport:
 
     def test_negative_value_rejected_by_the_block_writer(self, tmp_path):
         with open(tmp_path / "rows.csv", "wb") as fh, pytest.raises(ValueError):
-            featurize._write_int_rows(fh, ([3, 4], [5, -1]), ",")
+            tables.write_int_rows(fh, ([3, 4], [5, -1]), ",")
 
 
 RESIDUES = st.text(alphabet=ALPHABET + "XBZ*-", min_size=3, max_size=40)
@@ -320,6 +320,24 @@ def test_load_features_matches_line_by_line_reference(tmp_path, text):
     assert got == want
 
 
+
+@pytest.mark.parametrize("body", [
+    "0,1,1\n5,1,1\n0,x,1\n",  # a row out of range before a malformed line
+    "0,1,1\n0,1,2\n1,99,1\n",  # a rank out of range after a repeated pair
+    "0,1,1\n0,1,2\n1,2\n",  # a short line after a repeated pair
+    "1,2,1\n0,1,1\n1,2,1\n0,1,3\n",  # two repeated pairs, the later one first
+    "0,1,99999999999999999999\n",  # a count past int64
+])
+def test_load_features_raises_the_reference_error_among_several(tmp_path, body):
+    path = tmp_path / "features.csv"
+    path.write_text("# n=2 k=1 logical_length=20\n" + body)
+    got = load_outcome(load_features, path)
+    try:
+        want = load_outcome(load_features_reference, path)
+    except OverflowError:  # the reference's int64 buffer overflows; the line is named now
+        want = ("line 2: expected integers, got '0,1,99999999999999999999'", 2)
+    assert got == want
+
 # row ids, ranks and counts either side of a new digit, up to 2^53
 EDGE_VALUES = [0, 1, 9, 10, 99, 100, 999, 1000]
 EDGE_COUNTS = [1, 9, 10, 99, 100, 1274, 10**9 - 1, 10**9, 2**32, 2**53]
@@ -347,14 +365,14 @@ def count_matrices(draw):
 # tmp_path is shared by the examples; each one overwrites the files
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(count_matrices(), st.sampled_from([1, 2, 7, featurize._WRITE_ROWS]))
+@given(count_matrices(), st.sampled_from([1, 2, 7, tables._WRITE_ROWS]))
 @example(FeatureMatrix(csr_reference([], 2), 2), 1)  # n=0
 @example(FeatureMatrix(csr_reference([{}, {}, {}], 1), 1), 2)  # no triplets
 def test_save_features_matches_line_by_line_reference(tmp_path, matrix, block):
     """The block writer's file has the old per-line writer's bytes at every
     block size, including a last block shorter than the others."""
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    with mock.patch.object(featurize, "_WRITE_ROWS", block):
+    with mock.patch.object(tables, "_WRITE_ROWS", block):
         save_features(matrix, got)
     save_features_reference(matrix, want)
     assert got.read_bytes() == want.read_bytes()

@@ -7,13 +7,14 @@ from scipy import sparse
 from ssn_reference import (
     components_reference,
     edges_reference,
+    load_edges_reference,
     neighbors_reference,
     save_edges_reference,
     subgraph_reference,
 )
 
-from seqnet import featurize
-from seqnet.errors import NeighborCountError
+from seqnet import tables
+from seqnet.errors import NeighborCountError, ParseError
 from seqnet.featurize import featurize_dataset
 from seqnet.seqio import synthesize_dataset
 from seqnet.ssn import (
@@ -214,6 +215,85 @@ class TestGraphIO:
         lines = nodes_path.read_text().strip().splitlines()
         assert len(lines) == 4  # header + one row per node
 
+    def test_saved_graph_is_parsed_without_the_line_scan(self, tmp_path):
+        ds = synthesize_dataset(3, [40, 35, 30], 80, 0.05, 9, seed=4)
+        g = build_ssn(featurize_dataset(ds, k=2), k=4, labels=ds.labels())
+        edges_path = tmp_path / "g.tsv"
+        save_graph(g, edges_path)
+        with mock.patch.object(tables, "_scan", side_effect=AssertionError):
+            assert load_graph(edges_path) == g
+
+
+EDGE_MUTATIONS = (
+    None, "1.5", "1_0", "non_ascii_digit", "comment", "hash_line", "one_field",
+    "three_fields", "negative", "out_of_range",
+)
+
+
+@st.composite
+def edge_files(draw):
+    """n and an edge file over n nodes: edges in any order with self-loops
+    and repeats, blank and padded lines, LF or CRLF, possibly empty, and at
+    most one mutation on one line."""
+    n = draw(st.integers(0, 5))
+    node = st.integers(0, max(n - 1, 0))
+    lines = [[str(u), str(v)] for u, v in draw(st.lists(st.tuples(node, node), max_size=10))]
+    lines = lines if n else []
+    mutation = draw(st.sampled_from(EDGE_MUTATIONS)) if lines else None
+    if mutation is not None:
+        at = draw(st.integers(0, len(lines) - 1))
+        field = draw(st.integers(0, 1))
+        line = lines[at]
+        if mutation == "1.5":
+            line[field] = "1.5"
+        elif mutation == "1_0":
+            line[field] = "0_" + line[field]  # int() reads the same value
+        elif mutation == "non_ascii_digit":
+            line[field] = str(n - 1).replace("1", "\u0661").replace("0", "\u0660")
+        elif mutation == "comment":
+            line[1] += " # c"
+        elif mutation == "hash_line":
+            lines.insert(at, ["#x"])
+        elif mutation == "one_field":
+            del line[field]
+        elif mutation == "three_fields":
+            line.append(line[1])
+        elif mutation == "negative":
+            line[field] = "-1"
+        else:
+            line[field] = str(draw(st.sampled_from([n, n + 9, 10**30])))
+    pad = st.sampled_from(["", "", " ", "\t", "  "])
+    text = ["\t".join(draw(pad) + f + draw(pad) for f in line) for line in lines]
+    for _ in range(draw(st.integers(0, 2))):
+        text.insert(draw(st.integers(0, len(text))), draw(st.sampled_from(["", " ", "\t"])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return n, newline.join(text) + draw(st.sampled_from(["", newline]))
+
+
+def parse_outcome(load):
+    try:
+        return load()
+    except ParseError as exc:
+        return type(exc), exc.line
+
+
+# tmp_path is shared by the examples; each one overwrites the files
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edge_files())
+def test_load_graph_matches_line_by_line_reference(tmp_path, case):
+    """The same graph as the per-line edge loop, or a ParseError on its line."""
+    n, text = case
+    edges_path, nodes_path = tmp_path / "g.tsv", tmp_path / "nodes.csv"
+    edges_path.write_bytes(text.encode("utf-8"))
+    ids = [f"s{i}" for i in range(n)]
+    nodes_path.write_text("index,id,label\n" + "".join(f"{i},{v},\n" for i, v in enumerate(ids)))
+    got = parse_outcome(lambda: load_graph(edges_path, nodes_path))
+    want = parse_outcome(
+        lambda: network_from_edges(n, load_edges_reference(edges_path, n), node_ids=ids)
+    )
+    assert got == want
+
 
 @st.composite
 def edge_lists(draw):
@@ -272,12 +352,12 @@ def digit_boundary_graphs(draw):
 # tmp_path is shared by the examples; each one overwrites the files
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(digit_boundary_graphs(), st.sampled_from([1, 2, 7, featurize._WRITE_ROWS]))
+@given(digit_boundary_graphs(), st.sampled_from([1, 2, 7, tables._WRITE_ROWS]))
 @example(network_from_edges(0, []), 1)
 @example(network_from_edges(4, [(2, 2)]), 2)  # edgeless
 def test_edge_file_matches_line_by_line_reference(tmp_path, graph, block):
     got, want = tmp_path / "got.tsv", tmp_path / "want.tsv"
-    with mock.patch.object(featurize, "_WRITE_ROWS", block):
+    with mock.patch.object(tables, "_WRITE_ROWS", block):
         save_graph(graph, got)
     save_edges_reference(graph, want)
     assert got.read_bytes() == want.read_bytes()
