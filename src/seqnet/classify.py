@@ -8,6 +8,7 @@ and every model records its training wall time.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -707,19 +708,23 @@ def save_result_csv(rows: Sequence[dict], path) -> None:
             fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in values) + "\n")
 
 
+def _fit_and_score(name, params, x, y, fit_rows, score_rows):
+    """Fit ``name`` with ``params`` on the ``fit_rows`` of x and y, then score
+    the ``score_rows`` of x once: (model, scores, predicted labels)."""
+    model = make_classifier(name, **params).fit(x[fit_rows], y[fit_rows])
+    scores = model.predict_scores(x[score_rows])
+    return model, scores, model.classes_[np.argmax(scores, axis=1)]
+
+
 def _cv_accuracy(name, params, x, y, folds):
     """Mean validation accuracy; -inf for params infeasible on these folds."""
-    scores = []
-    for train_idx, val_idx in folds:
-        try:
-            model = make_classifier(name, **params).fit(
-                x[list(train_idx)], y[list(train_idx)]
-            )
-        except ConfigError:
-            return float("-inf")
-        pred = model.predict(x[list(val_idx)])
-        scores.append(float((pred == y[list(val_idx)]).mean()))
-    return float(np.mean(scores))
+    try:
+        return float(np.mean([
+            (_fit_and_score(name, params, x, y, fit, val)[2] == y[val]).mean()
+            for fit, val in folds
+        ]))
+    except ConfigError:
+        return float("-inf")
 
 
 def _with_context(exc: Exception, context: str) -> Exception:
@@ -736,6 +741,30 @@ def _with_context(exc: Exception, context: str) -> Exception:
             continue
 
 
+def run_cell(x, labels, seed, classifier, grid, test_fraction, num_folds) -> ClassificationReport:
+    """One protocol cell: the seeded stratified split of ``labels`` (an array),
+    grid selection by mean CV accuracy over the folds, a refit on the whole
+    training part and its report on the held-out part. It reads only its
+    arguments and mutates nothing, so cells can run in any order or process.
+    """
+    plan = split_indices(labels, test_fraction, num_folds, seed)
+    train, test = np.asarray(plan.train_indices, np.intp), np.asarray(plan.test_indices, np.intp)
+    params = grid[0]
+    if len(grid) > 1:
+        folds = [(np.asarray(fit, np.intp), np.asarray(val, np.intp)) for fit, val in plan.folds]
+        cv = [_cv_accuracy(classifier, p, x, labels, folds) for p in grid]
+        params = grid[int(np.argmax(cv))]
+    model, scores, pred = _fit_and_score(classifier, params, x, labels, train, test)
+    # a class the training part lacks still gets its score column, all zero
+    y_test = labels[test]
+    classes = sorted(set(y_test.tolist()) | set(model.classes_.tolist()))
+    full = np.zeros((len(test), len(classes)))
+    full[:, [classes.index(c) for c in model.classes_.tolist()]] = scores
+    return classification_report(
+        y_test, pred, scores=full, classes=classes, train_time_sec=model.train_time_sec
+    )
+
+
 def run_experiment(
     embeddings: dict,
     labels: Sequence,
@@ -745,8 +774,8 @@ def run_experiment(
     test_fraction: float = 0.3,
     num_folds: int = 5,
 ) -> ExperimentResult:
-    """Per seed: stratified split, grid selection by mean CV accuracy over the
-    folds, refit on the full training part, evaluation on the held-out part.
+    """:func:`run_cell` for every (seed, method, classifier) in that order;
+    ``reports[(method, classifier)]`` holds one report per seed, in seed order.
 
     ``embeddings`` maps method name to an EmbeddingMatrix (or array) row-aligned
     with ``labels``. Returns per-cell reports ready for mean/std tables.
@@ -754,56 +783,28 @@ def run_experiment(
     labels = np.asarray(labels)
     classifiers = tuple(classifiers) if classifiers else tuple(CLASSIFIERS)
     grids = dict(DEFAULT_GRIDS, **(grids or {}))
-    methods = tuple(embeddings)
+    result = ExperimentResult(tuple(embeddings), classifiers, tuple(int(s) for s in seeds))
+    if not result.seeds:
+        raise ConfigError("seeds must name at least one seed")
+    for i, name in enumerate(classifiers):
+        if name not in CLASSIFIERS:
+            raise ConfigError(f"unknown classifier {name!r}")
+        if name in classifiers[:i]:
+            raise ConfigError(f"classifier {name!r} named twice")
     matrices = {}
     for method, emb in embeddings.items():
         x = emb.vectors if hasattr(emb, "vectors") else np.asarray(emb, dtype=np.float64)
         if len(x) != len(labels):
             raise ConfigError(f"embedding {method!r} has {len(x)} rows for {len(labels)} labels")
         matrices[method] = x
-
-    result = ExperimentResult(methods, classifiers, tuple(int(s) for s in seeds))
-    for seed in result.seeds:
-        plan = split_indices(labels, test_fraction, num_folds, seed)
-        train_idx = list(plan.train_indices)
-        test_idx = list(plan.test_indices)
-        y_train, y_test = labels[train_idx], labels[test_idx]
-        for method in methods:
-            x = matrices[method]
-            x_train, x_test = x[train_idx], x[test_idx]
-            for name in classifiers:
-                try:
-                    grid = grids.get(name, ({},))
-                    if len(grid) > 1:
-                        cv_scores = [
-                            _cv_accuracy(name, params, x, labels, plan.folds)
-                            for params in grid
-                        ]
-                        params = grid[int(np.argmax(cv_scores))]
-                    else:
-                        params = grid[0]
-                    model = make_classifier(name, **params).fit(x_train, y_train)
-                    scores = model.predict_scores(x_test)
-                    pred = model.classes_[np.argmax(scores, axis=1)]
-                    report = _score_report(
-                        y_test, pred, scores, model.classes_, model.train_time_sec
-                    )
-                except Exception as exc:
-                    where = f"[method={method} classifier={name} seed={seed}]"
-                    raise _with_context(exc, where) from exc
-                result.reports.setdefault((method, name), []).append(report)
+    # the split's checks depend on the labels and sizes only, not on a cell
+    split_indices(labels, test_fraction, num_folds, result.seeds[0])
+    for seed, method, name in itertools.product(result.seeds, result.methods, classifiers):
+        try:
+            report = run_cell(
+                matrices[method], labels, seed, name, grids[name], test_fraction, num_folds
+            )
+        except Exception as exc:
+            raise _with_context(exc, f"[method={method} classifier={name} seed={seed}]") from exc
+        result.reports.setdefault((method, name), []).append(report)
     return result
-
-
-def _score_report(y_true, y_pred, scores, model_classes, train_time) -> ClassificationReport:
-    """Expand model scores to the full class set seen in y_true before reporting."""
-    classes = sorted(set(np.asarray(y_true).tolist()) | set(np.asarray(model_classes).tolist()))
-    if len(classes) != len(model_classes):
-        expanded = np.zeros((len(scores), len(classes)))
-        col = {c: i for i, c in enumerate(classes)}
-        for j, c in enumerate(np.asarray(model_classes).tolist()):
-            expanded[:, col[c]] = scores[:, j]
-        scores = expanded
-    return classification_report(
-        y_true, y_pred, scores=scores, classes=classes, train_time_sec=train_time
-    )

@@ -11,7 +11,7 @@ input as CSR rows; the other methods densify it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -427,7 +427,8 @@ def spectral_clustering(
     norms = np.sqrt((vecs**2).sum(axis=1))
     rows = vecs / np.where(norms > 0, norms, 1.0)[:, None]
     inner = kmeans(rows, k, seed=seed, n_init=5)
-    return ClusterAssignment(inner.labels, inner.k_found, inertia=inner.inertia)
+    # inertia is taken on the spectral rows; the inner k-means' history is not reported
+    return replace(inner, history=())
 
 
 def knee_index(ks, sse) -> int:

@@ -64,7 +64,7 @@ def deepwalk(graph, d: int = 200, config: Optional[WalkConfig] = None) -> Embedd
     """Uniform-walk special case: Node2Vec with p = q = 1 on the same seed."""
     config = replace(config or WalkConfig(), p=1.0, q=1.0)
     out = node2vec(graph, d, config)
-    return EmbeddingMatrix(out.vectors, "deepwalk", d, info=out.info)
+    return replace(out, method="deepwalk")
 
 
 EMBED_METHODS = {

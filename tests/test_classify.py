@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from unittest import mock
 
@@ -670,6 +671,60 @@ class TestRunExperiment:
         with mock.patch.object(classify.GaussianNB, "_scores", autospec=True, side_effect=scores):
             run_experiment(embeddings, labels, seeds=[0], classifiers=("gaussian_nb",))
         assert scores.call_count == 1
+
+    def test_cells_on_their_own_in_reversed_order_match(self):
+        rng = np.random.default_rng(19)
+        embeddings, labels = self._embeddings_and_labels(rng, per=12)
+        embeddings["toy"] = embeddings["toy"] + rng.normal(0, 2.0, embeddings["toy"].shape)
+        embeddings["other"] = rng.normal(0, 1, embeddings["toy"].shape)
+        seeds = (0, 5)
+        result = run_experiment(embeddings, labels, seeds=seeds, num_folds=3)
+        cells = [(s, m, c) for s in seeds for m in embeddings for c in DEFAULT_GRIDS]
+        alone = {
+            cell: classify.run_cell(
+                embeddings[cell[1]], labels, cell[0], cell[2], DEFAULT_GRIDS[cell[2]], 0.3, 3
+            )
+            for cell in reversed(cells)
+        }
+        for seed, method, name in cells:
+            got = alone[seed, method, name]
+            want = result.reports[method, name][seeds.index(seed)]
+            for f in dataclasses.fields(want):
+                if f.name != "train_time_sec":
+                    a, b = getattr(got, f.name), getattr(want, f.name)
+                    assert type(a) is type(b), f.name
+                    assert np.asarray(a).dtype == np.asarray(b).dtype, f.name
+                    assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+
+    def test_empty_seed_list_rejected(self):
+        embeddings, labels = self._embeddings_and_labels(np.random.default_rng(20))
+        with pytest.raises(ConfigError, match="seeds"):
+            run_experiment(embeddings, labels, seeds=[], classifiers=("gaussian_nb",))
+
+    @pytest.mark.parametrize("classifiers, message", [
+        (("gaussian_nb", "gaussian_nb"), "'gaussian_nb' named twice"),
+        (("gaussian_nb", "no_such_model"), "unknown classifier 'no_such_model'"),
+    ])
+    def test_bad_classifier_list_rejected_before_any_fit(self, classifiers, message):
+        embeddings, labels = self._embeddings_and_labels(np.random.default_rng(21))
+        with mock.patch.object(classify.GaussianNB, "fit") as fit:
+            with pytest.raises(ConfigError, match=message):
+                run_experiment(embeddings, labels, seeds=[0, 1], classifiers=classifiers)
+        fit.assert_not_called()
+
+    @pytest.mark.parametrize("name", ["knn", "gaussian_nb", "decision_tree", "random_forest"])
+    def test_class_missing_from_training_part_is_reported(self, name):
+        # 2 of 22 rows are "a"; a 0.9 test fraction puts both in the test part
+        labels = np.array(["a"] * 2 + ["b"] * 20)
+        x = np.random.default_rng(22).normal(0, 1, (22, 3))
+        result = run_experiment(
+            {"toy": x}, labels, seeds=[0], classifiers=(name,), test_fraction=0.9, num_folds=2
+        )
+        (report,) = result.reports["toy", name]
+        assert report.classes == ("a", "b")
+        assert report.confusion[0].tolist() == [0, 2]
+        for metric in METRIC_FIELDS:
+            assert np.isfinite(getattr(report, metric)), metric
 
     def test_grid_defaults_cover_all_classifiers(self):
         assert set(DEFAULT_GRIDS) == {

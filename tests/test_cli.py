@@ -603,6 +603,27 @@ class TestErrorChannels:
         assert "'hope'" in capsys.readouterr().err
         assert not (pipeline_dir / "result_mean.csv").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--seeds", ""], "seeds"),
+        (["--config", "empty_seeds.ini"], "seeds"),
+        (["--seeds", 0, "--classifiers", "knn,gaussian_nb,knn"], "'knn' named twice"),
+    ])
+    def test_classify_empty_seeds_or_repeated_classifier_exit_4(
+        self, pipeline_dir, monkeypatch, capsys, flags, message
+    ):
+        monkeypatch.chdir(pipeline_dir)
+        (pipeline_dir / "empty_seeds.ini").write_text("[pipeline]\nseeds =\n")
+        assert run(
+            "embed", "--input", "graph.tsv", "--output", "hope.csv", "--method", "hope",
+            "--dim", 4,
+        ) == 0
+        assert run(
+            "classify", "--embedding", "hope.csv", "--labels", "labels.csv",
+            "--output-prefix", "result", "--num-folds", 2, *flags,
+        ) == 4
+        assert message in capsys.readouterr().err
+        assert not (pipeline_dir / "result_mean.csv").exists()
+
     def test_data_error_exit_5(self, tmp_path):
         fasta = tmp_path / "short.fa"
         fasta.write_text(">s\nAC\n")
