@@ -56,7 +56,8 @@ class DimensionError(SeqnetError, ValueError):
 
 
 class DivergenceError(SeqnetError, ValueError):
-    """Series parameter outside its convergence radius."""
+    """Series parameter outside its convergence radius, or an iteration that
+    left the finite range."""
 
 
 class UndefinedMetricError(SeqnetError, ValueError):

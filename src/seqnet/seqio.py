@@ -284,6 +284,9 @@ def split_indices(
     stratified: the test quota is apportioned per class by largest remainder,
     so per-class proportions are preserved to within one sample while the
     global sizes stay exact; folds are dealt round-robin within each class.
+    Raises StratifyError when a class has fewer than ``num_folds`` rows, or
+    when no class keeps ``num_folds`` rows after its test quota (a fold would
+    then have an empty training or validation part).
     """
     n = len(labels)
     if not 0.0 < test_fraction < 1.0:
@@ -318,6 +321,15 @@ def split_indices(
         if take[c] < len(by_class[c]):
             take[c] += 1
             extras -= 1
+    # folds are dealt per class from fold 0, so the last fold validates on
+    # nothing (and fold 0 may train on nothing) unless some class keeps
+    # num_folds training rows
+    kept = {c: len(by_class[c]) - take[c] for c in class_keys}
+    if max(kept.values()) < num_folds:
+        raise StratifyError(
+            f"no class keeps num_folds={num_folds} training rows after the test quota, "
+            f"so a CV fold would be empty; training rows per class: {kept!r}"
+        )
     test_set = set()
     fold_sets: list[set] = [set() for _ in range(num_folds)]
     for c in class_keys:

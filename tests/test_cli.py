@@ -9,7 +9,7 @@ import pytest
 from seqnet import classify
 from seqnet.cli import _effective, build_parser, main
 from seqnet.config import SECTIONS, PipelineConfig, load_config
-from seqnet.embed import load_embedding
+from seqnet.embed import EmbeddingMatrix, load_embedding, save_embedding
 from seqnet.errors import ConfigError, DimensionError
 from seqnet.featurize import load_features
 from seqnet.ssn import connected_components, load_graph, network_from_edges, save_graph
@@ -358,6 +358,31 @@ class TestPipelineCommands:
             ) == code
         assert f"[method=hope classifier=knn seed=3] {error}" in capsys.readouterr().err
 
+    def test_classify_empty_cv_fold_exit_5(self, tmp_path, capsys):
+        # a x 3 + b x 3 at test fraction 0.6: each class keeps one training
+        # row, so two folds dealt per class would leave one fold empty
+        emb = tmp_path / "emb.csv"
+        vectors = np.random.default_rng(0).normal(size=(6, 2))
+        save_embedding(EmbeddingMatrix(vectors, "hope", 2), emb)
+        labels = tmp_path / "labels.csv"
+        labels.write_text("id,label\n" + "".join(f"s{i},{c}\n" for i, c in enumerate("aaabbb")))
+        assert run(
+            "classify", "--embedding", emb, "--labels", labels,
+            "--output-prefix", tmp_path / "result", "--classifiers", "knn",
+            "--seeds", "0", "--test-fraction", 0.6, "--num-folds", 2,
+        ) == 5
+        assert "no class keeps num_folds=2 training rows" in capsys.readouterr().err
+        assert not (tmp_path / "result_mean.csv").exists()
+
+    def test_embed_factorization_divergence_exit_5(self, pipeline_dir, capsys):
+        out = pipeline_dir / "gf.csv"
+        assert run(
+            "embed", "--input", pipeline_dir / "graph.tsv", "--output", out,
+            "--method", "graph_factorization", "--dim", 4, "--gf-lr", 1e3,
+        ) == 5
+        assert "diverged in epoch" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_merges_matching_schemas(self, pipeline_dir):
         a = pipeline_dir / "qa.csv"
         b = pipeline_dir / "qb.csv"
@@ -560,6 +585,10 @@ class TestErrorChannels:
          "--dim", -2],
         ["embed", "--input", "graph.tsv", "--output", "e.csv", "--method", "hope", "--dim", 0],
         ["embed", "--input", "graph.tsv", "--output", "e.csv", "--method", "hope", "--dim", 3],
+        ["embed", "--input", "graph.tsv", "--output", "e.csv", "--method",
+         "graph_factorization", "--dim", 2, "--gf-lr", "nan"],
+        ["embed", "--input", "graph.tsv", "--output", "e.csv", "--method",
+         "graph_factorization", "--dim", 2, "--lam", "inf"],
     ])
     def test_parameter_out_of_range_exit_4(self, pipeline_dir, monkeypatch, argv):
         """A value invalid whatever the data is a config error, not a data error."""

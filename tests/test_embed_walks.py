@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+import factorization_reference
 import walks_reference as reference
 from conftest import finite_difference, relative_error
 from hypothesis import given, settings, strategies as st
@@ -31,11 +33,12 @@ from seqnet.embed import (
     step_distribution,
     unigram_distribution,
 )
-from seqnet.embed import sgns
+from seqnet.embed import factorization, sgns
 from seqnet.embed import walks as walks_module
+from seqnet.embed.factorization import _level_schedule
 from seqnet.embed.sgns import _sgns_batch, corpus_pairs
 from seqnet.embed.walks import WalkCorpus
-from seqnet.errors import ConfigError, ParseError
+from seqnet.errors import ConfigError, DivergenceError, ParseError
 from seqnet.ssn import network_from_edges
 
 TRIANGLE = network_from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -523,6 +526,16 @@ class TestSgns:
         assert intra > inter
 
 
+GF_GRAPHS = {
+    "star": network_from_edges(10, [(0, i) for i in range(1, 10)]),
+    "path": network_from_edges(12, [(i, i + 1) for i in range(11)]),
+    "two_cliques": two_cliques(5),
+    "isolated": network_from_edges(9, [(0, 1), (1, 2), (2, 0), (4, 5), (5, 7)]),
+    "edgeless": network_from_edges(4, []),
+    "random": network_from_edges(40, np.random.default_rng(6).integers(0, 40, size=(160, 2))),
+}
+
+
 class TestGraphFactorization:
     def test_single_edge_rank_one_fit(self):
         g = network_from_edges(2, [(0, 1)])
@@ -547,6 +560,94 @@ class TestGraphFactorization:
         a = graph_factorization(g, 3, epochs=20, seed=9)
         b = graph_factorization(g, 3, epochs=20, seed=9)
         assert np.array_equal(a.vectors, b.vectors)
+
+    @pytest.mark.parametrize("name", sorted(GF_GRAPHS))
+    @pytest.mark.parametrize("d", [1, 3, 16, 200])
+    def test_bits_equal_the_per_edge_loop(self, name, d):
+        graph = GF_GRAPHS[name]
+        for seed, epochs in ((0, 1), (4, 3), (11, 6)):
+            emb = graph_factorization(graph, d, epochs=epochs, seed=seed)
+            vectors, loss = factorization_reference.graph_factorization(
+                graph, d, epochs=epochs, seed=seed)
+            assert np.array_equal(emb.vectors, vectors), (seed, epochs)
+            assert emb.info["loss"] == loss, (seed, epochs)
+
+    @pytest.mark.parametrize("gather_floats", [1, 7, 64, 1 << 18])
+    def test_objective_blocks_keep_the_bits(self, monkeypatch, gather_floats):
+        monkeypatch.setattr(factorization, "_GATHER_FLOATS", gather_floats)
+        rng = np.random.default_rng(5)
+        for d in (1, 3, 16, 200):
+            y = rng.normal(size=(30, d))
+            edges = rng.integers(0, 30, size=(97, 2))
+            assert gf_objective(y, edges, 0.01) == factorization_reference.gf_objective(
+                y, edges, 0.01)
+
+    def test_bits_equal_the_per_edge_loop_with_other_steps(self):
+        graph = GF_GRAPHS["random"]
+        for lam, lr in ((0.0, 0.3), (0.05, 0.01)):
+            emb = graph_factorization(graph, 5, lam=lam, lr=lr, epochs=4, seed=2)
+            vectors, loss = factorization_reference.graph_factorization(
+                graph, 5, lam=lam, lr=lr, epochs=4, seed=2)
+            assert np.array_equal(emb.vectors, vectors)
+            assert emb.info["loss"] == loss
+
+    @given(st.integers(1, 12), st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
+                                         max_size=40))
+    def test_level_schedule_is_disjoint_and_keeps_each_nodes_order(self, n, pairs):
+        edges = np.array([(i % n, j % n) for i, j in pairs if i % n != j % n],
+                         dtype=np.int64).reshape(-1, 2)
+        ordered, bounds = _level_schedule(edges, n)
+        assert bounds[0] == 0 and bounds[-1] == len(edges)
+        assert (np.diff(bounds) > 0).all()
+        position = {}
+        for e, (i, j) in enumerate(edges.tolist()):
+            position.setdefault((i, j), []).append(e)
+        # ordered is a permutation of edges that keeps repeats in order
+        order = [position[(i, j)].pop(0) for i, j in ordered.tolist()]
+        assert sorted(order) == list(range(len(edges)))
+        level = np.empty(len(edges), dtype=np.int64)
+        level[order] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            nodes = ordered[start:stop].ravel()
+            assert len(set(nodes.tolist())) == len(nodes)
+        for node in range(n):
+            mine = [e for e in range(len(edges)) if node in edges[e]]
+            assert all(level[a] < level[b] for a, b in zip(mine, mine[1:]))
+        # as soon as possible: an edge past the first level meets one of the level before
+        for e in range(len(edges)):
+            if level[e] > 0:
+                before = ordered[bounds[level[e] - 1]:bounds[level[e]]].ravel()
+                assert np.isin(edges[e], before).any()
+
+    def test_counters(self, tmp_path):
+        star = GF_GRAPHS["star"]
+        emb = graph_factorization(star, 2, epochs=3, seed=0)
+        # every star edge meets the hub, so each level holds one edge
+        assert emb.info["edge_updates"] == emb.info["batches"] == 3 * 9
+        path = graph_factorization(network_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 2,
+                                   epochs=4, seed=0)
+        assert path.info["edge_updates"] == 16
+        assert 4 * 2 <= path.info["batches"] <= 4 * 4
+        empty = graph_factorization(GF_GRAPHS["edgeless"], 2, epochs=5, seed=0)
+        assert empty.info["edge_updates"] == empty.info["batches"] == 0
+        save_embedding(emb, tmp_path / "gf.csv")
+        meta = (tmp_path / "gf.csv.meta").read_text().splitlines()
+        assert "batches=27" in meta and "edge_updates=27" in meta
+        assert graph_factorization(star, 2, epochs=3, seed=0).info == emb.info
+
+    @pytest.mark.parametrize("bad", [
+        {"lr": np.nan}, {"lr": np.inf}, {"lr": 0.0}, {"lr": -0.1},
+        {"lam": np.nan}, {"lam": np.inf}, {"lam": -1e-4},
+    ])
+    def test_step_sizes_must_be_finite_and_in_range(self, bad):
+        with pytest.raises(ConfigError):
+            graph_factorization(PATH3, 2, **bad)
+
+    def test_divergence_raises_naming_the_epoch(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match=r"diverged in epoch \d+ of 5"):
+                graph_factorization(PATH3, 2, lr=1e3, epochs=5, seed=0)
 
 
 class TestWalkEmbeddings:
@@ -577,11 +678,13 @@ class TestWalkEmbeddings:
 
     def test_node2vec_bytes_do_not_depend_on_blas_threads(self):
         # node2vec, then the three spectral methods, whose ARPACK solves
-        # (d=16 on 200 nodes) run through BLAS too
+        # (d=16 on 200 nodes) run through BLAS too, then graph factorization,
+        # whose residuals are BLAS dot products
         root = Path(__file__).resolve().parents[1]
         script = (
             "import sys, numpy as np\n"
-            "from seqnet.embed import WalkConfig, hope_embed, laplacian_eigenmaps, lle_embed, node2vec\n"
+            "from seqnet.embed import (WalkConfig, graph_factorization, hope_embed,\n"
+            "                          laplacian_eigenmaps, lle_embed, node2vec)\n"
             "from seqnet.ssn import network_from_edges\n"
             "edges = np.random.default_rng(8).integers(0, 200, size=(1200, 2))\n"
             "graph = network_from_edges(200, edges)\n"
@@ -589,6 +692,7 @@ class TestWalkEmbeddings:
             "sys.stdout.buffer.write(node2vec(graph, 64, cfg).vectors.tobytes())\n"
             "for method in (laplacian_eigenmaps, lle_embed, hope_embed):\n"
             "    sys.stdout.buffer.write(method(graph, 16).vectors.tobytes())\n"
+            "sys.stdout.buffer.write(graph_factorization(graph, 200, epochs=3).vectors.tobytes())\n"
         )
         outputs = []
         for threads in ("1", "2"):
@@ -600,7 +704,7 @@ class TestWalkEmbeddings:
                                   capture_output=True, timeout=300)
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
-        assert len(outputs[0]) == 200 * (64 + 3 * 16) * 8
+        assert len(outputs[0]) == 200 * (64 + 3 * 16 + 200) * 8
         assert outputs[0] == outputs[1]
 
     def test_save_embedding_text_is_the_per_float_repr(self, tmp_path):

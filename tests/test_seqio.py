@@ -208,6 +208,17 @@ class TestSplit:
         with pytest.raises(StratifyError):
             split_indices(labels, 0.3, 5, seed=0)
 
+    def test_stratify_error_when_no_class_keeps_num_folds_training_rows(self):
+        # each class keeps one training row after its test quota of two; the
+        # folds, dealt per class from fold 0, would leave fold 1 nothing to
+        # validate on and fold 0 nothing to train on
+        labels = ["a"] * 3 + ["b"] * 3
+        with pytest.raises(StratifyError, match=r"\{'a': 1, 'b': 1\}"):
+            split_indices(labels, 0.6, 2, seed=0)
+        # one class keeping num_folds rows fills every fold's two parts
+        plan = split_indices(["A"] * 8 + ["B"] * 2, 0.3, 2, seed=0)
+        assert all(fit and val for fit, val in plan.folds)
+
     def test_bad_fraction_rejected(self):
         with pytest.raises(ConfigError):
             split_indices(["A"] * 10, 1.5, 2, seed=0)
@@ -251,7 +262,12 @@ def test_split_invariants(case):
     n = len(labels)
     n_train = int(round((1.0 - fraction) * n))
     assume(n_train >= folds and n - n_train >= 1)
-    plan = split_indices(labels, fraction, folds, seed)
+    try:
+        plan = split_indices(labels, fraction, folds, seed)
+    except StratifyError:
+        # raised only when every class keeps fewer than `folds` training rows
+        assert n_train <= len(set(labels)) * (folds - 1)
+        return
     train, test = plan.train_indices, plan.test_indices
     assert len(test) == n - n_train
     assert not set(train) & set(test)
@@ -260,6 +276,7 @@ def test_split_invariants(case):
     assert sorted(validate) == sorted(train)
     for fit, val in plan.folds:
         assert sorted(fit + val) == sorted(train)
+        assert fit and val
     in_test = Counter(labels[i] for i in test)
     for cls, size in Counter(labels).items():
         assert abs(in_test[cls] - size * fraction) < 1.0
