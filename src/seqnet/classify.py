@@ -8,7 +8,9 @@ and every model records its training wall time.
 
 from __future__ import annotations
 
+import copy
 import itertools
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -33,9 +35,45 @@ def _prepare(x, y):
     return x, classes, encoded
 
 
+def _queries(x):
+    """Query rows as ``_scores`` takes them: float64 2-D, a 1-D query one row."""
+    return np.atleast_2d(np.asarray(x, dtype=np.float64))
+
+
+def _with_bias(x):
+    """x with a constant 1 feature appended, which carries a linear bias."""
+    return np.hstack([x, np.ones((len(x), 1))])
+
+
+def _check_number(name, value, low, strict):
+    """ConfigError unless value is a finite number above ``low`` (``strict``)
+    or at least ``low``."""
+    if not (
+        isinstance(value, numbers.Real)
+        and np.isfinite(value)
+        and (value > low if strict else value >= low)
+    ):
+        relation = ">" if strict else ">="
+        raise ConfigError(f"{name} must be a finite number {relation} {low}, got {value!r}")
+
+
+def _check_epochs(epochs):
+    if not isinstance(epochs, numbers.Integral) or epochs < 1:
+        raise ConfigError(f"epochs must be an integer >= 1, got {epochs!r}")
+
+
+def _fit_and_score(model, x, y, fit_rows, score_rows):
+    """Fit ``model`` on the ``fit_rows`` of x and y, then score the
+    ``score_rows`` of x once: (scores, predicted labels)."""
+    model.fit(x[fit_rows], y[fit_rows])
+    scores = model.predict_scores(x[score_rows])
+    return scores, model.classes_[np.argmax(scores, axis=1)]
+
+
 class _TimedFit:
     """Mixin recording fit wall time in ``train_time_sec``; ``predict_scores``
-    hands ``_scores`` a float64 2-D array, a 1-D query being one row."""
+    hands ``_scores`` a float64 2-D array, a 1-D query being one row.
+    ``cv_accuracies`` is the protocol's grid-selection hook."""
 
     train_time_sec: float = 0.0
 
@@ -46,11 +84,31 @@ class _TimedFit:
         return self
 
     def predict_scores(self, x):
-        return self._scores(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+        return self._scores(_queries(x))
 
     def predict(self, x):
         scores = self.predict_scores(x)
         return self.classes_[np.argmax(scores, axis=1)]
+
+    @classmethod
+    def cv_accuracies(cls, grid, x, y, folds) -> np.ndarray:
+        """Mean validation accuracy over the (fit rows, validation rows)
+        ``folds`` of x and y for each parameter dict of ``grid``; -inf for an
+        entry that some fold's training part cannot fit (a ``ConfigError``
+        from ``fit``; one from the constructor propagates). This default fits
+        one (entry, fold) at a time; a subclass may fit them together if the
+        result keeps its bits."""
+        out = []
+        for params in grid:
+            models = [cls(**params) for _ in folds]
+            try:
+                out.append(float(np.mean([
+                    (_fit_and_score(m, x, y, fit, val)[1] == y[val]).mean()
+                    for m, (fit, val) in zip(models, folds)
+                ])))
+            except ConfigError:
+                out.append(float("-inf"))
+        return np.array(out)
 
 
 class KNNClassifier(_TimedFit):
@@ -75,11 +133,37 @@ class KNNClassifier(_TimedFit):
             )
 
     def _scores(self, x):
-        votes = self._y[k_nearest(self._x, self.k_votes, queries=x)]
-        scores = np.zeros((len(x), len(self.classes_)))
-        for c in range(len(self.classes_)):
-            scores[:, c] = (votes == c).sum(axis=1)
-        return scores / self.k_votes
+        return self._vote_fractions(self._y[k_nearest(self._x, self.k_votes, queries=x)])
+
+    def _vote_fractions(self, votes):
+        """Each row's class counts among its (rows, k) neighbour class codes,
+        over k."""
+        rows, k = votes.shape
+        n_classes = len(self.classes_)
+        counts = np.bincount(
+            (np.arange(rows)[:, None] * n_classes + votes).ravel(), minlength=rows * n_classes
+        )
+        return counts.reshape(rows, n_classes) / k
+
+    @classmethod
+    def cv_accuracies(cls, grid, x, y, folds) -> np.ndarray:
+        """Per fold, one neighbour list at the largest ``k_votes`` the fold's
+        training part can take; each entry votes on a prefix of it, which is
+        the entry's own list, as ``k_nearest`` orders every row by (distance,
+        index). An entry above a fold's training size scores -inf."""
+        models = [cls(**params) for params in grid]
+        acc = np.empty((len(grid), len(folds)))
+        for f, (fit, val) in enumerate(folds):
+            feasible = [g for g, m in enumerate(models) if m.k_votes <= len(fit)]
+            acc[:, f] = -np.inf
+            if not feasible:
+                continue
+            top = max((models[g] for g in feasible), key=lambda m: m.k_votes).fit(x[fit], y[fit])
+            near = top._y[k_nearest(top._x, top.k_votes, queries=_queries(x[val]))]
+            for g in feasible:
+                scores = top._vote_fractions(near[:, : models[g].k_votes])
+                acc[g, f] = (top.classes_[np.argmax(scores, axis=1)] == y[val]).mean()
+        return np.array([float(np.mean(a)) for a in acc])
 
 
 def softmax_loss_and_grad(weights, bias, x, encoded, l2):
@@ -108,6 +192,9 @@ class LogisticRegression(_TimedFit):
     algorithm = "logistic_regression"
 
     def __init__(self, l2: float = 1e-3, lr: float = 0.5, epochs: int = 300):
+        _check_number("l2", l2, 0, strict=False)
+        _check_number("lr", lr, 0, strict=True)
+        _check_epochs(epochs)
         self.l2 = l2
         self.lr = lr
         self.epochs = epochs
@@ -142,6 +229,7 @@ class GaussianNB(_TimedFit):
     algorithm = "gaussian_nb"
 
     def __init__(self, var_smoothing: float = 1e-9):
+        _check_number("var_smoothing", var_smoothing, 0, strict=False)
         self.var_smoothing = var_smoothing
 
     def _fit(self, x, y):
@@ -173,6 +261,86 @@ def hinge_loss_and_grad(w, x, y_signed, lam):
     return loss, grad
 
 
+# Pegasos steps whose visits, step sizes and signs are made at once
+_PEGASOS_SPAN = 512
+
+
+class _Visits:
+    """The order in which each class of one Pegasos job visits the job's
+    ``rows``: class c takes the per-epoch permutations it would draw from
+    ``default_rng(seed)`` were the classes trained one after another, so its
+    generator starts where classes 0..c-1 have drawn all of theirs. Epochs
+    are drawn as needed, so at most one epoch per class is held."""
+
+    def __init__(self, rows, seed, epochs, n_classes):
+        self.rows = rows
+        rng = np.random.default_rng(seed)
+        self.rngs = []
+        for c in range(n_classes):
+            self.rngs.append(copy.deepcopy(rng))
+            if c + 1 < n_classes:
+                for _ in range(epochs):
+                    rng.permutation(len(rows))
+        self.pending = np.empty((n_classes, 0), dtype=np.intp)
+
+    def take(self, steps):
+        """The next ``steps`` visits of every class, (classes, steps)."""
+        while self.pending.shape[1] < steps:
+            epoch = np.array([rng.permutation(len(self.rows)) for rng in self.rngs])
+            self.pending = np.hstack([self.pending, self.rows[epoch]])
+        out, self.pending = self.pending[:, :steps], self.pending[:, steps:]
+        return out
+
+
+def _pegasos(xa, labels, jobs):
+    """One-vs-rest Pegasos weights of every job, all jobs in one loop.
+
+    ``xa`` holds the rows with their constant bias feature and ``labels``
+    their integer class codes. A job ``(rows, lam, epochs, seed)`` trains
+    one weight row per class code among ``labels[rows]``, ascending, on
+    ``xa[rows]``; each class visits the rows in the order :class:`_Visits`
+    gives. Step t of a row is the Pegasos step with eta = 1 / (lam t): the
+    row is scaled by 1 - eta lam and gains eta * sign * x where its signed
+    margin on x was below 1. Returns each job's (class codes, weights).
+
+    The weight rows are (job, class) pairs of jobs in descending step count
+    (epochs times rows), so the rows still stepping are a prefix. Each step
+    size, scale and margin is the same float64 operation whatever the batch,
+    and each margin one stacked (1 x d)(d x 1) ``matmul``, so a job's
+    weights are those it gets alone.
+    """
+    steps = [epochs * len(rows) for rows, _, epochs, _ in jobs]
+    order = sorted(range(len(jobs)), key=lambda j: -steps[j])
+    classes = [np.unique(labels[jobs[j][0]]) for j in order]
+    sizes = [len(c) for c in classes]
+    row_class = np.concatenate(classes)
+    lam = np.repeat([float(jobs[j][1]) for j in order], sizes)
+    visits = [_Visits(jobs[j][0], jobs[j][3], jobs[j][2], k) for j, k in zip(order, sizes)]
+    w = np.zeros((len(row_class), xa.shape[1]))
+    ordered = [steps[j] for j in order]
+    bounds = sorted(set(range(0, ordered[0], _PEGASOS_SPAN)) | set(ordered) | {0})
+    for t0, t1 in zip(bounds, bounds[1:]):
+        live = sum(1 for s in ordered if s > t0)
+        rows = sum(sizes[:live])
+        lam_t = lam[:rows]
+        # (steps, rows) visits, step sizes, scales and signs of this span
+        visit = np.vstack([v.take(t1 - t0) for v in visits[:live]]).T
+        eta = 1.0 / (lam_t * np.arange(t0 + 1, t1 + 1, dtype=np.float64)[:, None])
+        scale = 1.0 - eta * lam_t
+        sign = np.where(labels[visit] == row_class[:rows], 1.0, -1.0)
+        gain = eta * sign
+        wt = w[:rows]
+        for at, s, a, g in zip(visit, sign, scale, gain):
+            xt = xa[at]
+            violated = s * np.matmul(wt[:, None, :], xt[:, :, None])[:, 0, 0] < 1.0
+            wt *= a[:, None]
+            np.add(wt, g[:, None] * xt, out=wt, where=violated[:, None])
+    out = [None] * len(jobs)
+    for j, c, wj in zip(order, classes, np.split(w, np.cumsum(sizes)[:-1])):
+        out[j] = (c, wj)
+    return out
+
+
 class LinearSVM(_TimedFit):
     """One-vs-rest hinge loss trained with the Pegasos step schedule.
 
@@ -183,8 +351,8 @@ class LinearSVM(_TimedFit):
     algorithm = "linear_svm"
 
     def __init__(self, C: float = 1.0, epochs: int = 20, seed: int = 0):
-        if C <= 0:
-            raise ConfigError("C must be positive")
+        _check_number("C", C, 0, strict=True)
+        _check_epochs(epochs)
         self.C = C
         self.epochs = epochs
         self.seed = seed
@@ -193,31 +361,28 @@ class LinearSVM(_TimedFit):
         x, self.classes_, encoded = _prepare(x, y)
         if len(self.classes_) < 2:
             raise ConfigError("need at least 2 classes")
-        xa = np.hstack([x, np.ones((len(x), 1))])
-        n, d = xa.shape
-        lam = 1.0 / (self.C * n)
-        k = len(self.classes_)
-        rng = np.random.default_rng(self.seed)
-        # Each class visits the rows in its own per-epoch permutations, drawn
-        # class by class as if the classes were trained one after another;
-        # all k one-vs-rest weight vectors then advance in lockstep.
-        visits = np.array(
-            [rng.permutation(n) for _ in range(k * self.epochs)], dtype=np.intp
-        ).reshape(k, self.epochs * n)
-        signs = np.where(encoded[visits] == np.arange(k)[:, None], 1.0, -1.0)
-        w = np.zeros((k, d))
-        for t, (rows, s) in enumerate(zip(visits.T, signs.T), start=1):
-            xt = xa[rows]
-            eta = 1.0 / (lam * t)
-            # batched row @ column products are the same dot as ``w[c] @ xt[c]``
-            violated = s * np.matmul(w[:, None, :], xt[:, :, None])[:, 0, 0] < 1.0
-            w *= 1.0 - eta * lam
-            np.add(w, (eta * s)[:, None] * xt, out=w, where=violated[:, None])
-        self._w = w
+        ((_, self._w),) = _pegasos(_with_bias(x), encoded, [self._job(np.arange(len(x)))])
+
+    def _job(self, rows):
+        return rows, 1.0 / (self.C * len(rows)), self.epochs, self.seed
 
     def _scores(self, x):
-        xa = np.hstack([x, np.ones((len(x), 1))])
-        return xa @ self._w.T
+        return _with_bias(x) @ self._w.T
+
+    @classmethod
+    def cv_accuracies(cls, grid, x, y, folds) -> np.ndarray:
+        """Every (entry, fold) fit advances in one :func:`_pegasos` loop; a
+        fold whose training part holds one class makes every entry -inf."""
+        x, classes, codes = _prepare(x, y)
+        models = [(cls(**params), fit, val) for params in grid for fit, val in folds]
+        if any(len(np.unique(codes[fit])) < 2 for fit, _ in folds):
+            return np.full(len(grid), -np.inf)
+        fitted = _pegasos(_with_bias(x), codes, [m._job(fit) for m, fit, _ in models])
+        acc = []
+        for (m, _, val), (job_classes, w) in zip(models, fitted):
+            m.classes_, m._w = classes[job_classes], w
+            acc.append((m.predict(x[val]) == y[val]).mean())
+        return np.array([float(np.mean(a)) for a in np.reshape(acc, (len(grid), len(folds)))])
 
 
 # Row cells (node rows times candidate features) in one block of the CART
@@ -603,6 +768,8 @@ class RandomForest(_TimedFit):
     ):
         if n_trees < 1:
             raise ConfigError("n_trees must be >= 1")
+        if feature_frac is not None and not 0.0 < feature_frac <= 1.0:
+            raise ConfigError("feature_frac must lie in (0, 1]")
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.min_leaf = min_leaf
@@ -616,8 +783,6 @@ class RandomForest(_TimedFit):
         if self.feature_frac is None:
             m = max(1, int(round(np.sqrt(d))))
         else:
-            if not 0.0 < self.feature_frac <= 1.0:
-                raise ConfigError("feature_frac must lie in (0, 1]")
             m = max(1, int(round(self.feature_frac * d)))
         master = np.random.default_rng(self.seed)
         tree_seeds = master.integers(0, 2**31, size=self.n_trees)
@@ -663,10 +828,14 @@ METRIC_FIELDS = (
 )
 
 
-def make_classifier(name: str, **params):
+def _classifier_class(name: str):
     if name not in CLASSIFIERS:
         raise ConfigError(f"unknown classifier {name!r}")
-    return CLASSIFIERS[name](**params)
+    return CLASSIFIERS[name]
+
+
+def make_classifier(name: str, **params):
+    return _classifier_class(name)(**params)
 
 
 @dataclass
@@ -708,25 +877,6 @@ def save_result_csv(rows: Sequence[dict], path) -> None:
             fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in values) + "\n")
 
 
-def _fit_and_score(name, params, x, y, fit_rows, score_rows):
-    """Fit ``name`` with ``params`` on the ``fit_rows`` of x and y, then score
-    the ``score_rows`` of x once: (model, scores, predicted labels)."""
-    model = make_classifier(name, **params).fit(x[fit_rows], y[fit_rows])
-    scores = model.predict_scores(x[score_rows])
-    return model, scores, model.classes_[np.argmax(scores, axis=1)]
-
-
-def _cv_accuracy(name, params, x, y, folds):
-    """Mean validation accuracy; -inf for params infeasible on these folds."""
-    try:
-        return float(np.mean([
-            (_fit_and_score(name, params, x, y, fit, val)[2] == y[val]).mean()
-            for fit, val in folds
-        ]))
-    except ConfigError:
-        return float("-inf")
-
-
 def _with_context(exc: Exception, context: str) -> Exception:
     """exc's message prefixed with context, as exc's type or, where that
     constructor does not take one message, the nearest base class whose does
@@ -743,18 +893,20 @@ def _with_context(exc: Exception, context: str) -> Exception:
 
 def run_cell(x, labels, seed, classifier, grid, test_fraction, num_folds) -> ClassificationReport:
     """One protocol cell: the seeded stratified split of ``labels`` (an array),
-    grid selection by mean CV accuracy over the folds, a refit on the whole
+    grid selection by mean CV accuracy over the folds (the classifier's
+    ``cv_accuracies``; the first best entry wins), a refit on the whole
     training part and its report on the held-out part. It reads only its
     arguments and mutates nothing, so cells can run in any order or process.
     """
+    cls = _classifier_class(classifier)
     plan = split_indices(labels, test_fraction, num_folds, seed)
     train, test = np.asarray(plan.train_indices, np.intp), np.asarray(plan.test_indices, np.intp)
     params = grid[0]
     if len(grid) > 1:
         folds = [(np.asarray(fit, np.intp), np.asarray(val, np.intp)) for fit, val in plan.folds]
-        cv = [_cv_accuracy(classifier, p, x, labels, folds) for p in grid]
-        params = grid[int(np.argmax(cv))]
-    model, scores, pred = _fit_and_score(classifier, params, x, labels, train, test)
+        params = grid[int(np.argmax(cls.cv_accuracies(grid, x, labels, folds)))]
+    model = cls(**params)
+    scores, pred = _fit_and_score(model, x, labels, train, test)
     # a class the training part lacks still gets its score column, all zero
     y_test = labels[test]
     classes = sorted(set(y_test.tolist()) | set(model.classes_.tolist()))
@@ -791,6 +943,14 @@ def run_experiment(
             raise ConfigError(f"unknown classifier {name!r}")
         if name in classifiers[:i]:
             raise ConfigError(f"classifier {name!r} named twice")
+        if not grids[name]:
+            raise ConfigError(f"classifier {name!r} has an empty grid")
+        # a bad entry fails here, before any fit, not as a -inf CV score
+        for params in grids[name]:
+            try:
+                CLASSIFIERS[name](**params)
+            except (ConfigError, TypeError) as exc:
+                raise ConfigError(f"classifier {name!r} grid entry {params!r}: {exc}") from exc
     matrices = {}
     for method, emb in embeddings.items():
         x = emb.vectors if hasattr(emb, "vectors") else np.asarray(emb, dtype=np.float64)

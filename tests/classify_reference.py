@@ -1,18 +1,22 @@
-"""Reference implementations of the CART split scan and Pegasos.
+"""Reference implementations of the CART split scan, Pegasos and the CV loop.
 
 ``grow_tree_reference`` and ``pegasos_reference`` are the per-threshold and
 per-sample loops that ``seqnet.classify`` replaced with array operations.
 ``_grow_tree`` and ``_tree_scores`` are the recursive CART grower (a one-hot
 cumulative-sum scan per node) and scorer that its lockstep grower and flat
-trees replaced. Tests require the library to build the same trees, scores
-and weights, bit for bit.
+trees replaced. ``LinearSVMReference`` trains one fit's classes in lockstep
+over its whole visit schedule, and ``cv_accuracy_reference`` fits one
+(grid entry, fold) at a time; the library now advances every fit of a
+protocol cell's grid together. Tests require the library to build the same
+trees, scores, weights and CV accuracies, bit for bit.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from seqnet.classify import _gini
+from seqnet.classify import LinearSVM, _gini, _prepare, make_classifier
+from seqnet.errors import ConfigError
 
 # Class-count cells in one block of ``_grow_tree``'s scan.
 _SCAN_CELLS = 1 << 20
@@ -189,3 +193,53 @@ def pegasos_reference(x, encoded, n_classes, C, epochs, seed):
                     w = (1.0 - eta * lam) * w
         weights[c] = w
     return weights
+
+
+class LinearSVMReference(LinearSVM):
+    """LinearSVM fitting all k one-vs-rest rows of one fit in lockstep, from a
+    schedule of every step's visits made up front."""
+
+    def _fit(self, x, y):
+        x, self.classes_, encoded = _prepare(x, y)
+        if len(self.classes_) < 2:
+            raise ConfigError("need at least 2 classes")
+        xa = np.hstack([x, np.ones((len(x), 1))])
+        n, d = xa.shape
+        lam = 1.0 / (self.C * n)
+        k = len(self.classes_)
+        rng = np.random.default_rng(self.seed)
+        # Each class visits the rows in its own per-epoch permutations, drawn
+        # class by class as if the classes were trained one after another;
+        # all k one-vs-rest weight vectors then advance in lockstep.
+        visits = np.array(
+            [rng.permutation(n) for _ in range(k * self.epochs)], dtype=np.intp
+        ).reshape(k, self.epochs * n)
+        signs = np.where(encoded[visits] == np.arange(k)[:, None], 1.0, -1.0)
+        w = np.zeros((k, d))
+        for t, (rows, s) in enumerate(zip(visits.T, signs.T), start=1):
+            xt = xa[rows]
+            eta = 1.0 / (lam * t)
+            # batched row @ column products are the same dot as ``w[c] @ xt[c]``
+            violated = s * np.matmul(w[:, None, :], xt[:, :, None])[:, 0, 0] < 1.0
+            w *= 1.0 - eta * lam
+            np.add(w, (eta * s)[:, None] * xt, out=w, where=violated[:, None])
+        self._w = w
+
+
+def _fit_and_score(name, params, x, y, fit_rows, score_rows):
+    """Fit ``name`` with ``params`` on the ``fit_rows`` of x and y, then score
+    the ``score_rows`` of x once: (model, scores, predicted labels)."""
+    model = make_classifier(name, **params).fit(x[fit_rows], y[fit_rows])
+    scores = model.predict_scores(x[score_rows])
+    return model, scores, model.classes_[np.argmax(scores, axis=1)]
+
+
+def cv_accuracy_reference(name, params, x, y, folds):
+    """Mean validation accuracy; -inf for params infeasible on these folds."""
+    try:
+        return float(np.mean([
+            (_fit_and_score(name, params, x, y, fit, val)[2] == y[val]).mean()
+            for fit, val in folds
+        ]))
+    except ConfigError:
+        return float("-inf")

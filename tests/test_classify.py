@@ -1,15 +1,20 @@
 import dataclasses
+import os
+import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import classify_reference
 import numpy as np
 import pytest
 from classify_reference import (
+    LinearSVMReference,
     _Leaf,
     _Split,
     _grow_tree,
     _tree_scores,
+    cv_accuracy_reference,
     grow_tree_reference,
     pegasos_reference,
 )
@@ -33,6 +38,7 @@ from seqnet.classify import (
     METRIC_FIELDS,
 )
 from seqnet.errors import ConfigError
+from seqnet.seqio import split_indices
 
 # a divide-by-zero or invalid-value warning, e.g. from a one-sided or tied
 # threshold of the split scan, is a failure
@@ -95,12 +101,25 @@ class TestKnn:
         with pytest.raises(ConfigError):
             KNNClassifier(1).fit(np.zeros((0, 2)), np.zeros(0))
 
+    @pytest.mark.parametrize("k", [1, 4, 7])
+    def test_vote_fractions_equal_per_class_counts(self, k):
+        rng = np.random.default_rng(k)
+        model = KNNClassifier(k).fit(rng.normal(size=(30, 2)), rng.integers(0, 5, 30))
+        votes = rng.integers(0, 5, size=(40, k))
+        expected = np.zeros((40, 5))
+        for c in range(5):
+            expected[:, c] = (votes == c).sum(axis=1)
+        assert np.array_equal(model._vote_fractions(votes), expected / k)
+
 
 class TestLogisticRegression:
     def test_uniform_probabilities_at_zero_weights(self):
-        model = LogisticRegression(epochs=0)
+        # epochs must be >= 1, so the fitted weights are zeroed by hand
+        model = LogisticRegression(epochs=1)
         x = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
         model.fit(x, np.array([0, 1, 2]))
+        model._w[:] = 0.0
+        model._b[:] = 0.0
         scores = model.predict_scores(x)
         assert np.allclose(scores, 1.0 / 3.0)
 
@@ -221,6 +240,26 @@ class TestLinearSVM:
         model = LinearSVM(C=C, epochs=4, seed=5).fit(x, encoded)
         expected = pegasos_reference(x, encoded, n_classes, C, 4, 5)
         assert np.array_equal(model._w, expected)
+
+    def test_lockstep_jobs_equal_their_own_fits(self):
+        # jobs of different sizes, class counts, epochs and seeds; they stop
+        # after 740, 580, 533 and 96 steps, in the first and second span
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(60, 5))
+        labels = rng.permutation(np.arange(60) % 4)
+        subsets = [np.arange(37), np.arange(20, 49), rng.permutation(60)[:41],
+                   np.flatnonzero(labels < 2)[:24]]
+        params = [(1.0, 20, 0), (0.3, 20, 9), (10.0, 13, 2), (2.0, 4, 5)]
+        jobs = [(rows, 1.0 / (C * len(rows)), epochs, seed)
+                for rows, (C, epochs, seed) in zip(subsets, params)]
+        xa = np.hstack([x, np.ones((len(x), 1))])
+        fitted = classify._pegasos(xa, labels, jobs)
+        for rows, (C, epochs, seed), (codes, w) in zip(subsets, params, fitted):
+            classes, encoded = np.unique(labels[rows], return_inverse=True)
+            assert np.array_equal(codes, classes)
+            assert np.array_equal(w, pegasos_reference(x[rows], encoded, len(classes), C, epochs, seed))
+            alone = LinearSVMReference(C=C, epochs=epochs, seed=seed).fit(x[rows], labels[rows])
+            assert np.array_equal(w, alone._w)
 
 
 @st.composite
@@ -578,6 +617,16 @@ class TestScoresInvariants:
         assert (model.predict(x) == y).mean() == 1.0
 
 
+def assert_same_report(got, want):
+    """Every field but the training time, with the same type and bytes."""
+    for f in dataclasses.fields(want):
+        if f.name != "train_time_sec":
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert type(a) is type(b), f.name
+            assert np.asarray(a).dtype == np.asarray(b).dtype, f.name
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+
+
 class TestRunExperiment:
     def _embeddings_and_labels(self, rng, per=20):
         x = np.vstack(
@@ -687,14 +736,7 @@ class TestRunExperiment:
             for cell in reversed(cells)
         }
         for seed, method, name in cells:
-            got = alone[seed, method, name]
-            want = result.reports[method, name][seeds.index(seed)]
-            for f in dataclasses.fields(want):
-                if f.name != "train_time_sec":
-                    a, b = getattr(got, f.name), getattr(want, f.name)
-                    assert type(a) is type(b), f.name
-                    assert np.asarray(a).dtype == np.asarray(b).dtype, f.name
-                    assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+            assert_same_report(alone[seed, method, name], result.reports[method, name][seeds.index(seed)])
 
     def test_empty_seed_list_rejected(self):
         embeddings, labels = self._embeddings_and_labels(np.random.default_rng(20))
@@ -726,8 +768,155 @@ class TestRunExperiment:
         for metric in METRIC_FIELDS:
             assert np.isfinite(getattr(report, metric)), metric
 
+    @pytest.mark.parametrize("name, grid", [
+        ("knn", ({"k_votes": 3}, {"k_votes": 0})),
+        ("linear_svm", ({"C": float("nan")}, {"C": 1.0})),
+        ("linear_svm", ({"C": 1.0}, {"c": 1.0})),
+        ("gaussian_nb", ()),
+    ])
+    def test_bad_grid_entry_rejected_before_any_fit(self, name, grid):
+        embeddings, labels = self._embeddings_and_labels(np.random.default_rng(24))
+        with mock.patch.object(classify.CLASSIFIERS[name], "fit") as fit:
+            with pytest.raises(ConfigError, match=f"classifier '{name}'"):
+                run_experiment(embeddings, labels, seeds=[0], classifiers=(name,),
+                               grids={name: grid})
+        fit.assert_not_called()
+
+    def test_k_votes_above_a_fold_scores_minus_inf(self):
+        embeddings, labels = self._embeddings_and_labels(np.random.default_rng(25))
+        plan = split_indices(labels, 0.3, 5, 0)
+        folds = [(np.asarray(f), np.asarray(v)) for f, v in plan.folds]
+        grid = ({"k_votes": 1000}, {"k_votes": 3})
+        assert KNNClassifier.cv_accuracies(grid, embeddings["toy"], labels, folds)[0] == -np.inf
+        (got,) = run_experiment(embeddings, labels, seeds=[0], classifiers=("knn",),
+                                grids={"knn": grid}).reports["toy", "knn"]
+        (want,) = run_experiment(embeddings, labels, seeds=[0], classifiers=("knn",),
+                                 grids={"knn": grid[1:]}).reports["toy", "knn"]
+        assert_same_report(got, want)
+
     def test_grid_defaults_cover_all_classifiers(self):
         assert set(DEFAULT_GRIDS) == {
             "knn", "logistic_regression", "gaussian_nb",
             "linear_svm", "decision_tree", "random_forest",
         }
+
+
+class TestHyperparameters:
+    @pytest.mark.parametrize("name, params", [
+        *[("linear_svm", {"C": c}) for c in (float("nan"), float("inf"), 0.0, -1.0)],
+        *[("logistic_regression", {"lr": v}) for v in (float("nan"), float("inf"), 0.0, -0.5)],
+        *[("logistic_regression", {"l2": v}) for v in (float("nan"), float("inf"), -1e-3)],
+        *[("gaussian_nb", {"var_smoothing": v}) for v in (float("nan"), float("inf"), -1e-9)],
+        *[(name, {"epochs": e}) for name in ("linear_svm", "logistic_regression")
+          for e in (0, -3, 2.5)],
+        ("random_forest", {"feature_frac": 1.5}),
+    ])
+    def test_rejected_at_construction(self, name, params):
+        with pytest.raises(ConfigError):
+            make_classifier(name, **params)
+
+    @pytest.mark.parametrize("name, params", [
+        ("logistic_regression", {"l2": 0.0}),
+        ("gaussian_nb", {"var_smoothing": 0.0}),
+        ("linear_svm", {"C": 1e-6, "epochs": 1}),
+    ])
+    def test_boundary_values_accepted(self, name, params):
+        make_classifier(name, **params)
+
+
+# The CV grid of each classifier: entries that set ``epochs`` or ``seed``,
+# and a KNN ``k_votes`` above every fold's training size.
+ORACLE_GRIDS = {
+    "knn": ({"k_votes": 1}, {"k_votes": 5}, {"k_votes": 15}, {"k_votes": 10_000}),
+    "logistic_regression": ({"l2": 1e-3, "epochs": 30}, {"l2": 1e-1, "lr": 0.3, "epochs": 20}),
+    "gaussian_nb": ({}, {"var_smoothing": 1e-3}),
+    "linear_svm": (
+        {"C": 0.1}, {"C": 1.0, "epochs": 3}, {"C": 10.0, "seed": 7},
+        {"C": 2.0, "epochs": 7, "seed": 3},
+    ),
+    "decision_tree": ({"max_depth": 2}, {"max_depth": None, "min_leaf": 2}),
+    "random_forest": (
+        {"n_trees": 4, "max_depth": 3, "seed": 1}, {"n_trees": 3, "feature_frac": 0.5},
+    ),
+}
+
+
+def oracle_case(kind):
+    """(x, labels, test_fraction, num_folds, seed) of one CV layout."""
+    rng = np.random.default_rng(26)
+    if kind == "unequal_folds":
+        labels = np.repeat(["a", "b", "c"], [13, 11, 9])
+        args = (0.3, 4, 0)
+    elif kind == "class_missing_from_a_fold":
+        labels = np.repeat(["a", "b", "c"], [2, 15, 14])
+        args = (0.3, 2, 1)
+    else:  # "one_class_in_a_fold": SVM and logistic regression cannot fit it
+        labels = np.repeat(["a", "b"], [2, 15])
+        args = (0.3, 2, 1)
+    centres = {c: rng.normal(0, 2, 4) for c in np.unique(labels)}
+    x = np.array([centres[c] for c in labels]) + rng.normal(0, 1.5, (len(labels), 4))
+    return x, labels, *args
+
+
+class TestLockstepCV:
+    @pytest.mark.parametrize("kind", ["unequal_folds", "class_missing_from_a_fold",
+                                      "one_class_in_a_fold"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRIDS))
+    def test_equal_to_per_fit_oracle(self, name, kind):
+        x, labels, test_fraction, num_folds, seed = oracle_case(kind)
+        plan = split_indices(labels, test_fraction, num_folds, seed)
+        folds = [(np.asarray(f, np.intp), np.asarray(v, np.intp)) for f, v in plan.folds]
+        n_classes = len(np.unique(labels))
+        missing = [len(np.unique(labels[f])) < n_classes for f, _ in folds]
+        if kind == "unequal_folds":
+            assert len({len(f) for f, _ in folds}) > 1
+        else:
+            assert any(missing)
+        grid = ORACLE_GRIDS[name]
+        cls = classify.CLASSIFIERS[name]
+        want = np.array([cv_accuracy_reference(name, p, x, labels, folds) for p in grid])
+        assert np.array_equal(cls.cv_accuracies(grid, x, labels, folds), want)
+        if name == "knn":
+            assert want[-1] == -np.inf
+        if name in ("linear_svm", "logistic_regression") and kind == "one_class_in_a_fold":
+            assert (want == -np.inf).all()
+
+        def run():
+            return run_experiment({"toy": x}, labels, seeds=[seed], classifiers=(name,),
+                                  grids={name: grid}, test_fraction=test_fraction,
+                                  num_folds=num_folds).reports["toy", name][0]
+
+        def per_fit(_cls, grid, x, y, folds):
+            return np.array([cv_accuracy_reference(name, p, x, y, folds) for p in grid])
+
+        got = run()
+        with mock.patch.object(cls, "cv_accuracies", classmethod(per_fit)):
+            assert_same_report(got, run())
+
+    def test_reports_do_not_depend_on_blas_threads(self):
+        root = Path(__file__).resolve().parents[1]
+        script = (
+            "import dataclasses, sys, numpy as np\n"
+            "from seqnet.classify import run_experiment\n"
+            "rng = np.random.default_rng(27)\n"
+            "labels = np.repeat(np.arange(5), 24)\n"
+            "x = rng.normal(0, 1, (120, 24)) + labels[:, None] * 0.3\n"
+            "result = run_experiment({'toy': x}, labels, seeds=[0, 1],\n"
+            "                        classifiers=('knn', 'linear_svm'))\n"
+            "for key in sorted(result.reports):\n"
+            "    for report in result.reports[key]:\n"
+            "        for f in dataclasses.fields(report):\n"
+            "            if f.name != 'train_time_sec':\n"
+            "                sys.stdout.buffer.write(np.asarray(getattr(report, f.name)).tobytes())\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+            )
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] and outputs[0] == outputs[1]
