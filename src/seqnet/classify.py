@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cluster import _log_gaussian_diag
-from .distances import _dense, _gamma, _rows, k_nearest
+from .distances import _dense, _gamma, _group_sums, _rows, k_nearest
 from .errors import ConfigError
 from .evalmetrics import ClassificationReport, classification_report
 from .seqio import split_indices
@@ -234,16 +234,13 @@ class GaussianNB(_TimedFit):
 
     def _fit(self, x, y):
         x, self.classes_, encoded = _prepare(x, y)
-        k, d = len(self.classes_), x.shape[1]
+        k = len(self.classes_)
         eps = max(self.var_smoothing * float(x.var(axis=0).max()), 1e-12)
-        self._means = np.empty((k, d))
-        self._vars = np.empty((k, d))
-        self._priors = np.empty(k)
-        for c in range(k):
-            members = x[encoded == c]
-            self._means[c] = members.mean(axis=0)
-            self._vars[c] = members.var(axis=0) + eps
-            self._priors[c] = len(members) / len(x)
+        # the bits of each class's members.mean(axis=0) and members.var(axis=0)
+        sizes = np.bincount(encoded, minlength=k)[:, None]
+        self._means = _group_sums(x, encoded, k) / sizes
+        self._vars = _group_sums((x - self._means[encoded]) ** 2, encoded, k) / sizes + eps
+        self._priors = sizes[:, 0] / len(x)
 
     def _scores(self, x):
         log_post = _log_gaussian_diag(x, self._means, self._vars, self._priors)

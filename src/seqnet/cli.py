@@ -249,11 +249,11 @@ def cmd_elbow(args):
 
 
 def _load_vectors(path):
-    """Features triplet CSV or embedding CSV, detected from the first line."""
+    """Features triplet CSV (kept sparse) or embedding CSV, by its first line."""
     with open(path) as fh:
         first = fh.readline()
     if first.startswith("# n="):
-        return load_features(path).to_dense()
+        return load_features(path)
     if first.startswith("node_index,"):
         return load_embedding(path).vectors
     raise ParseError(f"unrecognized input format in {path}", line=1)

@@ -17,7 +17,8 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import eigh
 
-from .distances import _dense, _gram_is_exact, _rows, _sq_norms, nearest, sq_distances
+from .distances import _dense, _gram_is_exact, _group_sums, _rows, _sq_norms
+from .distances import nearest, sq_distances
 from .errors import ConfigError, ParseError
 from .ssn import SimilarityNetwork
 from .tables import read_rows
@@ -54,25 +55,14 @@ def _row(x, i: int) -> np.ndarray:
     return _dense(x[i : i + 1])[0]
 
 
-def _row_sum(rows) -> np.ndarray:
-    """Column sums of a dense or CSR block as a flat array: the sum ``mean``
-    divides on a dense block, and exact on integer counts."""
-    return np.asarray(rows.sum(axis=0)).ravel()
-
-
 def _densify_labels(raw: np.ndarray) -> tuple[np.ndarray, int]:
     """Relabel to dense 0..k-1 by first appearance; -1 (noise) passes through."""
-    mapping: dict[int, int] = {}
-    out = np.empty(len(raw), dtype=np.int64)
-    for i, lab in enumerate(raw):
-        lab = int(lab)
-        if lab == -1:
-            out[i] = -1
-            continue
-        if lab not in mapping:
-            mapping[lab] = len(mapping)
-        out[i] = mapping[lab]
-    return out, len(mapping)
+    raw = np.asarray(raw)
+    kept = raw != -1
+    _, first, inverse = np.unique(raw[kept], return_index=True, return_inverse=True)
+    out = np.full(len(raw), -1, dtype=np.int64)
+    out[kept] = np.argsort(np.argsort(first))[inverse]  # each value's rank by first row
+    return out, len(first)
 
 
 def pca_project(x, dim: int) -> np.ndarray:
@@ -128,10 +118,9 @@ def _lloyd(x, centers, max_iter, tol, sq_x):
         assign, point_cost = nearest(x, centers, sq_x)
         history.append(float(point_cost.sum()))
 
-        new_centers = centers.copy()
-        counts = np.bincount(assign, minlength=len(centers))
-        for c in np.flatnonzero(counts):
-            new_centers[c] = _row_sum(x[assign == c]) / counts[c]
+        counts = np.bincount(assign, minlength=len(centers))[:, None]
+        sums = _group_sums(x, assign, len(centers))
+        new_centers = np.where(counts > 0, sums / np.maximum(counts, 1), centers)
         # an empty cluster is reseeded at the point farthest from its center
         spent = point_cost.copy()
         for c in np.flatnonzero(counts == 0):
@@ -149,21 +138,17 @@ def _lloyd(x, centers, max_iter, tol, sq_x):
 
 
 def _minibatch(x, centers, batch_size, max_iter, tol, rng, sq_x):
-    n = x.shape[0]
-    counts = np.zeros(len(centers))
+    n, k = x.shape[0], len(centers)
+    counts = np.zeros((k, 1))
     for _ in range(max_iter):
         batch = rng.integers(0, n, size=min(batch_size, n))
         xb = x[batch]
         assign, _ = nearest(xb, centers, sq_x[batch])
-        new_centers = centers.copy()
-        for c in np.unique(assign):
-            members = xb[assign == c]
-            m = members.shape[0]
-            # running-mean update: equivalent to the per-sample learning rates
-            new_centers[c] = (counts[c] * centers[c] + _row_sum(members)) / (
-                counts[c] + m
-            )
-            counts[c] += m
+        m = np.bincount(assign, minlength=k)[:, None]
+        # running-mean update: equivalent to the per-sample learning rates
+        sums = counts * centers + _group_sums(xb, assign, k)
+        new_centers = np.where(m > 0, sums / np.maximum(counts + m, 1), centers)
+        counts += m
         shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
         centers = new_centers
         if shift < tol:
@@ -186,8 +171,9 @@ def kmeans(
 
     A ``FeatureMatrix`` or ``scipy.sparse`` input stays CSR: the assignment
     step is :func:`seqnet.distances.nearest`'s certified Gram step and the
-    centres are CSR row sums over counts. Labels, ``inertia`` and ``history``
-    keep the bits of dense explicit-difference Lloyd iterations.
+    centres are ``distances._group_sums`` row sums over counts. Labels,
+    ``inertia`` and ``history`` keep the bits of dense explicit-difference
+    Lloyd iterations.
     """
     x = _rows(x)
     n = x.shape[0]

@@ -128,8 +128,14 @@ def _row_tiles(a, b):
         b_blocks = _column_blocks(b) if _dense_blocks_pay(a, b) else None
         for start in range(0, a.shape[0], _TILE_ROWS):
             stop = start + _TILE_ROWS
-            gram = _gram(a[start:stop], b, b_blocks)
-            yield start, sq_a[start:stop, None] + sq_b[None, :] - 2.0 * gram
+            # every term is an exact integer, so forming the tile in place
+            # (one array, not three) does not change a bit
+            d2 = _gram(a[start:stop], b, b_blocks)
+            d2 *= -2.0
+            d2 += sq_a[start:stop, None]
+            d2 += sq_b[None, :]
+            yield start, d2
+            del d2  # not held while the next tile is made
         return
     a, b = _dense(a), _dense(b)
     step = max(1, min(_TILE_ROWS, _BLOCK_ELEMS // max(1, b.size)))
@@ -228,9 +234,24 @@ def nearest(x, centers, sq_x=None) -> tuple[np.ndarray, np.ndarray]:
     # negated so that a NaN bound fails the test too
     unsure = np.flatnonzero(~(d2.min(axis=1) > upper))
     best[unsure] = _recheck(x, centers, unsure)
+    return best, _assigned_sq(x, centers, best)
+
+
+def _assigned_sq(x, centers, assign) -> np.ndarray:
+    """|x[i] - centers[assign[i]]|^2 by explicit differences, ``_NEAREST_ELEMS`` at a time."""
+    n, dim = x.shape
     cost = np.empty(n)
     step = max(1, _NEAREST_ELEMS // max(1, dim))
     for start in range(0, n, step):
         stop = start + step
-        cost[start:stop] = _paired_sq(_dense(x[start:stop]), centers[best[start:stop]])
-    return best, cost
+        cost[start:stop] = _paired_sq(_dense(x[start:stop]), centers[assign[start:stop]])
+    return cost
+
+
+def _group_sums(x, codes, k: int) -> np.ndarray:
+    """Row c: x[codes == c].sum(axis=0), group by group, so numpy sums one
+    column pairwise and wider rows one by one as it would for that group."""
+    sums = np.zeros((k, x.shape[1]))
+    for c in np.flatnonzero(np.bincount(codes, minlength=k)):
+        sums[c] = np.asarray(x[codes == c].sum(axis=0)).ravel()
+    return sums

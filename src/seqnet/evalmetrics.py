@@ -6,10 +6,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.stats import rankdata
 
-from .distances import _dense, _rows, sq_distances
-from .errors import MissingScoresError, UndefinedMetricError
+from .distances import _assigned_sq, _group_sums, _row_tiles, _rows
+from .errors import ConfigError, MissingScoresError, UndefinedMetricError
 
 
 @dataclass(frozen=True)
@@ -35,14 +36,79 @@ class ClassificationReport:
     classes: tuple
 
 
-def _clean_clustering_input(x, labels):
-    """Drop noise points (label -1) and validate shapes."""
-    x = _dense(_rows(x))
-    labels = np.asarray(labels)
-    if len(labels) != len(x):
-        raise ValueError("labels length does not match rows")
-    keep = labels != -1
-    return x[keep], labels[keep]
+@dataclass(frozen=True)
+class _Clusters:
+    """What the three indices read: the rows (sparse stays CSR; noise dropped),
+    their codes, cluster sizes and centroids, and each row's own-centroid d^2."""
+
+    x: object
+    codes: np.ndarray
+    sizes: np.ndarray
+    centroids: np.ndarray
+    own_sq: np.ndarray
+
+
+def _clusters(x, labels) -> _Clusters:
+    x, labels = _rows(x), np.asarray(labels)
+    if len(labels) != x.shape[0]:
+        raise ConfigError(f"{len(labels)} labels for {x.shape[0]} rows")
+    noise = labels == -1
+    if noise.any():
+        x, labels = x[~noise], labels[~noise]
+    _, codes, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    centroids = _group_sums(x, codes, len(sizes)) / sizes[:, None]
+    return _Clusters(x, codes, sizes, centroids, _assigned_sq(x, centroids, codes))
+
+
+def _silhouette(c: _Clusters) -> float:
+    n, k = len(c.codes), len(c.sizes)
+    if k < 2:
+        raise UndefinedMetricError("silhouette needs at least 2 clusters")
+    onehot = sparse.csr_matrix((np.ones(n), (np.arange(n), c.codes)), shape=(n, k))
+    a, b = np.empty(n), np.empty(n)
+    # one row tile of distances at a time, summed into per-cluster columns
+    for start, d2 in _row_tiles(c.x, c.x):
+        rows, tile = np.arange(len(d2)), slice(start, start + len(d2))
+        sums = np.sqrt(d2, out=d2) @ onehot  # sums[i, c]: distance from row i to cluster c
+        a[tile] = sums[rows, c.codes[tile]]
+        sums /= c.sizes
+        sums[rows, c.codes[tile]] = np.inf
+        b[tile] = sums.min(axis=1)
+        del d2  # with _row_tiles' own del, one tile is held at a time
+    multi = c.sizes[c.codes] > 1
+    a[multi] /= c.sizes[c.codes[multi]] - 1
+    denom = np.maximum(a, b)
+    ok = multi & (denom > 0)
+    scores = np.zeros(n)
+    scores[ok] = (b[ok] - a[ok]) / denom[ok]
+    return float(scores.mean())
+
+
+def _calinski_harabasz(c: _Clusters) -> float:
+    n, k = len(c.codes), len(c.sizes)
+    if k < 2 or k >= n:
+        raise UndefinedMetricError(f"score undefined for k={k} with n={n}")
+    within = float(c.own_sq.sum())
+    if within == 0.0:
+        return float("inf")
+    mean = np.asarray(c.x.sum(axis=0)).ravel() / n
+    between = float(c.sizes @ ((c.centroids - mean) ** 2).sum(axis=1))
+    return (between / (k - 1)) / (within / (n - k))
+
+
+def _davies_bouldin(c: _Clusters) -> float:
+    k = len(c.sizes)
+    if k < 2:
+        raise UndefinedMetricError("score needs at least 2 clusters")
+    scatter = np.bincount(c.codes, weights=np.sqrt(c.own_sq), minlength=k) / c.sizes
+    worst = np.empty(k)
+    for start, d2 in _row_tiles(c.centroids, c.centroids):
+        rows, tile = np.arange(len(d2)), slice(start, start + len(d2))
+        d2[rows, start + rows] = np.inf  # a cluster's ratio to itself is 0
+        if np.any(d2 == 0.0):
+            raise UndefinedMetricError("coincident centroids")
+        worst[tile] = ((scatter[tile, None] + scatter) / np.sqrt(d2)).max(axis=1)
+    return float(worst.mean())
 
 
 def silhouette(x, labels) -> float:
@@ -50,82 +116,24 @@ def silhouette(x, labels) -> float:
 
     a is the mean distance to the point's own cluster (self excluded); b is
     the smallest mean distance to any other cluster. Points with a = b = 0
-    (coincident duplicated clusters) score 0.
-    """
-    x, labels = _clean_clustering_input(x, labels)
-    classes, inverse = np.unique(labels, return_inverse=True)
-    if len(classes) < 2:
-        raise UndefinedMetricError("silhouette needs at least 2 clusters")
-    n, k = len(x), len(classes)
-    dist = np.sqrt(sq_distances(x))
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), inverse] = 1.0
-    sums = dist @ onehot  # sums[i, c] = total distance from i to cluster c
-    counts = onehot.sum(axis=0)
-
-    own_count = counts[inverse]
-    scores = np.zeros(n)
-    multi = own_count > 1
-    a = np.zeros(n)
-    a[multi] = sums[np.arange(n), inverse][multi] / (own_count[multi] - 1)
-    mean_other = sums / counts[None, :]
-    mean_other[np.arange(n), inverse] = np.inf
-    b = mean_other.min(axis=1)
-    denom = np.maximum(a, b)
-    ok = multi & (denom > 0)
-    scores[ok] = (b[ok] - a[ok]) / denom[ok]
-    return float(scores.mean())
+    (coincident duplicated clusters) score 0. No n x n matrix is held."""
+    return _silhouette(_clusters(x, labels))
 
 
 def calinski_harabasz(x, labels) -> float:
     """Between-cluster dispersion over within-cluster dispersion, dof-scaled."""
-    x, labels = _clean_clustering_input(x, labels)
-    classes = np.unique(labels)
-    n, k = len(x), len(classes)
-    if k < 2 or k >= n:
-        raise UndefinedMetricError(f"score undefined for k={k} with n={n}")
-    mean = x.mean(axis=0)
-    between = 0.0
-    within = 0.0
-    for c in classes:
-        member = x[labels == c]
-        centroid = member.mean(axis=0)
-        between += len(member) * float(((centroid - mean) ** 2).sum())
-        within += float(((member - centroid) ** 2).sum())
-    if within == 0.0:
-        return float("inf")
-    return (between / (k - 1)) / (within / (n - k))
+    return _calinski_harabasz(_clusters(x, labels))
 
 
 def davies_bouldin(x, labels) -> float:
     """Mean over clusters of the worst (S_i + S_j) / M_ij similarity ratio."""
-    x, labels = _clean_clustering_input(x, labels)
-    classes = np.unique(labels)
-    k = len(classes)
-    if k < 2:
-        raise UndefinedMetricError("score needs at least 2 clusters")
-    centroids = np.stack([x[labels == c].mean(axis=0) for c in classes])
-    scatter = np.array(
-        [
-            float(np.sqrt(((x[labels == c] - centroids[i]) ** 2).sum(axis=1)).mean())
-            for i, c in enumerate(classes)
-        ]
-    )
-    sep = np.sqrt(sq_distances(centroids))
-    if np.any(sep[~np.eye(k, dtype=bool)] == 0.0):
-        raise UndefinedMetricError("coincident centroids")
-    ratios = (scatter[:, None] + scatter[None, :]) / np.where(sep > 0, sep, 1.0)
-    np.fill_diagonal(ratios, -np.inf)
-    return float(ratios.max(axis=1).mean())
+    return _davies_bouldin(_clusters(x, labels))
 
 
 def cluster_quality(x, labels, runtime_sec: float = 0.0) -> ClusterQualityReport:
-    return ClusterQualityReport(
-        silhouette=silhouette(x, labels),
-        calinski_harabasz=calinski_harabasz(x, labels),
-        davies_bouldin=davies_bouldin(x, labels),
-        runtime_sec=runtime_sec,
-    )
+    c = _clusters(x, labels)
+    scores = _silhouette(c), _calinski_harabasz(c), _davies_bouldin(c)
+    return ClusterQualityReport(*scores, runtime_sec)
 
 
 def _binary_auc(truth: np.ndarray, score: np.ndarray) -> float:

@@ -7,15 +7,18 @@ cumulative-sum scan per node) and scorer that its lockstep grower and flat
 trees replaced. ``LinearSVMReference`` trains one fit's classes in lockstep
 over its whole visit schedule, and ``cv_accuracy_reference`` fits one
 (grid entry, fold) at a time; the library now advances every fit of a
-protocol cell's grid together. Tests require the library to build the same
-trees, scores, weights and CV accuracies, bit for bit.
+protocol cell's grid together. ``GaussianNBReference`` fits each class's
+mean and variance from its own member rows, where the library sums every
+class through ``seqnet.distances._group_sums``. Tests require the library to
+build the same trees, scores, weights, CV accuracies and Gaussian NB
+parameters, bit for bit.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from seqnet.classify import LinearSVM, _gini, _prepare, make_classifier
+from seqnet.classify import GaussianNB, LinearSVM, _gini, _prepare, make_classifier
 from seqnet.errors import ConfigError
 
 # Class-count cells in one block of ``_grow_tree``'s scan.
@@ -243,3 +246,18 @@ def cv_accuracy_reference(name, params, x, y, folds):
         ]))
     except ConfigError:
         return float("-inf")
+
+
+class GaussianNBReference(GaussianNB):
+    def _fit(self, x, y):
+        x, self.classes_, encoded = _prepare(x, y)
+        k, d = len(self.classes_), x.shape[1]
+        eps = max(self.var_smoothing * float(x.var(axis=0).max()), 1e-12)
+        self._means = np.empty((k, d))
+        self._vars = np.empty((k, d))
+        self._priors = np.empty(k)
+        for c in range(k):
+            members = x[encoded == c]
+            self._means[c] = members.mean(axis=0)
+            self._vars[c] = members.var(axis=0) + eps
+            self._priors[c] = len(members) / len(x)

@@ -12,6 +12,10 @@ and an ``active`` set and branched on ``linkage`` at each step.
 ``seqnet.cluster.agglomerative`` must return the same labels, ``k_found``
 and ``forced_merges``.
 
+Labels: ``densify_labels_reference`` relabels by first appearance in a loop
+over the rows, as ``seqnet.cluster._densify_labels`` did before it used
+``np.unique``; tests require the same labels and count.
+
 Assignments: ``load_assignment_reference`` reads the CSV one line at a time
 with ``int()``, the way ``seqnet.cluster.load_assignment`` did before it read
 the body through ``seqnet.tables.read_rows``; tests require the same labels,
@@ -21,11 +25,26 @@ or a ``ParseError`` on the same line.
 import numpy as np
 from scipy import sparse
 
-from seqnet.cluster import ClusterAssignment, _densify_labels
+from seqnet.cluster import ClusterAssignment
 from seqnet.distances import _dense, _rows, sq_distances
 from seqnet.errors import ConfigError, ParseError, parse_numbers
 from seqnet.featurize import FeatureMatrix
 from seqnet.ssn import SimilarityNetwork
+
+
+def densify_labels_reference(raw):
+    """Relabel to dense 0..k-1 by first appearance; -1 (noise) passes through."""
+    mapping: dict[int, int] = {}
+    out = np.empty(len(raw), dtype=np.int64)
+    for i, lab in enumerate(raw):
+        lab = int(lab)
+        if lab == -1:
+            out[i] = -1
+            continue
+        if lab not in mapping:
+            mapping[lab] = len(mapping)
+        out[i] = mapping[lab]
+    return out, len(mapping)
 
 
 def _as_array(x):
@@ -122,7 +141,7 @@ def kmeans_reference(x, k, seed=0, batch_size=None, max_iter=300, tol=1e-6, n_in
         if best is None or sse < best[1]:
             best = (assign, sse, history)
     assign, sse, history = best
-    labels, k_found = _densify_labels(assign)
+    labels, k_found = densify_labels_reference(assign)
     return ClusterAssignment(labels, k_found, inertia=sse, history=tuple(history))
 
 

@@ -9,6 +9,7 @@ import classify_reference
 import numpy as np
 import pytest
 from classify_reference import (
+    GaussianNBReference,
     LinearSVMReference,
     _Leaf,
     _Split,
@@ -191,6 +192,23 @@ class TestGaussianNB:
         y = np.array([0, 0, 0, 1])
         model = GaussianNB().fit(x, y)
         assert model._priors.tolist() == pytest.approx([0.75, 0.25])
+
+
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 1e-9, 1e-3]), st.sampled_from([1.0, 1e-3, 1e6]))
+@settings(max_examples=100, deadline=None)
+def test_gaussian_nb_matches_per_class_members(dim, n_classes, seed, smoothing, scale):
+    """Means, variances, priors and scores keep the bits of each class's
+    own members.mean/var(axis=0), at d = 1 too (one column sums pairwise)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(n_classes, 60))
+    y = np.concatenate([np.arange(n_classes), rng.integers(0, n_classes, n - n_classes)])
+    x = rng.normal(size=(n, dim)) * scale + rng.normal(size=dim) * 10 * scale
+    got = GaussianNB(var_smoothing=smoothing).fit(x, y)
+    want = GaussianNBReference(var_smoothing=smoothing).fit(x, y)
+    for attr in ("_means", "_vars", "_priors"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+    assert np.array_equal(got.predict_scores(x), want.predict_scores(x))
 
 
 class TestLinearSVM:

@@ -5,13 +5,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from evalmetrics_reference import cluster_quality_reference
 
 from seqnet import classify
 from seqnet.cli import _effective, build_parser, main
 from seqnet.config import SECTIONS, PipelineConfig, load_config
 from seqnet.embed import EmbeddingMatrix, load_embedding, save_embedding
 from seqnet.errors import ConfigError, DimensionError
-from seqnet.featurize import load_features
+from seqnet.cluster import load_assignment, pca_project
+from seqnet.featurize import FeatureMatrix, load_features
 from seqnet.ssn import connected_components, load_graph, network_from_edges, save_graph
 
 
@@ -243,6 +245,35 @@ class TestPipelineCommands:
         assert lines[0] == "algorithm,silhouette,calinski_harabasz,davies_bouldin,runtime_sec"
         assert lines[1].startswith("kmeans,")
         assert lines[1].endswith(",0.0")  # timings off by default
+
+    def test_evaluate_and_pca2d_on_sparse_features(self, pipeline_dir):
+        features = pipeline_dir / "features.csv"
+        assign = pipeline_dir / "assign.csv"
+        report = pipeline_dir / "quality.csv"
+        proj = pipeline_dir / "proj.csv"
+        assert run(
+            "cluster", "--features", features, "--output", assign,
+            "--method", "kmeans", "--k-clusters", 3, "--seed", 0,
+        ) == 0
+        dense = load_features(features).to_dense()
+        with mock.patch.object(FeatureMatrix, "to_dense",
+                               side_effect=AssertionError("densified")):
+            assert run(
+                "evaluate", "--features", features, "--assignments", assign,
+                "--output", report,
+            ) == 0
+            assert run("pca2d", "--input", features, "--output", proj) == 0
+        want = cluster_quality_reference(dense, load_assignment(assign))
+        row = report.read_text().splitlines()[1].split(",")
+        got = [float(v) for v in row[1:4]]
+        assert got == pytest.approx(
+            [want.silhouette, want.calinski_harabasz, want.davies_bouldin], rel=1e-12
+        )
+        # the projection of the features' dense rows, byte for byte
+        expected = "node_index,pc0,pc1\n" + "".join(
+            f"{i},{pc0!r},{pc1!r}\n" for i, (pc0, pc1) in enumerate(pca_project(dense, 2).tolist())
+        )
+        assert proj.read_text() == expected
 
     def test_timings_flag_round_trip(self, pipeline_dir):
         assign = pipeline_dir / "assign_t.csv"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from cluster_reference import (
     agglomerative_reference,
+    densify_labels_reference,
     kmeans_reference,
     load_assignment_reference,
 )
@@ -15,6 +16,7 @@ from scipy import sparse
 from seqnet import distances, tables
 from seqnet.cluster import (
     ClusterAssignment,
+    _densify_labels,
     agglomerative,
     dbscan,
     elbow_select_k,
@@ -161,6 +163,16 @@ def test_kmeans_matches_dense_reference(case, seed, batch_size, max_iter, n_init
         got = kmeans(x, k, seed=seed, batch_size=batch_size, max_iter=max_iter, n_init=n_init)
     same_fit(got, kmeans_reference(dense, k, seed=seed, batch_size=batch_size,
                                    max_iter=max_iter, n_init=n_init))
+
+
+@given(st.lists(st.one_of(st.just(-1), st.integers(-3, 8), st.integers(-2**40, 2**40)),
+                max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_densify_labels_matches_row_loop(raw):
+    raw = np.array(raw, dtype=np.int64)
+    got, k = _densify_labels(raw)
+    want, want_k = densify_labels_reference(raw)
+    assert got.dtype == want.dtype and np.array_equal(got, want) and k == want_k
 
 
 def test_nearest_rechecks_only_the_rows_the_bound_leaves_open():

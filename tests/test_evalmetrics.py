@@ -1,7 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from evalmetrics_reference import (
+    calinski_harabasz_reference,
+    cluster_quality_reference,
+    davies_bouldin_reference,
+    silhouette_reference,
+)
+from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
-from seqnet.errors import MissingScoresError, UndefinedMetricError
+from seqnet.errors import ConfigError, MissingScoresError, UndefinedMetricError
 from seqnet.evalmetrics import (
     calinski_harabasz,
     classification_report,
@@ -10,6 +20,7 @@ from seqnet.evalmetrics import (
     roc_auc_ovr,
     silhouette,
 )
+from seqnet.featurize import FeatureMatrix
 
 FOUR_POINTS = np.array([[0.0], [1.0], [10.0], [11.0]])
 FOUR_LABELS = np.array([0, 0, 1, 1])
@@ -151,6 +162,135 @@ class TestDaviesBouldin:
         assert report.calinski_harabasz == pytest.approx(200.0, abs=1e-6)
         assert report.davies_bouldin == pytest.approx(0.1, abs=1e-6)
         assert report.runtime_sec == 1.5
+
+
+INDICES = (
+    (silhouette, silhouette_reference),
+    (calinski_harabasz, calinski_harabasz_reference),
+    (davies_bouldin, davies_bouldin_reference),
+)
+
+
+def outcome(index, x, labels):
+    """An index's value, or the type of the error it raised."""
+    try:
+        return index(x, labels)
+    except UndefinedMetricError as exc:
+        return type(exc)
+
+
+def assert_close(got, want):
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
+def assert_matches_reference(x, labels, dense):
+    """Each index and ``cluster_quality`` on x agree with the reference code
+    on the dense rows: the same value to 1e-12 relative, or the same error."""
+    want = [outcome(reference, dense, labels) for _, reference in INDICES]
+    for (index, _), value in zip(INDICES, want):
+        assert_close(outcome(index, x, labels), value)
+    if any(isinstance(value, type) for value in want):
+        with pytest.raises(UndefinedMetricError):
+            cluster_quality(x, labels)
+        return
+    report = cluster_quality(x, labels, runtime_sec=2.5)
+    reference = cluster_quality_reference(dense, labels, runtime_sec=2.5)
+    for field in ("silhouette", "calinski_harabasz", "davies_bouldin"):
+        assert_close(getattr(report, field), getattr(reference, field))
+    assert report.runtime_sec == 2.5
+
+
+def forms(dense):
+    """The rows as a dense array, CSR, and (20 columns) a k=1 FeatureMatrix."""
+    out = [dense, sparse.csr_matrix(dense)]
+    if dense.shape[1] == 20:
+        out.append(FeatureMatrix(sparse.csr_matrix(dense), 1))
+    return out
+
+
+@st.composite
+def clusterings(draw):
+    """(dense rows, labels): rows drawn from a small pool, so duplicate rows,
+    coincident clusters and coincident centroids are common; integer counts
+    (20 wide, or 1-5) or floats; labels 0-5 with -1 noise."""
+    kind = draw(st.sampled_from(["features", "counts", "floats"]))
+    dim = 20 if kind == "features" else draw(st.integers(1, 5))
+    if kind == "floats":
+        values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    else:
+        values = st.integers(0, 6)
+    pool = draw(st.lists(st.lists(values, min_size=dim, max_size=dim), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
+    labels = draw(st.lists(st.integers(-1, 5), min_size=len(picks), max_size=len(picks)))
+    return np.array(pool, dtype=np.float64)[picks], np.array(labels)
+
+
+class TestAgainstReference:
+    """The indices from one per-cluster summary against the code that
+    densified the rows once per index (tests/evalmetrics_reference.py)."""
+
+    @given(clusterings())
+    @settings(max_examples=200, deadline=None)
+    def test_random_clusterings(self, case):
+        dense, labels = case
+        for x in forms(dense):
+            assert_matches_reference(x, labels, dense)
+
+    @pytest.mark.parametrize("dense, labels", [
+        # noise rows are left out
+        (np.array([[0.0], [1.0], [10.0], [11.0], [500.0]]), [0, 0, 1, 1, -1]),
+        # a singleton cluster scores 0 in silhouette
+        (np.array([[0.0, 1.0], [0.5, 2.0], [9.0, 3.0], [4.0, 4.0]]), [0, 0, 1, 2]),
+        # coincident clusters: silhouette 0, within = 0 so CH is inf, DB raises
+        (np.zeros((4, 3)), [0, 0, 1, 1]),
+        # within = 0 with distinct centroids: CH inf, DB 0
+        (np.array([[0.0], [0.0], [5.0], [5.0]]), [0, 0, 1, 1]),
+        # coincident centroids: DB raises
+        (np.array([[0.0], [2.0], [0.5], [1.5]]), [0, 0, 1, 1]),
+        # k >= n: every row its own cluster; CH raises
+        (np.array([[1.0, 0.0], [0.0, 3.0], [2.0, 2.0]]), [2, 0, 1]),
+        # one cluster left after the noise: every index raises
+        (np.array([[1.0], [2.0], [3.0]]), [4, -1, 4]),
+        # all noise
+        (np.array([[1.0], [2.0]]), [-1, -1]),
+    ])
+    def test_degenerate_clusterings(self, dense, labels):
+        for x in forms(dense):
+            assert_matches_reference(x, np.array(labels), dense)
+
+    def test_counts_many_tiles(self):
+        # more rows than one 512-row tile, counts 20 wide with noise
+        rng = np.random.default_rng(5)
+        dense = rng.integers(0, 4, size=(1100, 20)).astype(np.float64)
+        labels = rng.integers(-1, 6, size=1100)
+        for x in forms(dense):
+            assert_matches_reference(x, labels, dense)
+
+    def test_length_mismatch_is_a_config_error(self):
+        for index in (silhouette, calinski_harabasz, davies_bouldin, cluster_quality):
+            with pytest.raises(ConfigError):
+                index(FOUR_POINTS, [0, 1, 0])
+        assert issubclass(ConfigError, ValueError)
+
+
+def test_quality_holds_no_n_by_n_matrix():
+    n = 3000
+    rng = np.random.default_rng(0)
+    counts = sparse.random(n, 400, density=0.1, format="csr", random_state=rng,
+                           data_rvs=lambda size: rng.integers(1, 6, size).astype(np.float64))
+    labels = rng.integers(-1, 5, size=n)
+    for x in (counts, counts.toarray(), FeatureMatrix(counts, 2)):
+        tracemalloc.start()
+        try:
+            cluster_quality(x, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # holding the n x n distances would take 72 MB
+        assert peak < n * n * 8 / 2
 
 
 class TestClassificationReport:
