@@ -145,7 +145,9 @@ def _row_tiles(a, b):
             yield start, _paired_sq(rows, b)[:, None]
             continue
         diff = rows[:, None, :] - b[None, :, :]
-        yield start, np.einsum("ijk,ijk->ij", diff, diff)
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        del diff  # not held while the next block is made
+        yield start, d2
 
 
 def sq_distances(a, b=None) -> np.ndarray:

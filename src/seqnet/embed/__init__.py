@@ -44,20 +44,24 @@ def _check_dim(d: int) -> None:
 
 
 from .walks import WalkConfig, WalkCorpus, generate_walks, step_distribution  # noqa: E402
-from .sgns import pair_gradients, pair_loss, sgns_train, unigram_distribution  # noqa: E402
+from .sgns import (  # noqa: E402
+    pair_gradients, pair_loss, sgns_fit, sgns_train, unigram_distribution,
+)
 from .factorization import gf_gradient, gf_objective, graph_factorization  # noqa: E402
 from .spectral import hope_embed, laplacian_eigenmaps, lle_embed  # noqa: E402
 
 
 def node2vec(graph, d: int = 200, config: Optional[WalkConfig] = None) -> EmbeddingMatrix:
-    """Biased-walk corpus plus skip-gram training; p and q come from config."""
+    """Biased-walk corpus plus skip-gram training; p and q come from config.
+    ``info`` holds p, q, seed, the corpus's ``walk_steps`` and the counters of
+    :func:`sgns_fit`."""
     _check_dim(d)
     config = config or WalkConfig()
     corpus = generate_walks(graph, config)
-    vectors = sgns_train(corpus, graph.n, d, config)
-    return EmbeddingMatrix(
-        vectors, "node2vec", d, info={"p": config.p, "q": config.q, "seed": config.seed}
-    )
+    vectors, counters = sgns_fit(corpus, graph.n, d, config)
+    info = {"p": config.p, "q": config.q, "seed": config.seed,
+            "walk_steps": int((corpus.walks[:, 1:] >= 0).sum()), **counters}
+    return EmbeddingMatrix(vectors, "node2vec", d, info=info)
 
 
 def deepwalk(graph, d: int = 200, config: Optional[WalkConfig] = None) -> EmbeddingMatrix:

@@ -9,20 +9,28 @@ The pairs come from the walk array in one fixed order (:func:`corpus_pairs`),
 and updates are applied in deterministic mini-batches over a seeded
 permutation of them, so a fixed seed reproduces the embedding exactly. The
 per-pair loss and gradients are exposed for finite-difference checking.
+
+Each run of ``_GROUP`` consecutive pairs of a batch shares one set of m
+negatives (Ji et al. 2016, arXiv:1604.04661): each pair still sees m iid
+noise draws, but a batch gathers b target rows, b context rows and G * m
+negative rows instead of a (b, m+1, d) block, and scores its negatives
+with one stacked (group x d)(d x m) ``matmul``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
+from scipy.sparse import _sparsetools
 from scipy.special import expit
 
-from ..errors import ConfigError
+from ..errors import ConfigError, DivergenceError
 from .walks import WalkConfig, WalkCorpus
 
 _MIN_LR_FRACTION = 1e-4
 _BATCH_CAP = 4096
 _BATCH_PER_NODE = 3
+# pairs of a batch that share one negative set
+_GROUP = 32
 
 
 def _log_sigmoid(x):
@@ -75,31 +83,72 @@ def corpus_pairs(corpus: WalkCorpus, window: int) -> tuple[np.ndarray, np.ndarra
     return targets[keep], contexts[keep]
 
 
-def _sgns_batch(u: np.ndarray, v: np.ndarray, t_idx, rows: np.ndarray, alpha) -> None:
+def _scatter_add(out: np.ndarray, rows, weights, grads: np.ndarray) -> None:
+    """``out[rows[i]] += weights[i] * grads[i]`` for each i in turn, in place
+    on the C-contiguous ``out``: scipy's kernel behind a CSC matrix (one entry
+    per gradient row) times a dense block, run on ``out`` instead of on a
+    zeroed product."""
+    k = len(rows)
+    _sparsetools.csc_matvecs(len(out), k, out.shape[1], np.arange(k + 1, dtype=rows.dtype),
+                             rows, weights.astype(out.dtype, copy=False), grads.ravel(),
+                             out.ravel())
+
+
+def _sgns_batch(u, v, t_idx, c_idx, negatives, alpha, group: int) -> float:
     """One in-place step, from the batch-start parameters, for the pairs
-    (``t_idx[i]``, ``rows[i, 0]``) with negatives ``rows[i, 1:]``: one
-    ``u[rows]`` gather, two batched matmuls for the scores and the target
-    gradients, and scatters through the transpose of a (b x n) CSR matrix
-    with m+1 entries alpha * (label - sigmoid) per row for u, one alpha for v."""
-    b, width = rows.shape
-    vt, ur = v[t_idx], u[rows]
-    coeff = -expit(np.matmul(ur, vt[:, :, None])[:, :, 0])
-    coeff[:, 0] += 1.0
-    dv = np.matmul(coeff[:, None, :], ur)[:, 0]
-    layout = np.arange(0, b * width + 1, width)
-    u += sparse.csr_matrix(((alpha * coeff).ravel(), rows.ravel(), layout), (b, len(u))).T @ vt
-    v += sparse.csr_matrix((np.full(b, alpha), t_idx, np.arange(b + 1)), (b, len(v))).T @ dv
+    (``t_idx[i]``, ``c_idx[i]``), where pair i takes the negatives
+    ``negatives[i // group]``; returns the float64 sum of the pairs'
+    :func:`pair_loss`.
+
+    The targets are gathered into a zero-padded (G * group, d) block, so the
+    negative scores of each group are one (group x d)(d x m) product and the
+    padding scores nothing. One stacked ``matmul`` gives those scores, one
+    the target gradients' negative part and one each negative's summed
+    gradient. u takes b + G * m gradient rows and v takes b, each by
+    :func:`_scatter_add`.
+    """
+    b, (sets, m), d = len(t_idx), negatives.shape, v.shape[1]
+    vt = np.empty((sets * group, d), dtype=v.dtype)
+    # "clip" writes straight into out ("raise" buffers it); every index is a node
+    np.take(v, t_idx, axis=0, out=vt[:b], mode="clip")
+    vt[b:] = 0.0
+    blocks = vt.reshape(sets, group, d)
+    uc, un = u[c_idx], u[negatives]
+    pos = np.einsum("ij,ij->i", vt[:b], uc)
+    neg = np.matmul(blocks, un.transpose(0, 2, 1))
+    s_pos, s_neg = expit(pos), expit(neg)
+    loss = -np.log(s_pos).sum(dtype=np.float64)
+    loss -= np.log(expit(-neg.reshape(-1, m)[:b])).sum(dtype=np.float64)
+    # ascent coefficients: 1 - sigmoid for the context, -sigmoid for a negative
+    c_pos = 1.0 - s_pos
+    dv = np.matmul(s_neg, un).reshape(-1, d)[:b]
+    np.multiply(uc, c_pos[:, None], out=uc)
+    uc -= dv
+    du = np.matmul(s_neg.transpose(0, 2, 1), blocks)
+    _scatter_add(u, c_idx, alpha * c_pos, vt[:b])
+    _scatter_add(u, negatives.ravel(), np.full(sets * m, -alpha), du)
+    _scatter_add(v, t_idx, np.full(b, alpha), uc)
+    return float(loss)
 
 
-def sgns_train(corpus: WalkCorpus, n: int, d: int, config: WalkConfig) -> np.ndarray:
-    """Train target vectors (n x d) for ``config.epochs`` passes over the pairs.
+def sgns_fit(corpus: WalkCorpus, n: int, d: int, config: WalkConfig) -> tuple[np.ndarray, dict]:
+    """Target vectors (n x d) for ``config.epochs`` passes over the pairs, and
+    the trainer's counters.
 
     Each batch of a seeded permutation of the pairs takes one :func:`_sgns_batch`
     step at a learning rate decaying linearly per batch to a small floor, the
     word2vec convention. The batch grows with n so a row absorbs only a few
     summed gradients per step (large batches on small graphs overshoot and
-    diverge). Returns the target-side matrix.
+    diverge). A batch draws one ``(G, m)`` block of negatives, a row for
+    each of its G groups of ``_GROUP`` pairs (the last may be short). The
+    counters are ``sgns_pairs``, ``negative_sets`` (the groups
+    over all epochs) and ``final_loss``, the mean :func:`pair_loss` of the last
+    epoch's pairs at their batches' starting parameters. Raises
+    DivergenceError at the first epoch that leaves a non-finite value.
     """
+    # the kernel's scatters write rows by index unchecked
+    if (top := int(corpus.walks.max(initial=-1))) >= n:
+        raise ConfigError(f"the corpus visits node {top} of a graph of {n} nodes")
     batch_size = min(_BATCH_CAP, max(256, _BATCH_PER_NODE * n))
     targets, contexts = corpus_pairs(corpus, config.window)
     noise_cdf = np.cumsum(unigram_distribution(corpus, n))
@@ -116,15 +165,35 @@ def sgns_train(corpus: WalkCorpus, n: int, d: int, config: WalkConfig) -> np.nda
     u = np.zeros((n, d), dtype=np.float32)
     n_pairs = len(targets)
     m, batches = config.negatives, (n_pairs + batch_size - 1) // batch_size
+    sets_total = 0
     for epoch in range(config.epochs):
         order = rng.permutation(n_pairs)
-        for batch, start in enumerate(range(0, n_pairs, batch_size), epoch * batches):
-            chunk = order[start : start + batch_size]
-            x = rng.random((len(chunk), m)).ravel()
-            negatives = guide[(x * (4 * n)).astype(np.intp)]
-            while (low := np.flatnonzero(noise_cdf[negatives] < x)).size:
-                negatives[low] += 1
-            rows = np.column_stack([contexts[chunk], negatives.reshape(-1, m)])
-            rate = max(1.0 - batch / (config.epochs * batches), _MIN_LR_FRACTION)
-            _sgns_batch(u, v, targets[chunk], rows, np.float32(config.learning_rate * rate))
-    return v.astype(np.float64)
+        loss = 0.0
+        # a step that leaves the finite range is reported below, as the
+        # epoch's divergence
+        with np.errstate(all="ignore"):
+            for batch, start in enumerate(range(0, n_pairs, batch_size), epoch * batches):
+                chunk = order[start : start + batch_size]
+                sets = -(-len(chunk) // _GROUP)
+                x = rng.random((sets, m)).ravel()
+                negatives = guide[(x * (4 * n)).astype(np.intp)]
+                while (low := np.flatnonzero(noise_cdf[negatives] < x)).size:
+                    negatives[low] += 1
+                rate = max(1.0 - batch / (config.epochs * batches), _MIN_LR_FRACTION)
+                alpha = np.float32(config.learning_rate * rate)
+                loss += _sgns_batch(u, v, targets[chunk], contexts[chunk],
+                                    negatives.reshape(sets, m), alpha, _GROUP)
+                sets_total += sets
+        if not (np.isfinite(v).all() and np.isfinite(u).all()):
+            raise DivergenceError(
+                f"SGNS diverged in epoch {epoch + 1} of {config.epochs} "
+                f"(learning_rate={config.learning_rate}); lower learning_rate"
+            )
+    info = {"sgns_pairs": config.epochs * n_pairs, "negative_sets": sets_total,
+            "final_loss": loss / n_pairs if n_pairs else 0.0}
+    return v.astype(np.float64), info
+
+
+def sgns_train(corpus: WalkCorpus, n: int, d: int, config: WalkConfig) -> np.ndarray:
+    """The target vectors of :func:`sgns_fit`."""
+    return sgns_fit(corpus, n, d, config)[0]

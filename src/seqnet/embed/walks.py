@@ -49,8 +49,8 @@ class WalkConfig:
         # 1/p and 1/q are step weights, so they must be finite too
         if not all(x > 0 and math.isfinite(x) and math.isfinite(1 / x) for x in (self.p, self.q)):
             raise ConfigError("p and q must be positive and finite, with finite inverses")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ConfigError("learning_rate must be positive and finite")
 
 
 @dataclass(frozen=True)

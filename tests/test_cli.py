@@ -414,6 +414,18 @@ class TestPipelineCommands:
         assert "diverged in epoch" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rate, code", [("nan", 4), ("inf", 4), ("1e30", 5)])
+    def test_embed_walk_learning_rate_exit_code(self, pipeline_dir, capsys, rate, code):
+        out = pipeline_dir / "n2v.csv"
+        assert run(
+            "embed", "--input", pipeline_dir / "graph.tsv", "--output", out,
+            "--method", "node2vec", "--dim", 4, "--walks-per-node", 2, "--walk-length", 10,
+            "--learning-rate", rate,
+        ) == code
+        err = capsys.readouterr().err
+        assert ("finite" if code == 4 else "diverged in epoch 1") in err
+        assert not out.exists()
+
     def test_report_merges_matching_schemas(self, pipeline_dir):
         a = pipeline_dir / "qa.csv"
         b = pipeline_dir / "qb.csv"

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -152,6 +153,24 @@ def test_one_pair_block_keeps_the_bits_of_a_larger_block():
     c = rng.normal(size=(1, 8530)) * 100
     assert sq_distances(x[:1], c)[0, 0] == sq_distances(x, c)[0, 0]
     assert sq_distances(c, x[:1])[0, 0] == sq_distances(c, x)[0, 0]
+
+
+def test_difference_branch_holds_one_block_at_a_time():
+    """Float rows take explicit-difference blocks; each is freed before its
+    tile is handed out, so the traced peak stays under 1.5 blocks, and the
+    lists are the oracle's."""
+    x = np.random.default_rng(0).normal(size=(600, 16))
+    want = k_nearest_reference(x, 5)
+    block = 20 * x.size  # 20 query rows a block: 1.5 MB of differences
+    with mock.patch.object(distances, "_BLOCK_ELEMS", block):
+        tracemalloc.start()
+        try:
+            got = k_nearest(x, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert got.tolist() == want
+    assert peak < 1.5 * block * 8
 
 
 def test_one_dimensional_input_is_a_column():

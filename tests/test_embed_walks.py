@@ -72,6 +72,11 @@ class TestWalkConfig:
         with pytest.raises(ConfigError):
             WalkConfig(learning_rate=-1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_learning_rate_must_be_finite(self, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            WalkConfig(learning_rate=bad)
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0, 1e-320])
     def test_p_and_q_and_their_inverses_are_finite(self, bad):
         # 1e-320 is finite, but its inverse is not
@@ -221,9 +226,28 @@ class TestArrayCorpusMatchesReference:
                          epochs=2, seed=7)
         corpus, walks = self.check(graph, cfg)
         got = sgns_train(corpus, graph.n, 6, cfg)
-        want = reference.sgns_train(walks, graph.n, 6, cfg)
-        # float32 rounding only; the largest deviation seen on this grid is
-        # 8.3e-7 at |want| <= 1.58, about 4.4 eps
+        want = reference.sgns_train(walks, graph.n, 6, cfg, group=sgns._GROUP)
+        # float32 rounding only
+        assert np.abs(got - want).max() <= SGNS_EPS * np.abs(want).max()
+
+    @pytest.mark.parametrize("kernel", ["grouped", "per_pair"])
+    def test_sgns_vectors_at_one_pair_per_group(self, kernel, monkeypatch):
+        """At group 1 every pair draws its own m negatives, the law before
+        shared negatives: the trainer matches the reference there with its own
+        kernel and with the per-pair kernel it ran under that law."""
+        monkeypatch.setattr(sgns, "_GROUP", 1)
+        if kernel == "per_pair":
+            def per_pair(u, v, t_idx, c_idx, negatives, alpha, group):
+                reference.per_pair_batch(u, v, t_idx, np.column_stack([c_idx, negatives]), alpha)
+                return 0.0
+
+            monkeypatch.setattr(sgns, "_sgns_batch", per_pair)
+        graph = network_from_edges(12, zip(*two_cliques(5).adjacency.nonzero()))
+        cfg = WalkConfig(walks_per_node=3, walk_length=12, window=4, p=0.5, q=2.0, epochs=2,
+                         seed=7)
+        corpus, walks = self.check(graph, cfg)
+        got = sgns_train(corpus, graph.n, 6, cfg)
+        want = reference.sgns_train(walks, graph.n, 6, cfg, group=1)
         assert np.abs(got - want).max() <= SGNS_EPS * np.abs(want).max()
 
     @given(st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=8), max_size=6),
@@ -240,6 +264,11 @@ class TestArrayCorpusMatchesReference:
             want = reference.unigram_distribution(walks, 10)
             assert np.array_equal(unigram_distribution(corpus, 10), want)
 
+    def test_corpus_nodes_must_be_graph_nodes(self):
+        corpus = WalkCorpus(np.array([[0, 1, 4]], dtype=np.int32))
+        with pytest.raises(ConfigError, match="node 4"):
+            sgns_train(corpus, 4, 2, WalkConfig(walks_per_node=1, walk_length=3))
+
     def test_empty_graph_is_an_empty_corpus(self):
         graph = network_from_edges(0, [])
         cfg = WalkConfig(walks_per_node=2, walk_length=5)
@@ -247,7 +276,7 @@ class TestArrayCorpusMatchesReference:
         walks = reference.generate_walks(graph, cfg)
         assert corpus.walks.shape == (0, 5) and walks == ()
         for train in (lambda: sgns_train(corpus, 0, 4, cfg),
-                      lambda: reference.sgns_train(walks, 0, 4, cfg)):
+                      lambda: reference.sgns_train(walks, 0, 4, cfg, group=sgns._GROUP)):
             with pytest.raises(ConfigError, match="empty corpus"):
                 train()
 
@@ -371,8 +400,9 @@ class TestBiasedStepLaw:
 
 class TestNegativeDraw:
     """The guide-table negatives of ``sgns_train`` are exactly
-    ``np.searchsorted`` on its clamped noise CDF: on the trainer's own draws,
-    and on draws forced onto the CDF values, their float neighbors, 0.0 and the
+    ``np.searchsorted`` on its clamped noise CDF, one (G, m) block per batch
+    for its G = ceil(b / group) pair groups: on the trainer's own draws, and on
+    draws forced onto the CDF values, their float neighbors, 0.0 and the
     largest draw below 1. Corpora over 10 nodes leave runs of zero noise weight."""
 
     @staticmethod
@@ -403,8 +433,11 @@ class TestNegativeDraw:
                     draws.append(x.copy())
                 return x
 
-        def batch(u, v, t_idx, rows, alpha):
-            picked.append(rows[:, 1:].copy())
+        def batch(u, v, t_idx, c_idx, negatives, alpha, group):
+            assert group == sgns._GROUP
+            assert negatives.shape == (-(-len(t_idx) // group), cfg.negatives)
+            picked.append(negatives.copy())
+            return 0.0
 
         with mock.patch.object(sgns.np.random, "default_rng", Draws), \
                 mock.patch.object(sgns, "_sgns_batch", batch):
@@ -420,10 +453,59 @@ class TestNegativeDraw:
         self.check(tuple(tuple(w) for w in walks), forced)
 
 
+def pair_gradient_step(u0, v0, t_idx, c_idx, pair_negatives, alpha):
+    """The float64 moves of u and v for one batch, -alpha times the sum of its
+    pairs' ``pair_gradients``, and the sum of their ``pair_loss``."""
+    du, dv = np.zeros(u0.shape), np.zeros(v0.shape)
+    u64, v64 = u0.astype(np.float64), v0.astype(np.float64)
+    loss = 0.0
+    for t, c, negs in zip(t_idx, c_idx, pair_negatives):
+        g_vt, g_uc, g_un = pair_gradients(v64[t], u64[c], u64[negs])
+        dv[t] -= alpha * g_vt
+        du[c] -= alpha * g_uc
+        np.add.at(du, negs, -alpha * g_un)
+        loss += pair_loss(v64[t], u64[c], u64[negs])
+    return du, dv, loss
+
+
+def assert_step(u0, v0, u, v, du, dv):
+    """Each row moved by its float64 sum, up to float32 rounding."""
+    assert np.abs(dv).max() > 0.1 and np.abs(du).max() > 0.1
+    scale = max(np.abs(u0).max(), np.abs(v0).max(), np.abs(du).max(), np.abs(dv).max())
+    tol = 16 * np.finfo(np.float32).eps * scale
+    assert np.abs((u - u0) - du).max() <= tol
+    assert np.abs((v - v0) - dv).max() <= tol
+
+
 class TestSgnsBatch:
     def test_update_is_the_sum_of_pair_gradients(self):
         """One batch moves each row by -alpha times the float64 sum of its
-        pairs' ``pair_gradients``; contexts repeat among the negatives."""
+        pairs' ``pair_gradients``, where pair i takes the negatives of its
+        group i // group, and returns the sum of their ``pair_loss``. The
+        last group may be short; a context repeats among its group's shared
+        negatives, a target repeats within a group, and a negative repeats
+        within its set."""
+        rng = np.random.default_rng(4)
+        n, d, m, alpha = 7, 5, 3, 0.3
+        for b, group in [(11, 4), (12, 4), (5, 8), (7, 1)]:
+            u0 = rng.normal(size=(n, d)).astype(np.float32)
+            v0 = rng.normal(size=(n, d)).astype(np.float32)
+            t_idx = rng.integers(0, n, b).astype(np.int32)
+            c_idx = rng.integers(0, n, b).astype(np.int32)
+            negatives = rng.integers(0, n, (-(-b // group), m))
+            negatives[0, 1] = c_idx[0]
+            negatives[-1, 0] = negatives[-1, 2]
+            t_idx[-1] = t_idx[-2]
+            u, v = u0.copy(), v0.copy()
+            loss = _sgns_batch(u, v, t_idx, c_idx, negatives, np.float32(alpha), group)
+            du, dv, want_loss = pair_gradient_step(
+                u0, v0, t_idx, c_idx, negatives[np.arange(b) // group], alpha)
+            assert_step(u0, v0, u, v, du, dv)
+            assert abs(loss - want_loss) <= 1e-5 * want_loss
+
+    def test_per_pair_kernel_is_the_sum_of_pair_gradients(self):
+        """The reference's per-pair kernel: negatives ``rows[i, 1:]`` for each
+        pair, contexts repeating among them."""
         rng = np.random.default_rng(4)
         n, d, b, m, alpha = 7, 5, 12, 3, 0.3
         u0 = rng.normal(size=(n, d)).astype(np.float32)
@@ -432,19 +514,9 @@ class TestSgnsBatch:
         batch_rows = rng.integers(0, n, (b, m + 1)).astype(np.int32)
         batch_rows[0, 2] = batch_rows[0, 0]
         u, v = u0.copy(), v0.copy()
-        _sgns_batch(u, v, t_idx, batch_rows, np.float32(alpha))
-        du, dv = np.zeros((n, d)), np.zeros((n, d))
-        u64, v64 = u0.astype(np.float64), v0.astype(np.float64)
-        for t, (c, *negs) in zip(t_idx, batch_rows):
-            g_vt, g_uc, g_un = pair_gradients(v64[t], u64[c], u64[negs])
-            dv[t] -= alpha * g_vt
-            du[c] -= alpha * g_uc
-            np.add.at(du, negs, -alpha * g_un)
-        assert np.abs(dv).max() > 0.1 and np.abs(du).max() > 0.1
-        scale = max(np.abs(u0).max(), np.abs(v0).max(), np.abs(du).max(), np.abs(dv).max())
-        tol = 16 * np.finfo(np.float32).eps * scale
-        assert np.abs((u - u0) - du).max() <= tol
-        assert np.abs((v - v0) - dv).max() <= tol
+        reference.per_pair_batch(u, v, t_idx, batch_rows, np.float32(alpha))
+        du, dv, _ = pair_gradient_step(u0, v0, t_idx, batch_rows[:, 0], batch_rows[:, 1:], alpha)
+        assert_step(u0, v0, u, v, du, dv)
 
 
 class TestSgns:
@@ -511,6 +583,14 @@ class TestSgns:
         with mock.patch.object(sgns.np.random, "default_rng", TopNegatives):
             vectors = sgns_train(corpus, 7, 4, cfg)
         assert np.isfinite(vectors).all()
+
+    def test_divergence_raises_naming_the_epoch(self):
+        cfg = WalkConfig(walks_per_node=5, walk_length=10, epochs=3, learning_rate=1e30, seed=0)
+        corpus = generate_walks(TRIANGLE, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match=r"diverged in epoch 1 of 3"):
+                sgns_train(corpus, 3, 4, cfg)
 
     def test_two_cliques_separate(self):
         g = two_cliques(5)
@@ -679,12 +759,15 @@ class TestWalkEmbeddings:
     def test_node2vec_bytes_do_not_depend_on_blas_threads(self):
         # node2vec, then the three spectral methods, whose ARPACK solves
         # (d=16 on 200 nodes) run through BLAS too, then graph factorization,
-        # whose residuals are BLAS dot products
+        # whose residuals are BLAS dot products, then SGNS at b = 4,096 pairs a
+        # batch (n = 1,500), where each group's score and gradient products
+        # are (32 x 200)(200 x 5) and (5 x 32)(32 x 200) GEMMs
         root = Path(__file__).resolve().parents[1]
         script = (
             "import sys, numpy as np\n"
-            "from seqnet.embed import (WalkConfig, graph_factorization, hope_embed,\n"
-            "                          laplacian_eigenmaps, lle_embed, node2vec)\n"
+            "from seqnet.embed import (WalkConfig, generate_walks, graph_factorization,\n"
+            "                          hope_embed, laplacian_eigenmaps, lle_embed, node2vec,\n"
+            "                          sgns_train)\n"
             "from seqnet.ssn import network_from_edges\n"
             "edges = np.random.default_rng(8).integers(0, 200, size=(1200, 2))\n"
             "graph = network_from_edges(200, edges)\n"
@@ -693,6 +776,11 @@ class TestWalkEmbeddings:
             "for method in (laplacian_eigenmaps, lle_embed, hope_embed):\n"
             "    sys.stdout.buffer.write(method(graph, 16).vectors.tobytes())\n"
             "sys.stdout.buffer.write(graph_factorization(graph, 200, epochs=3).vectors.tobytes())\n"
+            "edges = np.random.default_rng(5).integers(0, 1500, size=(6000, 2))\n"
+            "graph = network_from_edges(1500, edges)\n"
+            "cfg = WalkConfig(walks_per_node=1, walk_length=12, window=3, epochs=2, seed=3)\n"
+            "corpus = generate_walks(graph, cfg)\n"
+            "sys.stdout.buffer.write(sgns_train(corpus, graph.n, 200, cfg).tobytes())\n"
         )
         outputs = []
         for threads in ("1", "2"):
@@ -704,8 +792,37 @@ class TestWalkEmbeddings:
                                   capture_output=True, timeout=300)
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
-        assert len(outputs[0]) == 200 * (64 + 3 * 16 + 200) * 8
+        assert len(outputs[0]) == (200 * (64 + 3 * 16 + 200) + 1500 * 200) * 8
         assert outputs[0] == outputs[1]
+
+    def test_counters(self, tmp_path, monkeypatch):
+        """walk_steps counts real steps (none from the isolated roots 3 and 4),
+        sgns_pairs and negative_sets count over all epochs, and final_loss is
+        the mean of the last epoch's kernel losses over its pairs."""
+        graph = network_from_edges(5, [(0, 1), (1, 2)])
+        cfg = WalkConfig(walks_per_node=2, walk_length=6, window=2, epochs=3, seed=1)
+        losses = []
+        kernel = sgns._sgns_batch
+
+        def recorded(*args):
+            losses.append(kernel(*args))
+            return losses[-1]
+
+        monkeypatch.setattr(sgns, "_sgns_batch", recorded)
+        emb = node2vec(graph, 4, cfg)
+        pairs = len(corpus_pairs(generate_walks(graph, cfg), cfg.window)[0])
+        assert pairs == 3 * 2 * 2 * (5 + 4) and len(losses) == 3  # one batch per epoch
+        assert emb.info["walk_steps"] == 3 * 2 * 5
+        assert emb.info["sgns_pairs"] == 3 * pairs
+        assert emb.info["negative_sets"] == 3 * -(-pairs // sgns._GROUP)
+        assert emb.info["final_loss"] == losses[-1] / pairs > 0
+        assert deepwalk(graph, 4, cfg).info == emb.info
+        save_embedding(emb, tmp_path / "n2v.csv")
+        meta = (tmp_path / "n2v.csv.meta").read_text().splitlines()
+        for key in ("walk_steps", "sgns_pairs", "negative_sets", "final_loss"):
+            assert f"{key}={emb.info[key]}" in meta
+        monkeypatch.undo()
+        assert node2vec(graph, 4, cfg).info == emb.info
 
     def test_save_embedding_text_is_the_per_float_repr(self, tmp_path):
         vectors = np.array([[-0.0, 5e-324, 1e300, -1e300],

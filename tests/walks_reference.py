@@ -5,14 +5,17 @@ A corpus here is a tuple of walks, each a tuple of Python ints. The walker
 draws one ``rng.random(walk_length - 1)`` per root and steps one walker at a
 time, a biased step by inverting the cumulative p/q weights; the unigram
 counts and the skip-gram pairs loop over the walks in Python, and
-:func:`sgns_train` is the einsum trainer with COO scatters.
+:func:`sgns_train` is the einsum trainer with COO scatters, in which each
+group of consecutive pairs shares one negative set (at group 1, each pair
+draws its own). :func:`per_pair_batch` is the batch kernel ``seqnet.embed``
+ran while every pair drew its own m negatives.
 
 ``seqnet.embed.generate_walks`` must give the same walks row for row at
 p = q = 1 and for walks of at most two nodes; for other biases only the step
 law (:func:`seqnet.embed.step_distribution`) is shared. ``unigram_distribution``
 and ``corpus_pairs`` must give the same arrays on any corpus, and
-``seqnet.embed.sgns_train`` the vectors of :func:`sgns_train` up to float32
-rounding.
+``seqnet.embed.sgns_train`` the vectors of :func:`sgns_train` at its pair group
+up to float32 rounding.
 """
 
 import numpy as np
@@ -93,11 +96,29 @@ def corpus_pairs(walks, window):
     return np.concatenate(t_parts), np.concatenate(c_parts)
 
 
-def sgns_train(walks, n, d, config):
+def per_pair_batch(u, v, t_idx, rows, alpha):
+    """One in-place step, from the batch-start parameters, for the pairs
+    (``t_idx[i]``, ``rows[i, 0]``) with negatives ``rows[i, 1:]``: one
+    ``u[rows]`` gather, two batched matmuls for the scores and the target
+    gradients, and scatters through the transpose of a (b x n) CSR matrix
+    with m+1 entries alpha * (label - sigmoid) per row for u, one alpha for v."""
+    b, width = rows.shape
+    vt, ur = v[t_idx], u[rows]
+    coeff = -expit(np.matmul(ur, vt[:, :, None])[:, :, 0])
+    coeff[:, 0] += 1.0
+    dv = np.matmul(coeff[:, None, :], ur)[:, 0]
+    layout = np.arange(0, b * width + 1, width)
+    u += sparse.csr_matrix(((alpha * coeff).ravel(), rows.ravel(), layout), (b, len(u))).T @ vt
+    v += sparse.csr_matrix((np.full(b, alpha), t_idx, np.arange(b + 1)), (b, len(v))).T @ dv
+
+
+def sgns_train(walks, n, d, config, group):
     """Skip-gram vectors from the tuple corpus: negatives by ``np.searchsorted``
     on the noise CDF, three einsums per batch and scatters through COO-built
     CSR matrices, with the batch size, permutation, learning-rate schedule and
-    RNG calls of ``seqnet.embed.sgns_train``."""
+    RNG calls of ``seqnet.embed.sgns_train``. Each batch draws one (G, m)
+    block for its G = ceil(b / group) groups of consecutive pairs, and each
+    pair takes its group's row; at ``group=1`` every pair draws its own."""
     batch_size = min(_BATCH_CAP, max(256, _BATCH_PER_NODE * n))
     targets, contexts = corpus_pairs(walks, config.window)
     noise_cdf = np.cumsum(unigram_distribution(walks, n))
@@ -118,7 +139,8 @@ def sgns_train(walks, n, d, config):
             b = len(chunk)
             t_idx = targets[chunk]
             c_idx = contexts[chunk]
-            neg_idx = np.searchsorted(noise_cdf, rng.random((b, m)))
+            sets = np.searchsorted(noise_cdf, rng.random((-(-b // group), m)))
+            neg_idx = np.repeat(sets, group, axis=0)[:b]
             alpha = np.float32(
                 config.learning_rate
                 * max(1.0 - batch_index / batches_total, _MIN_LR_FRACTION)
