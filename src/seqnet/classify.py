@@ -249,15 +249,6 @@ class GaussianNB(_TimedFit):
         return post / post.sum(axis=1, keepdims=True)
 
 
-def hinge_loss_and_grad(w, x, y_signed, lam):
-    """Pegasos objective lam/2 ||w||^2 + mean hinge, with its subgradient."""
-    margins = y_signed * (x @ w)
-    violating = margins < 1.0
-    loss = 0.5 * lam * float(w @ w) + float(np.maximum(0.0, 1.0 - margins).mean())
-    grad = lam * w - (y_signed[violating, None] * x[violating]).sum(axis=0) / len(x)
-    return loss, grad
-
-
 # Pegasos steps whose visits, step sizes and signs are made at once
 _PEGASOS_SPAN = 512
 

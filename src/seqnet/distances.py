@@ -9,17 +9,20 @@ qualify). Otherwise it sums squared differences, in blocks of about 2e7
 elements. Both functions work in tiles of at most 512 rows of the first
 operand, and make the exactness scan and the squared norms once per call.
 
-Where an operand is sparse, a tile's Gram product is either a sparse
-product or a sum over dense blocks of 1,024 columns of both operands,
-whichever :func:`_dense_blocks_pay` estimates is cheaper from the operands'
-nonzeros per column, once per call. Dense blocks win on k=3 counts of
-related sequences (about 8x per 512-row tile at n=773); the sparse product
-wins at k=4, on short sequences and on a single query row. Every partial
-sum is an exact integer, so the bits do not depend on the choice or the
-blocking. No operand is densified whole: a block holds (tile rows + the
-other operand's rows) x 1,024 values, and the other operand is cut into
-its column blocks once per call, not once per tile. :func:`k_nearest`
-orders each query's rows by (distance, index).
+Where an operand is sparse, the Gram product splits the columns once per
+call (Yuster and Zwick's dense/sparse split, "Fast sparse matrix
+multiplication", 2005). :func:`_hot_columns` picks the columns whose
+pairs of nonzeros cost more as scattered sparse multiply-adds than in
+BLAS; on k=3 counts of related sequences they are about a seventh of the
+columns and hold most of the nonzeros, on a single query row there are
+none. The second operand's hot columns are densified once per call, its
+cold columns kept as one sparse slice, and each tile is a sparse product
+over the cold columns plus a dense product over the hot ones. Every
+partial sum is an exact integer, so the bits do not depend on the split.
+An operand whose columns all fall on one side is not copied, and when
+both operands are the same matrix a tile's parts are row slices of the
+second operand's. :func:`k_nearest` orders each query's rows by
+(distance, index).
 
 :func:`nearest` is k-means' assignment step: each row's nearest centre and
 its squared distance, with the bits of ``sq_distances(x, centers)`` and a
@@ -36,14 +39,13 @@ from scipy import sparse
 from .featurize import FeatureMatrix
 
 _BLOCK_ELEMS = 20_000_000
-_GRAM_COLS = 1024
 _TILE_ROWS = 512
 _CHUNK = 1 << 15
 # values in one of nearest's explicit-difference blocks (8 MB of float64)
 _NEAREST_ELEMS = 1 << 20
 _UNIT_ROUNDOFF = 2.0**-53
 # a BLAS multiply-add costs about 1/70 of a sparse one, or of writing one
-# element of a dense block (measured on a 2-core host, two BLAS threads)
+# dense element (measured on a 2-core host, two BLAS threads)
 _BLAS_SPEEDUP = 70
 
 
@@ -88,34 +90,37 @@ def _col_counts(x) -> np.ndarray:
     return np.full(x.shape[1], float(x.shape[0]))
 
 
-def _dense_blocks_pay(a, b) -> bool:
-    """Whether dense column blocks form every tile's a @ b.T faster than a
-    sparse product. The sparse product makes one scattered multiply-add per
-    pair of nonzeros in the same column; dense blocks write a once and b
-    once per tile, and make all m n d multiply-adds in BLAS."""
-    (m, d), n = a.shape, b.shape[0]
-    tiles = -(-m // _TILE_ROWS)
-    pairs = _col_counts(a) @ _col_counts(b)
-    return pairs > (m + tiles * n) * d + m * n * d / _BLAS_SPEEDUP
+def _hot_columns(a, b) -> np.ndarray:
+    """A mask of the columns that a @ b.T takes densely, in BLAS. A sparse
+    product makes one scattered multiply-add per pair of nonzeros in a
+    column; a dense column is written once for each operand (m + n values)
+    and makes m n multiply-adds in BLAS."""
+    m, n = a.shape[0], b.shape[0]
+    pairs = _col_counts(a) * _col_counts(b)
+    return pairs > m + n + m * n / _BLAS_SPEEDUP
 
 
-def _column_blocks(x) -> list:
-    """x's columns in slices of ``_GRAM_COLS``, in column order."""
-    return [x[:, col : col + _GRAM_COLS] for col in range(0, x.shape[1], _GRAM_COLS)]
+def _split(x, hot):
+    """(x's ``hot`` columns as a dense array, the others as they are), None
+    for an empty side; x itself is not copied when one side is empty."""
+    if hot.all():
+        return _dense(x), None
+    if not hot.any():
+        return None, x
+    return _dense(x[:, hot]), x[:, ~hot]
 
 
-def _gram(a, b, b_blocks) -> np.ndarray:
-    """a @ b.T as a dense array, a sparse product unless ``b_blocks`` holds
-    b's :func:`_column_blocks`, which are then densified one at a time
-    against a's; exact, so called only on integer operands."""
-    if not (sparse.issparse(a) or sparse.issparse(b)):
-        return a @ b.T
-    if b_blocks is None:
-        gram = a @ b.T
-        return gram.toarray() if sparse.issparse(gram) else gram
-    gram = np.zeros((a.shape[0], b.shape[0]))
-    for a_block, b_block in zip(_column_blocks(a), b_blocks):
-        gram += _dense(a_block) @ _dense(b_block).T
+def _gram(a_parts, b_parts) -> np.ndarray:
+    """a @ b.T as a dense array, from the operands' (hot, cold) parts: a
+    sparse product over the cold columns plus a dense one over the hot.
+    Exact, so called only on integer operands."""
+    (a_hot, a_cold), (b_hot, b_cold) = a_parts, b_parts
+    if a_cold is None:
+        return a_hot @ b_hot.T
+    gram = a_cold @ b_cold.T
+    gram = gram.toarray() if sparse.issparse(gram) else gram
+    if a_hot is not None:
+        gram += a_hot @ b_hot.T
     return gram
 
 
@@ -124,13 +129,18 @@ def _row_tiles(a, b):
     if _gram_is_exact(a, b):
         sq_a = _sq_norms(a)
         sq_b = sq_a if b is a else _sq_norms(b)
-        # b is sliced once per call, not once per tile: slicing scans all of it
-        b_blocks = _column_blocks(b) if _dense_blocks_pay(a, b) else None
+        hot = _hot_columns(a, b)
+        # b is split once per call, not once per tile: slicing scans all of it
+        b_parts = _split(b, hot)
         for start in range(0, a.shape[0], _TILE_ROWS):
             stop = start + _TILE_ROWS
+            if a is b:
+                a_parts = tuple(None if p is None else p[start:stop] for p in b_parts)
+            else:
+                a_parts = _split(a[start:stop], hot)
             # every term is an exact integer, so forming the tile in place
             # (one array, not three) does not change a bit
-            d2 = _gram(a[start:stop], b, b_blocks)
+            d2 = _gram(a_parts, b_parts)
             d2 *= -2.0
             d2 += sq_a[start:stop, None]
             d2 += sq_b[None, :]

@@ -44,10 +44,8 @@ def _check_dim(d: int) -> None:
 
 
 from .walks import WalkConfig, WalkCorpus, generate_walks, step_distribution  # noqa: E402
-from .sgns import (  # noqa: E402
-    pair_gradients, pair_loss, sgns_fit, sgns_train, unigram_distribution,
-)
-from .factorization import gf_gradient, gf_objective, graph_factorization  # noqa: E402
+from .sgns import sgns_fit, sgns_train, unigram_distribution  # noqa: E402
+from .factorization import gf_objective, graph_factorization  # noqa: E402
 from .spectral import hope_embed, laplacian_eigenmaps, lle_embed  # noqa: E402
 
 

@@ -4,8 +4,8 @@
 
 Training is the per-edge SGD of Ahmed et al. (2013, "Distributed Large-scale
 Natural Graph Factorization"), applied in batches of edges that share no node,
-with the bits of one edge at a time. The objective and its exact gradient are
-exposed separately so training can be checked against finite differences.
+with the bits of one edge at a time. :func:`gf_objective` gives f, from which
+the final loss is reported.
 """
 
 from __future__ import annotations
@@ -37,17 +37,6 @@ def gf_objective(y: np.ndarray, edges: np.ndarray, lam: float) -> float:
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     residual = 1.0 - _edge_inner(y, edges)
     return 0.5 * float(residual @ residual) + 0.5 * lam * float((y * y).sum())
-
-
-def gf_gradient(y: np.ndarray, edges: np.ndarray, lam: float) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64)
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    src, dst = edges[:, 0], edges[:, 1]
-    residual = 1.0 - _edge_inner(y, edges)
-    grad = lam * y
-    np.add.at(grad, src, -residual[:, None] * y[dst])
-    np.add.at(grad, dst, -residual[:, None] * y[src])
-    return grad
 
 
 def _level_schedule(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

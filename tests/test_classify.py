@@ -17,6 +17,7 @@ from classify_reference import (
     _tree_scores,
     cv_accuracy_reference,
     grow_tree_reference,
+    hinge_loss_and_grad,
     pegasos_reference,
 )
 from conftest import finite_difference, relative_error
@@ -31,7 +32,6 @@ from seqnet.classify import (
     LinearSVM,
     LogisticRegression,
     RandomForest,
-    hinge_loss_and_grad,
     make_classifier,
     run_experiment,
     save_result_csv,

@@ -49,15 +49,25 @@ def assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+# which columns the Gram branch takes densely: none, all, or a drawn subset,
+# repeated across the columns
+splits = st.sampled_from([[False], [True]]) | st.lists(st.booleans(), min_size=2, max_size=6)
+
+
+def hot_split(split):
+    """A stand-in for ``_hot_columns`` that returns ``split``, cycled over b's columns."""
+    return lambda a, b: np.resize(np.array(split), b.shape[1])
+
+
 # the difference branch's block size, the integer scan's chunk size, the
-# row tile, the Gram branch's dense column block and whether it uses them
+# row tile and the Gram branch's hot columns
 sizes = st.tuples(st.sampled_from([1, 7, 20_000_000]), st.sampled_from([1, 3, 1 << 15]),
-                  st.sampled_from([1, 2, 512]), st.sampled_from([1, 2, 512]), st.booleans())
+                  st.sampled_from([1, 2, 512]), splits)
 
 
-def sq_distances_sized(a, b, block, chunk, tile, cols, blocks):
+def sq_distances_sized(a, b, block, chunk, tile, split):
     with mock.patch.multiple(distances, _BLOCK_ELEMS=block, _CHUNK=chunk, _TILE_ROWS=tile,
-                             _GRAM_COLS=cols, _dense_blocks_pay=lambda a, b: blocks):
+                             _hot_columns=hot_split(split)):
         return sq_distances(a, b)
 
 
@@ -106,24 +116,29 @@ def test_kmer_counts_take_the_gram_branch():
     assert not distances._gram_is_exact(np.array([[np.nan]]), np.array([[1.0]]))
 
 
-def test_dense_blocks_only_where_they_pay():
-    """Dense blocks for k=3 counts of related sequences; a sparse product for
-    k=4 counts of the same sequences and for a single query row."""
+def test_hot_columns_hold_most_nonzeros():
+    """On k=3 and k=4 counts of related sequences, a small share of the
+    columns is hot and holds most of the nonzeros; for a single query row
+    no column is hot."""
     rng = np.random.default_rng(0)
     root = rng.integers(0, 20, size=1274)
     flips = rng.random((100, 1274)) < 0.01
     codes = np.where(flips, (root + rng.integers(1, 20, size=flips.shape)) % 20, root)
     records = [SequenceRecord(f"s{i}", "".join(ALPHABET[c] for c in row))
                for i, row in enumerate(codes)]
-    k3, k4 = (featurize_dataset(Dataset(records), k).to_csr() for k in (3, 4))
-    assert distances._dense_blocks_pay(k3, k3)
-    assert not distances._dense_blocks_pay(k4, k4)
-    assert not distances._dense_blocks_pay(k3[:1], k3)
+    for k in (3, 4):
+        x = featurize_dataset(Dataset(records), k).to_csr()
+        hot = distances._hot_columns(x, x)
+        assert hot.shape == (x.shape[1],) and hot.dtype == bool
+        assert hot.sum() < x.shape[1] / 6
+        assert np.bincount(x.indices, minlength=x.shape[1])[hot].sum() > 0.9 * x.nnz
+        assert not distances._hot_columns(x[:1], x).any()
 
 
-def test_searched_operand_is_sliced_once_per_column_block():
-    """Dense blocks cut the searched operand into its column blocks once per
-    call, however many row tiles the queries make."""
+def test_searched_operand_is_column_sliced_once_per_call():
+    """The searched operand is cut into its hot and cold columns once per
+    call, however many row tiles the queries make, and not at all for a
+    single query row, which has no hot column."""
     x = sparse.csr_matrix(np.random.default_rng(2).integers(0, 3, size=(7, 20)).astype(float))
     queries = x[:3]
     getitem = sparse.csr_matrix.__getitem__
@@ -134,15 +149,19 @@ def test_searched_operand_is_sliced_once_per_column_block():
             column_slices.append(key)
         return getitem(self, key)
 
-    with mock.patch.multiple(distances, _TILE_ROWS=2, _GRAM_COLS=8,
-                             _dense_blocks_pay=lambda a, b: True), \
-            mock.patch.object(sparse.csr_matrix, "__getitem__", spy):
-        for asks in (None, queries):
-            column_slices.clear()
-            got = k_nearest(x, 3, queries=asks)
-            assert len(column_slices) == 3  # 20 columns in blocks of 8
-            dense = None if asks is None else asks.toarray()
-            assert got.tolist() == k_nearest_reference(x.toarray(), 3, queries=dense)
+    with mock.patch.object(sparse.csr_matrix, "__getitem__", spy):
+        for tile in (2, 512):
+            with mock.patch.multiple(distances, _TILE_ROWS=tile,
+                                     _hot_columns=hot_split([True, False, False])):
+                for asks in (None, queries):
+                    column_slices.clear()
+                    got = k_nearest(x, 3, queries=asks)
+                    assert len(column_slices) == 2  # the hot columns and the cold
+                    dense = None if asks is None else asks.toarray()
+                    assert got.tolist() == k_nearest_reference(x.toarray(), 3, queries=dense)
+        column_slices.clear()
+        assert knn_query(x, 4, 3) == k_nearest_reference(x.toarray(), 3, rows=[4])[0]
+        assert column_slices == []
 
 
 def test_one_pair_block_keeps_the_bits_of_a_larger_block():
@@ -197,14 +216,13 @@ def knn_cases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(knn_cases(), st.sampled_from([1, 2, 512]), st.sampled_from([1, 2, 512]), st.booleans())
-def test_k_nearest_orders_by_distance_then_index(case, tile, block, blocks):
+@given(knn_cases(), st.sampled_from([1, 2, 512]), splits)
+def test_k_nearest_orders_by_distance_then_index(case, tile, split):
     """Dense, CSR and mixed operands give the oracle's lists at every tile
-    row count, by a sparse product or by dense blocks of every width."""
+    row count and every split of the columns into hot and cold."""
     x, k, rows, queries = case
     want = k_nearest_reference(x, k, queries=queries, rows=rows)
-    with mock.patch.multiple(distances, _TILE_ROWS=tile, _GRAM_COLS=block,
-                             _dense_blocks_pay=lambda a, b: blocks):
+    with mock.patch.multiple(distances, _TILE_ROWS=tile, _hot_columns=hot_split(split)):
         csr = sparse.csr_matrix
         asked = queries if queries is None else csr(queries)
         for points, asks in ((x, queries), (csr(x), queries), (csr(x), asked)):

