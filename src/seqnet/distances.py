@@ -22,7 +22,7 @@ partial sum is an exact integer, so the bits do not depend on the split.
 An operand whose columns all fall on one side is not copied, and when
 both operands are the same matrix a tile's parts are row slices of the
 second operand's. :func:`k_nearest` orders each query's rows by
-(distance, index).
+(distance, index), sorting only the distances at or below the k-th.
 
 :func:`nearest` is k-means' assignment step: each row's nearest centre and
 its squared distance, with the bits of ``sq_distances(x, centers)`` and a
@@ -117,7 +117,12 @@ def _gram(a_parts, b_parts) -> np.ndarray:
     (a_hot, a_cold), (b_hot, b_cold) = a_parts, b_parts
     if a_cold is None:
         return a_hot @ b_hot.T
-    gram = a_cold @ b_cold.T
+    if a_cold.shape[0] == 1:
+        # scipy makes a CSR copy of a product's transposed right operand:
+        # for one query row, copy that row, not all of b's cold columns
+        gram = (b_cold @ a_cold.T).T
+    else:
+        gram = a_cold @ b_cold.T
     gram = gram.toarray() if sparse.issparse(gram) else gram
     if a_hot is not None:
         gram += a_hot @ b_hot.T
@@ -183,8 +188,24 @@ def k_nearest(x, k: int, queries=None) -> np.ndarray:
     for start, d2 in _row_tiles(queries, x):
         if own:
             d2[np.arange(len(d2)), np.arange(start, start + len(d2))] = np.inf
-        out[start : start + len(d2)] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        out[start : start + len(d2)] = _smallest(d2, k)
     return out
+
+
+def _smallest(d2, k: int) -> np.ndarray:
+    """The first k columns of each row's stable argsort, without sorting the
+    whole row: a partition finds the k-th smallest value, and only the
+    entries at or below it, ties included, are sorted by (value, index)."""
+    m, n = d2.shape
+    if not 0 < k < n:
+        return np.argsort(d2, axis=1, kind="stable")[:, :k]
+    kth = np.take_along_axis(d2, np.argpartition(d2, k - 1, axis=1)[:, k - 1 : k], axis=1)
+    # a NaN k-th value (fewer than k numbers in the row) keeps the whole row
+    rows, cols = np.nonzero((d2 <= kth) | np.isnan(kth))
+    order = np.lexsort((cols, d2[rows, cols], rows))  # by row, value, index
+    # rows is sorted already, so each row's entries keep their span in order
+    firsts = np.searchsorted(rows, np.arange(m))
+    return cols[order][firsts[:, None] + np.arange(k)]
 
 
 def _paired_sq(a, b) -> np.ndarray:

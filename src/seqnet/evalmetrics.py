@@ -7,7 +7,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.stats import rankdata
 
 from .distances import _assigned_sq, _group_sums, _row_tiles, _rows
 from .errors import ConfigError, MissingScoresError, UndefinedMetricError
@@ -136,11 +135,28 @@ def cluster_quality(x, labels, runtime_sec: float = 0.0) -> ClusterQualityReport
     return ClusterQualityReport(*scores, runtime_sec)
 
 
+def _midranks(score: np.ndarray) -> np.ndarray:
+    """1-based ranks with each group of tied scores given its mean rank, as
+    scipy's ``rankdata`` ranks by its "average" method. As in rankdata, one
+    NaN score makes every rank NaN."""
+    n = len(score)
+    if np.isnan(score).any():
+        return np.full(n, np.nan)
+    order = np.argsort(score, kind="stable")
+    ordered = score[order]
+    # [start, stop) of each tie group in sorted order
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    stops = np.r_[starts[1:], n]
+    ranks = np.empty(n)
+    ranks[order] = np.repeat(0.5 * (starts + stops + 1), stops - starts)
+    return ranks
+
+
 def _binary_auc(truth: np.ndarray, score: np.ndarray) -> float:
     """Rank-statistic ROC AUC; midranks give tied scores 0.5 credit."""
     npos = int(truth.sum())
     nneg = len(truth) - npos
-    ranks = rankdata(score)
+    ranks = _midranks(score)
     return (float(ranks[truth].sum()) - npos * (npos + 1) / 2) / (npos * nneg)
 
 

@@ -1,6 +1,10 @@
 import argparse
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,8 +21,27 @@ from seqnet.featurize import FeatureMatrix, load_features
 from seqnet.ssn import connected_components, load_graph, network_from_edges, save_graph
 
 
+ROOT = Path(__file__).resolve().parents[1]
+# scipy subpackages no stage uses; importing scipy.stats alone loads all five
+UNUSED_SCIPY = ("scipy.stats", "scipy.optimize", "scipy.spatial", "scipy.interpolate",
+                "scipy.ndimage")
+
+
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def test_import_loads_no_unused_scipy_subpackage():
+    """Every subcommand is a fresh process, so each pays for what
+    ``import seqnet.cli`` loads; a fresh interpreter must not load these."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    script = "import sys, seqnet, seqnet.cli; print(*sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = [m for m in proc.stdout.split() if m.startswith(UNUSED_SCIPY)]
+    assert loaded == []
 
 
 def config_flags():

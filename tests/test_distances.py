@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 from distances_reference import k_nearest_reference, sq_distances_reference
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 
 from seqnet import distances
@@ -138,18 +138,24 @@ def test_hot_columns_hold_most_nonzeros():
 def test_searched_operand_is_column_sliced_once_per_call():
     """The searched operand is cut into its hot and cold columns once per
     call, however many row tiles the queries make, and not at all for a
-    single query row, which has no hot column."""
+    single query row, which has no hot column; nor is its transpose
+    converted to CSR for a single query row."""
     x = sparse.csr_matrix(np.random.default_rng(2).integers(0, 3, size=(7, 20)).astype(float))
     queries = x[:3]
-    getitem = sparse.csr_matrix.__getitem__
-    column_slices = []
+    getitem, tocsr = sparse.csr_matrix.__getitem__, sparse.csc_matrix.tocsr
+    column_slices, conversions = [], []
 
     def spy(self, key):
         if self.shape[0] == 7 and isinstance(key, tuple):
             column_slices.append(key)
         return getitem(self, key)
 
-    with mock.patch.object(sparse.csr_matrix, "__getitem__", spy):
+    def spy_tocsr(self, copy=False):
+        conversions.append(self.shape)
+        return tocsr(self, copy)
+
+    with mock.patch.object(sparse.csr_matrix, "__getitem__", spy), \
+            mock.patch.object(sparse.csc_matrix, "tocsr", spy_tocsr):
         for tile in (2, 512):
             with mock.patch.multiple(distances, _TILE_ROWS=tile,
                                      _hot_columns=hot_split([True, False, False])):
@@ -160,8 +166,10 @@ def test_searched_operand_is_column_sliced_once_per_call():
                     dense = None if asks is None else asks.toarray()
                     assert got.tolist() == k_nearest_reference(x.toarray(), 3, queries=dense)
         column_slices.clear()
+        conversions.clear()
         assert knn_query(x, 4, 3) == k_nearest_reference(x.toarray(), 3, rows=[4])[0]
         assert column_slices == []
+        assert (20, 7) not in conversions  # x.T, all of the searched operand
 
 
 def test_one_pair_block_keeps_the_bits_of_a_larger_block():
@@ -215,8 +223,22 @@ def knn_cases(draw):
     return x, k, rows, queries
 
 
+TIES_AT_KTH = np.array([[0.0], [1.0], [1.0], [1.0], [2.0]])
+DUPLICATES = np.array([[0.0, 0.0]] * 4 + [[1.0, 1.0]])
+
+
 @settings(max_examples=300, deadline=None)
 @given(knn_cases(), st.sampled_from([1, 2, 512]), splits)
+# three rows tie at the k-th distance, from a row of x and from a query
+@example((TIES_AT_KTH, 2, None, None), 512, [False])
+@example((TIES_AT_KTH, 2, [4], None), 512, [False])
+@example((TIES_AT_KTH, 2, None, np.array([[1.0], [0.5]])), 2, [True])
+# duplicate rows: every other row ties at distance 0, the own row is inf and
+# with k = n - 1 the k-th distance is the largest finite one
+@example((DUPLICATES, 3, None, None), 2, [True, False])
+@example((DUPLICATES, 4, None, None), 512, [False])
+@example((DUPLICATES, 4, [4], None), 512, [True])
+@example((np.zeros((5, 1)), 4, None, None), 1, [False])
 def test_k_nearest_orders_by_distance_then_index(case, tile, split):
     """Dense, CSR and mixed operands give the oracle's lists at every tile
     row count and every split of the columns into hot and cold."""
@@ -232,3 +254,18 @@ def test_k_nearest_orders_by_distance_then_index(case, tile, split):
             got = k_nearest(points, k, queries=asks)
             assert got.dtype == np.int64 and got.shape == (len(want), k)
             assert got.tolist() == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, np.inf, -np.inf, np.nan]), max_size=6 * n),
+    st.integers(0, n),
+)))
+def test_smallest_is_the_head_of_a_stable_argsort(case):
+    """Ties, signed zeros, infinities and NaN (sorted last) keep the order of
+    a full stable argsort, whether or not the k-th value is finite."""
+    n, values, k = case
+    d2 = np.array(values[: len(values) // n * n]).reshape(-1, n)
+    want = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    assert_same_bits(distances._smallest(d2, k), want)

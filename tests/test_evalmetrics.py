@@ -10,9 +10,11 @@ from evalmetrics_reference import (
 )
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
+from scipy.stats import rankdata
 
 from seqnet.errors import ConfigError, MissingScoresError, UndefinedMetricError
 from seqnet.evalmetrics import (
+    _midranks,
     calinski_harabasz,
     classification_report,
     cluster_quality,
@@ -362,3 +364,54 @@ class TestClassificationReport:
         y = [1, 1, 0, 0]
         scores = np.column_stack([np.zeros(4), np.full(4, 0.7)])
         assert roc_auc_ovr(y, scores, classes=[0, 1]) == pytest.approx(0.5)
+
+
+# scores from a small pool, so ties are the rule: integers, or floats with
+# signed zeros and both infinities
+tied_scores = st.lists(st.integers(-3, 3), min_size=1, max_size=60) | st.lists(
+    st.sampled_from([-np.inf, -1.5, -0.0, 0.0, 1e-300, 0.25, 1e300, np.inf]),
+    min_size=1, max_size=60,
+)
+
+
+class TestMidranks:
+    """``scipy.stats.rankdata`` ("average", NaN propagated) is the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_scores)
+    def test_tied_scores_match_rankdata(self, values):
+        score = np.array(values, dtype=np.float64)
+        assert _midranks(score).tobytes() == rankdata(score).tobytes()
+
+    @given(st.floats(allow_nan=False), st.integers(1, 40))
+    def test_equal_scores_share_the_middle_rank(self, value, n):
+        score = np.full(n, value)
+        assert _midranks(score).tobytes() == rankdata(score).tobytes()
+        assert _midranks(score).tolist() == [(n + 1) / 2] * n
+
+    def test_one_row(self):
+        assert _midranks(np.array([0.3])).tolist() == rankdata([0.3]).tolist() == [1.0]
+
+    def test_nan_makes_every_rank_and_the_auc_nan(self):
+        score = np.array([0.2, np.nan, 0.2, 0.9])
+        assert np.isnan(_midranks(score)).all() and np.isnan(rankdata(score)).all()
+        scores = np.column_stack([1 - score, score])
+        assert np.isnan(roc_auc_ovr([0, 1, 0, 1], scores, classes=[0, 1]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 40).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(0, 2), min_size=n, max_size=n),
+        st.lists(st.lists(st.integers(0, 4), min_size=3, max_size=3), min_size=n, max_size=n),
+    )))
+    def test_auc_keeps_the_bits_of_rankdata_ranks(self, case):
+        y, scores = np.array(case[0]), np.array(case[1], dtype=np.float64) / 4
+        want = []
+        for col in range(3):
+            truth = y == col
+            npos = int(truth.sum())
+            if 0 < npos < len(y):
+                ranks = rankdata(scores[:, col])
+                pos = float(ranks[truth].sum()) - npos * (npos + 1) / 2
+                want.append(pos / (npos * (len(y) - npos)))
+        if want:
+            assert roc_auc_ovr(y, scores, classes=[0, 1, 2]) == float(np.mean(want))
