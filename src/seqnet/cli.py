@@ -127,6 +127,14 @@ _CLUSTER_METHODS = {
 }
 
 
+# the deterministic counters a cluster --method adds to its sidecar
+_CLUSTER_COUNTERS = {
+    "kmeans": lambda out: {"kmeans_iters": len(out.history) - 1},
+    "ward": lambda out: {"forced_merges": out.forced_merges},
+    "average": lambda out: {"forced_merges": out.forced_merges},
+}
+
+
 # ---------------------------------------------------------------- subcommands
 
 
@@ -228,9 +236,10 @@ def cmd_cluster(args):
     cluster_mod.save_assignment(
         assignment, args.output, runtime_sec=runtime if cfg.timings else None
     )
+    counters = _CLUSTER_COUNTERS[method](assignment) if method in _CLUSTER_COUNTERS else {}
     _write_sidecar(
         args.output, args, cfg, inputs,
-        {"cluster_method": method, "k_found": assignment.k_found},
+        {"cluster_method": method, "k_found": assignment.k_found, **counters},
     )
     print(f"cluster: {method} found {assignment.k_found} clusters")
     return EXIT_OK

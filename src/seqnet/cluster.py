@@ -4,8 +4,11 @@ spectral clustering, and elbow-based selection of the cluster count.
 
 Partitional methods run on feature rows; the agglomerative methods honor the
 similarity network by only merging clusters that share at least one edge.
-k-means and the elbow sweep read a ``FeatureMatrix`` or ``scipy.sparse``
-input as CSR rows; the other methods densify it.
+k-means, the elbow sweep, the agglomerative methods and DBSCAN read a
+``FeatureMatrix`` or ``scipy.sparse`` input as CSR rows; the Gaussian
+mixture, spectral clustering and ``pca_project`` densify it. Each dense
+n x n or n x dim allocation that remains is first checked against the
+available memory (:func:`seqnet.errors.check_memory`).
 """
 
 from __future__ import annotations
@@ -15,11 +18,12 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import eigh
 
-from .distances import _dense, _gram_is_exact, _group_sums, _rows, _sq_norms
+from .distances import _dense, _gram_is_exact, _group_sums, _row_tiles, _rows, _sq_norms
 from .distances import nearest, sq_distances
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, check_memory
 from .ssn import SimilarityNetwork
 from .tables import read_rows
 
@@ -51,8 +55,19 @@ class ElbowCurve:
     chosen_k: int
 
 
-def _row(x, i: int) -> np.ndarray:
-    return _dense(x[i : i + 1])[0]
+def _row(x, i: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Row i of x as a dense vector: a view of a dense x, not to be written
+    to; a CSR row's stored values summed in order into zeros, or into
+    ``out`` when it is given, the bits of ``toarray``."""
+    if not sparse.issparse(x):
+        return x[i]
+    if out is None:
+        out = np.zeros(x.shape[1])
+    else:
+        out.fill(0.0)
+    lo, hi = x.indptr[i], x.indptr[i + 1]
+    np.add.at(out, x.indices[lo:hi], x.data[lo:hi])
+    return out
 
 
 def _densify_labels(raw: np.ndarray) -> tuple[np.ndarray, int]:
@@ -71,8 +86,13 @@ def pca_project(x, dim: int) -> np.ndarray:
     Component signs are fixed (largest-magnitude loading positive) so the
     projection is reproducible byte for byte.
     """
-    x = _dense(_rows(x))
-    dim = min(dim, *x.shape)
+    x = _rows(x)
+    n, d = x.shape
+    m = min(n, d)
+    # the rows, their centred copy and the SVD's copy, factors and workspace
+    check_memory(8 * (3 * n * d + m * (n + d)), f"pca_project on {n} x {d} rows")
+    x = _dense(x)
+    dim = min(dim, m)
     centered = x - x.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     comps = vt[:dim]
@@ -212,11 +232,19 @@ def agglomerative(
     the nearest disconnected pair is merged and counted in ``forced_merges``.
     Ties go to the lexicographically smallest pair. Every merge joins ids
     a < b and keeps a, so a cluster is named by its smallest row.
+
+    A ``FeatureMatrix`` or ``scipy.sparse`` input stays CSR. Ward keeps a
+    dense centroid only for each merged cluster. A cost densifies a
+    singleton's row only while it needs it, or subtracts the row's stored
+    values from a dense copy of the other side, and takes the BLAS dot of
+    the full dense difference, so the labels keep the bits of an all-dense
+    run. Average linkage holds the n x n sums of pairwise distances,
+    checked against the available memory first.
     """
     if linkage not in ("ward", "average"):
         raise ConfigError(f"unknown linkage {linkage!r}")
-    x = _dense(_rows(x))
-    n = len(x)
+    x = _rows(x)
+    n = x.shape[0]
     if graph.n != n:
         raise ConfigError(f"graph has {graph.n} nodes for {n} rows")
     if not 1 <= k <= n:
@@ -227,17 +255,39 @@ def agglomerative(
     size = np.ones(n)
     ward = linkage == "ward"
     if ward:
-        centroid = x.astype(np.float64).copy()
+        merged = {}  # a merged cluster's centroid; a singleton's is its row
+        # with no duplicate entries, subtracting a CSR row's stored values
+        # from a dense vector gives the bits of subtracting the dense row
+        stored = sparse.issparse(x) and x.has_canonical_format
+        # one difference row for every cost: at k=4 a fresh 1.3 MB array a
+        # cost would be fresh pages from the system each time
+        diff = np.empty(x.shape[1])
+
+        def centroid(a: int) -> np.ndarray:
+            return merged[a] if a in merged else _row(x, a)
 
         def cost(a: int, b: int) -> float:
-            diff = centroid[a] - centroid[b]
+            if b in merged:
+                a, b = b, a  # the difference's sign is lost in its square
+            if b in merged or not stored:
+                np.subtract(centroid(a), centroid(b), out=diff)
+            else:
+                if a in merged:
+                    np.copyto(diff, merged[a])
+                else:
+                    _row(x, a, out=diff)
+                lo, hi = x.indptr[b], x.indptr[b + 1]
+                np.subtract.at(diff, x.indices[lo:hi], x.data[lo:hi])
             return size[a] * size[b] / (size[a] + size[b]) * float(diff @ diff)
 
         def absorb(a: int, b: int) -> None:
-            centroid[a] = (size[a] * centroid[a] + size[b] * centroid[b]) / (size[a] + size[b])
+            merged[a] = (size[a] * centroid(a) + size[b] * centroid(b)) / (size[a] + size[b])
+            merged.pop(b, None)
 
     else:
-        cross = np.sqrt(sq_distances(x))  # cross[a, b] = sum of pairwise distances
+        check_memory(8 * n * n, f"average linkage's {n} x {n} distance sums")
+        cross = sq_distances(x)
+        np.sqrt(cross, out=cross)  # cross[a, b] = sum of pairwise distances
 
         def cost(a: int, b: int) -> float:
             return float(cross[a, b]) / (size[a] * size[b])
@@ -290,16 +340,20 @@ def dbscan(x, eps: float, min_pts: int) -> ClusterAssignment:
     """Core/border/noise labeling with Euclidean eps-neighborhoods.
 
     A point's neighborhood includes itself; noise keeps label -1; cluster ids
-    follow first-discovery order scanning points by ascending index.
+    follow first-discovery order scanning points by ascending index. The
+    neighborhoods are read from one tile of distances at a time, so no
+    n x n matrix is held, and a ``scipy.sparse`` input stays CSR.
     """
     if eps <= 0:
         raise ConfigError("eps must be positive")
     if min_pts < 1:
         raise ConfigError("min_pts must be >= 1")
-    x = _dense(_rows(x))
-    n = len(x)
-    dist = np.sqrt(sq_distances(x))
-    nbrs = [np.flatnonzero(dist[i] <= eps) for i in range(n)]
+    x = _rows(x)
+    n = x.shape[0]
+    nbrs = []
+    for _, d2 in _row_tiles(x, x):
+        nbrs.extend(np.flatnonzero(row) for row in np.sqrt(d2, out=d2) <= eps)
+        del d2  # with _row_tiles' own del, one tile is held at a time
     core = np.array([len(nb) >= min_pts for nb in nbrs])
 
     labels = np.full(n, -1, dtype=np.int64)
@@ -351,12 +405,15 @@ def gaussian_mixture(
     an optional PCA pre-reduction for high-dimensional count inputs. Labels
     take the posterior argmax of the returned soft responsibilities.
     """
-    x = _dense(_rows(x))
+    x = _rows(x)
     if pca_dim is not None:
         x = pca_project(x, pca_dim)
     n, d = x.shape
     if not 1 <= k <= n:
         raise ConfigError(f"k={k} out of range for n={n}")
+    # the rows and the two n x d temporaries of each component's density
+    check_memory(8 * 3 * n * d, f"gaussian_mixture on {n} x {d} rows")
+    x = _dense(x)
 
     rng = np.random.default_rng(seed)
     means = _kmeans_pp_init(x, k, rng, _sq_norms(x))
@@ -398,10 +455,13 @@ def spectral_clustering(
     x, k: int, gamma: Optional[float] = None, seed: int = 0
 ) -> ClusterAssignment:
     """RBF affinity, normalized-Laplacian embedding, then k-means on its rows."""
-    x = _dense(_rows(x))
+    x = _rows(x)
     n, d = x.shape
     if not 1 <= k <= n:
         raise ConfigError(f"k={k} out of range for n={n}")
+    # the dense rows, then the affinity, the Laplacian and two n x n temporaries
+    check_memory(8 * (n * d + 4 * n * n), f"spectral_clustering on {n} x {d} rows")
+    x = _dense(x)
     if gamma is None:
         mean_var = float(x.var(axis=0).mean())
         gamma = 1.0 / (d * mean_var) if mean_var > 0 else 1.0

@@ -5,9 +5,14 @@ returns the same bits as explicit coordinate differences. It uses the Gram
 expansion ``|a|^2 + |b|^2 - 2 a.b`` only when that is exact: every entry of
 both operands is an integer and ``4 * dim * max|entry|^2 < 2**53``, so every
 intermediate is an integer that float64 holds exactly (k-mer counts always
-qualify). Otherwise it sums squared differences, in blocks of about 2e7
-elements. Both functions work in tiles of at most 512 rows of the first
-operand, and make the exactness scan and the squared norms once per call.
+qualify). Otherwise it sums squared differences in C-ordered blocks of
+at most 2^19 values (4 MB): as many rows of the first operand against as
+many rows of the second as fit. Each pair's sum is taken over its own
+contiguous row, so the bits depend neither on the block nor on the
+operands' memory layout. Both functions work in tiles of at most 512 rows
+of the first operand (on the difference branch, at most 2^16 distances
+unless one block of rows is more), and make the exactness scan and the
+squared norms once per call.
 
 Where an operand is sparse, the Gram product splits the columns once per
 call (Yuster and Zwick's dense/sparse split, "Fast sparse matrix
@@ -15,9 +20,10 @@ multiplication", 2005). :func:`_hot_columns` picks the columns whose
 pairs of nonzeros cost more as scattered sparse multiply-adds than in
 BLAS; on k=3 counts of related sequences they are about a seventh of the
 columns and hold most of the nonzeros, on a single query row there are
-none. The second operand's hot columns are densified once per call, its
-cold columns kept as one sparse slice, and each tile is a sparse product
-over the cold columns plus a dense product over the hot ones. Every
+none, so a one-row query skips the column count. The second operand's
+hot columns are densified once per call, its cold columns kept as one
+sparse slice, and each tile is a sparse product over the cold columns
+plus a dense product over the hot ones. Every
 partial sum is an exact integer, so the bits do not depend on the split.
 An operand whose columns all fall on one side is not copied, and when
 both operands are the same matrix a tile's parts are row slices of the
@@ -38,11 +44,12 @@ from scipy import sparse
 
 from .featurize import FeatureMatrix
 
-_BLOCK_ELEMS = 20_000_000
+# values in one of _row_tiles' explicit-difference blocks (4 MB of float64)
+_BLOCK_ELEMS = 1 << 19
 _TILE_ROWS = 512
 _CHUNK = 1 << 15
-# values in one of nearest's explicit-difference blocks (8 MB of float64)
-_NEAREST_ELEMS = 1 << 20
+# values in one of nearest's explicit-difference blocks (1 MB of float64)
+_NEAREST_ELEMS = 1 << 17
 _UNIT_ROUNDOFF = 2.0**-53
 # a BLAS multiply-add costs about 1/70 of a sparse one, or of writing one
 # dense element (measured on a 2-core host, two BLAS threads)
@@ -134,7 +141,8 @@ def _row_tiles(a, b):
     if _gram_is_exact(a, b):
         sq_a = _sq_norms(a)
         sq_b = sq_a if b is a else _sq_norms(b)
-        hot = _hot_columns(a, b)
+        # one row has no column with pairs enough to be hot
+        hot = np.zeros(b.shape[1], bool) if a.shape[0] == 1 else _hot_columns(a, b)
         # b is split once per call, not once per tile: slicing scans all of it
         b_parts = _split(b, hot)
         for start in range(0, a.shape[0], _TILE_ROWS):
@@ -153,16 +161,33 @@ def _row_tiles(a, b):
             del d2  # not held while the next tile is made
         return
     a, b = _dense(a), _dense(b)
-    step = max(1, min(_TILE_ROWS, _BLOCK_ELEMS // max(1, b.size)))
-    for start in range(0, a.shape[0], step):
-        rows = a[start : start + step]
-        if len(rows) == len(b) == 1:  # one pair: summed in another order, see _paired_sq
-            yield start, _paired_sq(rows, b)[:, None]
-            continue
-        diff = rows[:, None, :] - b[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        del diff  # not held while the next block is made
+    (m, dim), n = a.shape, b.shape[0]
+    # a block is `step` rows of a against `cols` rows of b, at most
+    # _BLOCK_ELEMS differences; a tile is `tile` rows of a against all of b,
+    # at most an eighth as many distances unless one block of rows is more
+    # (a caller may still hold the last tile while the next one is made)
+    cols = max(1, min(n, _BLOCK_ELEMS // max(1, dim)))
+    step = max(1, min(m, _TILE_ROWS, _BLOCK_ELEMS // (cols * max(1, dim))))
+    tile = max(1, min(_TILE_ROWS, _BLOCK_ELEMS // 8 // max(1, n)) // step) * step
+    for start in range(0, m, tile):
+        d2 = np.empty((min(tile, m - start), n))
+        # one C-ordered block for the tile's differences: each pair is summed
+        # over its own contiguous row whatever the operands' layout, and a
+        # block does not cost fresh pages each time
+        block = np.empty(step * cols * dim)
+        for i in range(0, len(d2), step):
+            rows = a[start + i : start + min(i + step, len(d2))]
+            for j in range(0, n, cols):
+                part = b[j : j + cols]
+                if len(rows) == len(part) == 1:  # one pair: summed in another order, see _paired_sq
+                    d2[i, j] = _paired_sq(rows, part)[0]
+                    continue
+                diff = block[: len(rows) * len(part) * dim].reshape(len(rows), len(part), dim)
+                np.subtract(rows[:, None, :], part[None, :, :], out=diff)
+                d2[i : i + len(rows), j : j + len(part)] = np.einsum("ijk,ijk->ij", diff, diff)
+        block = diff = None  # not held while the caller reads the tile
         yield start, d2
+        del d2  # not held while the next tile is made
 
 
 def sq_distances(a, b=None) -> np.ndarray:
@@ -213,8 +238,9 @@ def _paired_sq(a, b) -> np.ndarray:
     summed as the difference branch of :func:`sq_distances` sums each pair.
     A one-row einsum is a full reduction, which numpy sums in another order
     once a row is longer than 8,192 values; a second copy of the row keeps
-    the per-row order."""
-    diff = a - b
+    the per-row order. The differences are C-ordered, so each row is summed
+    contiguously whatever the operands' layout."""
+    diff = np.subtract(a, b, order="C")
     rows = len(diff)
     if rows == 1:
         diff = np.vstack((diff, diff))
@@ -249,7 +275,7 @@ def nearest(x, centers, sq_x=None) -> tuple[np.ndarray, np.ndarray]:
     no e can tie or beat e_w. The remaining rows (near ties, duplicate
     centres, non-finite values) are recomputed against all centres by
     explicit differences. Every row's chosen distance is computed by
-    explicit differences, in row blocks of about 2^20 values, never n x k x
+    explicit differences, in row blocks of about 2^17 values, never n x k x
     dim.
     """
     x = _rows(x)

@@ -1,4 +1,8 @@
-"""Exception types raised across the toolkit."""
+"""Exception types raised across the toolkit, and the memory guard that
+raises one before a dense allocation the machine cannot hold."""
+
+import os
+from typing import Optional
 
 
 class SeqnetError(Exception):
@@ -66,3 +70,36 @@ class UndefinedMetricError(SeqnetError, ValueError):
 
 class MissingScoresError(SeqnetError, ValueError):
     """Per-class scores required but not supplied."""
+
+
+class MemoryLimitError(SeqnetError):
+    """A dense allocation larger than the memory available to the process."""
+
+
+def available_memory() -> Optional[int]:
+    """Bytes of memory available for new allocations: ``MemAvailable`` in
+    ``/proc/meminfo``, else the free physical pages from ``os.sysconf``;
+    None when neither can be read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError, AttributeError):
+        return None
+
+
+def check_memory(nbytes: int, what: str) -> None:
+    """Raise ``MemoryLimitError`` naming ``what`` and its estimated bytes
+    when they exceed :func:`available_memory`, so a run that would be
+    killed for lack of memory stops with the estimate instead."""
+    available = available_memory()
+    if available is not None and nbytes > available:
+        raise MemoryLimitError(
+            f"{what} needs about {nbytes / 1e6:,.0f} MB, "
+            f"but only {available / 1e6:,.0f} MB of memory is available"
+        )

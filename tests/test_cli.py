@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 from evalmetrics_reference import cluster_quality_reference
 
-from seqnet import classify
+from seqnet import classify, errors
 from seqnet.cli import _effective, build_parser, main
 from seqnet.config import SECTIONS, PipelineConfig, load_config
 from seqnet.embed import EmbeddingMatrix, load_embedding, save_embedding
 from seqnet.errors import ConfigError, DimensionError
-from seqnet.cluster import load_assignment, pca_project
+from seqnet.cluster import agglomerative, kmeans, load_assignment, pca_project
 from seqnet.featurize import FeatureMatrix, load_features
 from seqnet.ssn import connected_components, load_graph, network_from_edges, save_graph
 
@@ -352,6 +352,51 @@ class TestPipelineCommands:
         ) == 0
         meta = (pipeline_dir / "ward2.csv.meta").read_text().splitlines()
         assert f"input.2.path={nodes}" in meta
+
+    def test_cluster_sidecar_counters(self, pipeline_dir):
+        """Ward and average record their forced merges and k-means its Lloyd
+        iterations; a rerun writes the same sidecar byte for byte."""
+        features, graph = pipeline_dir / "features.csv", pipeline_dir / "graph.tsv"
+        rows = load_features(features)
+        want = {
+            "ward": ("forced_merges", agglomerative(rows, load_graph(graph), 2).forced_merges),
+            "average": ("forced_merges", agglomerative(
+                rows, load_graph(graph), 2, linkage="average").forced_merges),
+            "kmeans": ("kmeans_iters", len(kmeans(rows, 2, seed=0).history) - 1),
+        }
+        for method, (key, value) in want.items():
+            metas = []
+            for rerun in range(2):
+                out = pipeline_dir / f"{method}{rerun}.csv"
+                assert run(
+                    "cluster", "--features", features, "--output", out, "--method", method,
+                    "--k-clusters", 2, "--graph", graph, "--seed", 0,
+                ) == 0
+                metas.append((pipeline_dir / f"{method}{rerun}.csv.meta").read_text())
+            assert metas[0].replace(f"{method}0.csv", "") == metas[1].replace(f"{method}1.csv", "")
+            assert f"{key}={value}" in metas[0].splitlines(), method
+        # the graph's three lineages are three components: k=2 forces a merge
+        assert want["ward"][1] >= 1
+
+    @pytest.mark.parametrize("argv", [
+        ("cluster", "--method", "average", "--k-clusters", 2, "--graph", "graph.tsv"),
+        ("cluster", "--method", "gmm", "--k-clusters", 2),
+        ("cluster", "--method", "spectral", "--k-clusters", 2),
+        ("pca2d",),
+    ])
+    def test_dense_allocation_beyond_available_memory_exit_5(self, pipeline_dir, capsys, argv):
+        """A dense n x n or n x dim allocation larger than the available
+        memory stops with exit 5 and its estimate, before it is made."""
+        argv = [pipeline_dir / a if a == "graph.tsv" else a for a in argv]
+        flag = "--features" if argv[0] == "cluster" else "--input"
+        out = pipeline_dir / "out.csv"
+        with mock.patch.object(errors, "available_memory", return_value=1000):
+            assert run(*argv, flag, pipeline_dir / "features.csv", "--output", out) == 5
+        err = capsys.readouterr().err
+        assert "seqnet: error[5]:" in err and "needs about" in err and "0 MB" in err
+        assert not out.exists()
+        with mock.patch.object(errors, "available_memory", return_value=None):
+            assert run(*argv, flag, pipeline_dir / "features.csv", "--output", out) == 0
 
     def test_elbow_csv(self, pipeline_dir):
         out = pipeline_dir / "elbow.csv"

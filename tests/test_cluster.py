@@ -13,7 +13,7 @@ from cluster_reference import (
 from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy import sparse
 
-from seqnet import distances, tables
+from seqnet import cluster, distances, errors, tables
 from seqnet.cluster import (
     ClusterAssignment,
     _densify_labels,
@@ -30,10 +30,10 @@ from seqnet.cluster import (
     spectral_clustering,
 )
 from seqnet.distances import nearest, sq_distances
-from seqnet.errors import ConfigError, ParseError
+from seqnet.errors import ConfigError, MemoryLimitError, ParseError
 from seqnet.featurize import FeatureMatrix, featurize_dataset
 from seqnet.seqio import synthesize_dataset
-from seqnet.ssn import network_from_edges
+from seqnet.ssn import build_ssn, network_from_edges
 
 
 def complete_graph(n):
@@ -46,6 +46,14 @@ def partition_sse(x, labels):
         members = x[labels == c]
         sse += float(((members - members.mean(axis=0)) ** 2).sum())
     return sse
+
+
+def split_entries(dense):
+    """dense as a CSR matrix that is not canonical: each stored value is two
+    halves at the same column, which ``toarray`` sums back to the value."""
+    csr = sparse.csr_matrix(dense)
+    return sparse.csr_matrix((np.repeat(csr.data / 2, 2), np.repeat(csr.indices, 2),
+                              2 * csr.indptr), shape=csr.shape)
 
 
 def co_membership(labels):
@@ -352,7 +360,7 @@ class TestAgglomerative:
         # 1,000+ seeded cases against the merge loop with a members dict and
         # an active set: sparse graphs force merges, small integer rows tie
         rng = np.random.default_rng(10)
-        forced = ties = 0
+        forced = ties = forced_csr = 0
         for trial in range(250):
             n = int(rng.integers(2, 31))
             if trial % 2:
@@ -362,16 +370,41 @@ class TestAgglomerative:
             pairs = rng.integers(0, n, size=(int(rng.integers(0, 3 * n + 1)), 2))
             g = network_from_edges(n, [(int(u), int(v)) for u, v in pairs if u != v])
             ties += len(np.unique(x, axis=0)) < n
+            # integer rows are also passed as CSR, as k-mer counts are, and as a
+            # CSR that stores each value as two halves at the same column
+            forms = (x, sparse.csr_matrix(x), split_entries(x)) if trial % 2 else (x,)
             for k in sorted({1, n, int(rng.integers(1, n + 1))}):
                 for linkage in ("ward", "average"):
-                    got = agglomerative(x, g, k, linkage=linkage)
                     want = agglomerative_reference(x, g, k, linkage=linkage)
-                    assert got.labels.tolist() == want.labels.tolist(), (trial, k, linkage)
-                    assert (got.k_found, got.forced_merges) == (
-                        want.k_found, want.forced_merges,
-                    ), (trial, k, linkage)
+                    for form in forms:
+                        got = agglomerative(form, g, k, linkage=linkage)
+                        case = (trial, k, linkage, type(form).__name__)
+                        assert got.labels.tolist() == want.labels.tolist(), case
+                        assert (got.k_found, got.forced_merges) == (
+                            want.k_found, want.forced_merges,
+                        ), case
+                        forced_csr += len(forms) > 1 and got.forced_merges > 0
                     forced += got.forced_merges > 0
-        assert forced > 100 and ties > 50
+        assert forced > 100 and ties > 50 and forced_csr > 50
+
+    def test_ward_on_counts_stays_sparse_and_small(self):
+        """Ward on 300 CSR count rows of 8,000 columns holds less than one
+        dense copy of them and gives the all-dense reference's labels."""
+        features = lineage_features(n_lineages=20, per=15)
+        assert features.matrix.shape == (300, 8000)
+        graph = build_ssn(features, k=5)
+        with mock.patch.object(FeatureMatrix, "to_dense", side_effect=AssertionError("densified")):
+            tracemalloc.start()
+            try:
+                got = agglomerative(features, graph, 20)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # the dense rows and their centroid copy took 2 x 19.2 MB here
+        assert peak < 300 * 8000 * 8
+        want = agglomerative_reference(features.matrix.toarray(), graph, 20)
+        assert got.labels.tolist() == want.labels.tolist()
+        assert got.forced_merges == want.forced_merges
 
 
 class TestDbscan:
@@ -415,6 +448,65 @@ class TestDbscan:
         x = np.array([[0.0], [50.0]])
         out = dbscan(x, eps=1.0, min_pts=1)
         assert out.labels.tolist() == [0, 1]
+
+    def test_reads_one_tile_of_distances_at_a_time(self):
+        """No n x n matrix is held, and the labels are those of the full
+        distance matrix in one tile; integer rows give the same as CSR."""
+        rng = np.random.default_rng(7)
+        x = np.vstack([rng.normal(c, 0.5, (1000, 2)) for c in (0.0, 5.0, 10.0)])
+        tracemalloc.start()
+        try:
+            got = dbscan(x, eps=0.3, min_pts=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3000 * 3000 * 8 / 4  # the full matrix is 72 MB
+        one_tile = lambda a, b: iter([(0, sq_distances(a, b))])
+        with mock.patch.object(cluster, "_row_tiles", one_tile):
+            want = dbscan(x, eps=0.3, min_pts=5)
+        assert got.labels.tolist() == want.labels.tolist() and got.k_found >= 3
+        counts = np.rint(x * 4)
+        assert (dbscan(sparse.csr_matrix(counts), 2.0, 5).labels.tolist()
+                == dbscan(counts, 2.0, 5).labels.tolist())
+
+
+class TestMemoryGuard:
+    FITS = {
+        "average": lambda x: agglomerative(x, complete_graph(x.shape[0]), 2, linkage="average"),
+        "gmm": lambda x: gaussian_mixture(x, 2),
+        "gmm_pca": lambda x: gaussian_mixture(x, 2, pca_dim=2),
+        "spectral": lambda x: spectral_clustering(x, 2),
+        "pca": lambda x: pca_project(x, 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FITS))
+    def test_refuses_an_allocation_beyond_available_memory(self, name):
+        x = sparse.csr_matrix(np.random.default_rng(3).integers(0, 4, size=(30, 5)))
+        with mock.patch.object(errors, "available_memory", return_value=0):
+            with pytest.raises(MemoryLimitError, match="needs about") as info:
+                self.FITS[name](x)
+        assert not isinstance(info.value, ConfigError)
+        with mock.patch.object(errors, "available_memory", return_value=None):
+            self.FITS[name](x)
+
+    def test_estimate_is_in_the_message(self):
+        x = np.zeros((2000, 1))
+        with mock.patch.object(errors, "available_memory", return_value=10**6):
+            with pytest.raises(MemoryLimitError, match="2000 x 2000 distance sums needs "
+                                                       "about 32 MB, but only 1 MB"):
+                agglomerative(x, network_from_edges(2000, [(0, 1)]), 2, linkage="average")
+
+    def test_available_memory_reads_meminfo_then_sysconf(self):
+        meminfo = "MemTotal:  8000 kB\nMemFree:  100 kB\nMemAvailable:  7000 kB\n"
+        with mock.patch("builtins.open", mock.mock_open(read_data=meminfo)):
+            assert errors.available_memory() == 7000 * 1024
+        pages = {"SC_AVPHYS_PAGES": 5, "SC_PAGE_SIZE": 4096}
+        with mock.patch("builtins.open", side_effect=OSError), \
+                mock.patch.object(errors.os, "sysconf", side_effect=pages.__getitem__):
+            assert errors.available_memory() == 5 * 4096
+        with mock.patch("builtins.open", side_effect=OSError), \
+                mock.patch.object(errors.os, "sysconf", side_effect=ValueError):
+            assert errors.available_memory() is None
 
 
 class TestGaussianMixture:

@@ -200,6 +200,75 @@ def test_difference_branch_holds_one_block_at_a_time():
     assert peak < 1.5 * block * 8
 
 
+def test_one_query_row_skips_the_column_counts():
+    """One query row has no hot column, so no column is counted for it; the
+    lists are the oracle's. Two or more query rows still count them."""
+    x = sparse.csr_matrix(np.random.default_rng(5).integers(0, 4, size=(60, 30)).astype(float))
+    dense = x.toarray()
+    with mock.patch.object(distances, "_col_counts", side_effect=AssertionError("counted")):
+        for i in (0, 17, 59):
+            assert knn_query(x, i, 5) == k_nearest_reference(dense, 5, rows=[i])[0]
+        assert (k_nearest(x, 4, queries=dense[3:4]).tolist()
+                == k_nearest_reference(dense, 4, queries=dense[3:4]))
+    with mock.patch.object(distances, "_col_counts", wraps=distances._col_counts) as spy:
+        k_nearest(x, 4, queries=x[:2])
+    assert spy.call_count == 2
+
+
+def test_difference_blocks_are_capped_on_both_operands():
+    """A float block is at most 2^19 values (4 MB) even when one row of the
+    first operand against all of the second is more: the second operand's
+    rows are cut too, and each pair keeps its bits."""
+    rng = np.random.default_rng(6)
+    a, b = rng.normal(size=(3, 300)), rng.normal(size=(3000, 300))
+    tracemalloc.start()
+    try:
+        got = sq_distances(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_same_bits(got, sq_distances_reference(a, b))
+    # one block of all three rows against all of b would be 21.6 MB
+    assert peak < 1.5 * 2**19 * 8
+
+
+def test_float_bits_do_not_depend_on_memory_layout():
+    """Each pair is summed over one C-ordered row of differences, so
+    Fortran-ordered operands (HOPE's vectors are) give the bits of their
+    C-ordered copies, in every difference block and in nearest's."""
+    rng = np.random.default_rng(9)
+    a, b = rng.normal(size=(40, 20)) * 100, rng.normal(size=(50, 20)) * 100
+    want = sq_distances_reference(a, b)
+    assign = rng.integers(0, 50, size=40)
+    for block in (1, 7, 2**19):
+        with mock.patch.object(distances, "_BLOCK_ELEMS", block):
+            for a_f, b_f in ((a, np.asfortranarray(b)), (np.asfortranarray(a), b),
+                             (np.asfortranarray(a), np.asfortranarray(b))):
+                assert_same_bits(sq_distances(a_f, b_f), want)
+                got = distances._assigned_sq(a_f, b_f, assign)
+                assert got.tobytes() == want[np.arange(40), assign].tobytes()
+
+
+def test_assigned_sq_holds_one_capped_block():
+    """Each row's distance to its own centre is taken in blocks of 2^17
+    values: the gathered centres and their differences, about 1 MB each."""
+    rng = np.random.default_rng(4)
+    x, centers = rng.normal(size=(2000, 500)), rng.normal(size=(5, 500))
+    assign = rng.integers(0, 5, size=2000)
+    tracemalloc.start()
+    try:
+        got = distances._assigned_sq(x, centers, assign)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = np.concatenate([
+        sq_distances_reference(x[i : i + 200], centers)[np.arange(200), assign[i : i + 200]]
+        for i in range(0, 2000, 200)
+    ])
+    assert got.tobytes() == want.tobytes()
+    assert peak < 3 * 2**17 * 8 + got.nbytes
+
+
 def test_one_dimensional_input_is_a_column():
     assert_same_bits(sq_distances([0.0, 1.0, 3.0]), sq_distances_reference([[0.0], [1.0], [3.0]]))
 

@@ -295,6 +295,25 @@ def test_quality_holds_no_n_by_n_matrix():
         assert peak < n * n * 8 / 2
 
 
+def test_davies_bouldin_on_wide_centroids_holds_a_few_mb():
+    """22 centroids of 8,000 columns: their pairwise differences are taken a
+    capped block at a time, not as one 31 MB block, and the index is the
+    reference's."""
+    rng = np.random.default_rng(8)
+    labels = np.repeat(np.arange(22), 13)
+    counts = sparse.random(286, 8000, density=0.1, format="csr", random_state=rng,
+                           data_rvs=lambda size: rng.integers(1, 6, size).astype(np.float64))
+    dense = counts.toarray()
+    tracemalloc.start()
+    try:
+        got = davies_bouldin(dense, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert got == pytest.approx(davies_bouldin_reference(dense, labels), rel=1e-12)
+
+
 class TestClassificationReport:
     def test_hand_confusion_example(self):
         rep = classification_report([0, 0, 1, 1], [0, 1, 1, 1], auc=False)
