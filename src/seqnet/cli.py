@@ -17,7 +17,6 @@ Exit codes: 0 success, 2 usage, 3 missing input file, 4 schema/config error,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 import time
 from dataclasses import fields, replace
@@ -28,7 +27,7 @@ from .config import PARSERS, PipelineConfig, config_items, load_config, parse_bo
 from .embed import EMBED_METHODS, WalkConfig, load_embedding, save_embedding
 from .errors import ConfigError, ParseError, SeqnetError, parse_numbers
 from .evalmetrics import cluster_quality
-from .featurize import featurize_dataset, load_features, save_features
+from .featurize import featurize_dataset, file_sha256, load_features, save_features
 from .seqio import (
     parse_fasta,
     read_labels_csv,
@@ -46,12 +45,13 @@ EXIT_DATA = 5
 EXIT_UNEXPECTED = 1
 
 
-def _sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+def _sha256(args, path) -> str:
+    """SHA-256 of an input file, taken once per subcommand run: the digest
+    that checks a triplet CSV's companion is the one its sidecar records."""
+    digests = vars(args).setdefault("input_sha256", {})
+    if path not in digests:
+        digests[path] = file_sha256(path)
+    return digests[path]
 
 
 def _sidecar_lines(args, config, inputs, extra=None) -> list[str]:
@@ -60,7 +60,7 @@ def _sidecar_lines(args, config, inputs, extra=None) -> list[str]:
         lines.append(f"config.{key}={value}")
     for i, path in enumerate(inputs):
         lines.append(f"input.{i}.path={path}")
-        lines.append(f"input.{i}.sha256={_sha256(path)}")
+        lines.append(f"input.{i}.sha256={_sha256(args, path)}")
     for key in sorted(extra or {}):
         lines.append(f"{key}={extra[key]}")
     return lines
@@ -75,6 +75,11 @@ def _require_input(path):
     if not Path(path).exists():
         raise FileNotFoundError(f"missing input file: {path}")
     return path
+
+
+def _load_features(args, path):
+    """The triplet CSV's k-mer rows; its companion is checked by the sidecar's digest."""
+    return load_features(_require_input(path), sha256=_sha256(args, path))
 
 
 def _load_graph(edges, nodes=None):
@@ -176,7 +181,7 @@ def cmd_featurize(args):
 
 def cmd_graph(args):
     cfg = _effective(args)
-    matrix = load_features(_require_input(args.input))
+    matrix = _load_features(args, args.input)
     node_ids = None
     labels = None
     inputs = [args.input]
@@ -220,7 +225,7 @@ def cmd_embed(args):
 
 def cmd_cluster(args):
     cfg = _effective(args)
-    matrix = load_features(_require_input(args.features))
+    matrix = _load_features(args, args.features)
     inputs = [args.features]
     method = args.cluster_method
     t0 = time.perf_counter()
@@ -247,7 +252,7 @@ def cmd_cluster(args):
 
 def cmd_elbow(args):
     cfg = _effective(args)
-    matrix = load_features(_require_input(args.features))
+    matrix = _load_features(args, args.features)
     curve = cluster_mod.elbow_select_k(matrix, args.k_min, args.k_max, seed=cfg.seed)
     if not cfg.timings:
         curve = replace(curve, runtimes_sec=(0.0,) * len(curve.ks))
@@ -257,12 +262,12 @@ def cmd_elbow(args):
     return EXIT_OK
 
 
-def _load_vectors(path):
+def _load_vectors(args, path):
     """Features triplet CSV (kept sparse) or embedding CSV, by its first line."""
-    with open(path) as fh:
+    with open(_require_input(path)) as fh:
         first = fh.readline()
     if first.startswith("# n="):
-        return load_features(path)
+        return _load_features(args, path)
     if first.startswith("node_index,"):
         return load_embedding(path).vectors
     raise ParseError(f"unrecognized input format in {path}", line=1)
@@ -278,7 +283,7 @@ def _read_runtime_comment(path) -> float:
 
 def cmd_evaluate(args):
     cfg = _effective(args)
-    x = _load_vectors(_require_input(args.features))
+    x = _load_vectors(args, args.features)
     labels = cluster_mod.load_assignment(_require_input(args.assignments))
     if len(labels) != len(x):
         raise ConfigError(
@@ -370,7 +375,7 @@ def cmd_report(args):
 
 def cmd_pca2d(args):
     cfg = _effective(args)
-    x = _load_vectors(_require_input(args.input))
+    x = _load_vectors(args, args.input)
     projection = cluster_mod.pca_project(x, 2)
     with open(args.output, "w") as fh:
         fh.write("node_index,pc0,pc1\n")

@@ -197,6 +197,7 @@ def sq_distances(a, b=None) -> np.ndarray:
     out = np.empty((a.shape[0], b.shape[0]))
     for start, d2 in _row_tiles(a, b):
         out[start : start + len(d2)] = d2
+        del d2  # not held while the next tile is made
     return out
 
 
@@ -214,6 +215,7 @@ def k_nearest(x, k: int, queries=None) -> np.ndarray:
         if own:
             d2[np.arange(len(d2)), np.arange(start, start + len(d2))] = np.inf
         out[start : start + len(d2)] = _smallest(d2, k)
+        del d2  # not held while the next tile is made
     return out
 
 

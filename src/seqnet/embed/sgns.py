@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.sparse import _sparsetools
-from scipy.special import expit
 
 from ..errors import ConfigError, DivergenceError
 from .walks import WalkConfig, WalkCorpus
@@ -97,6 +96,10 @@ def _sgns_batch(u, v, t_idx, c_idx, negatives, alpha, group: int) -> float:
     uc, un = u[c_idx], u[negatives]
     pos = np.einsum("ij,ij->i", vt[:b], uc)
     neg = np.matmul(blocks, un.transpose(0, 2, 1))
+    # imported here, not at the top: scipy.special is ~90 ms of every CLI
+    # process's start-up, and only the walk embeddings need it
+    from scipy.special import expit
+
     s_pos, s_neg = expit(pos), expit(neg)
     loss = -np.log(s_pos).sum(dtype=np.float64)
     loss -= np.log(expit(-neg.reshape(-1, m)[:b])).sum(dtype=np.float64)

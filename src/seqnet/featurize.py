@@ -4,9 +4,24 @@ A sequence of length N yields (N - k) + 1 overlapping windows of width k
 (stride 1); each window increments one bin of a length-20^k count vector.
 Counts are raw frequencies, never normalized here. Storage is sparse: a
 length-1274 sequence touches at most 1272 of the 8000 k=3 bins.
+
+:func:`save_features` writes the triplet CSV, the interchange file, and
+beside it a binary companion ``<csv>.csr``: a fixed header (format tag, n,
+k, nnz, the three arrays' dtypes and the SHA-256 of the CSV's bytes), then
+the CSR offsets, ranks and counts as raw little-endian unsigned integers,
+each in the narrowest dtype that holds its largest value. The companion is
+written only where it is smaller than the CSV. :func:`load_features` reads
+the arrays from the companion instead of parsing the CSV only when the
+recorded digest is the CSV's and the arrays keep every invariant the CSV
+reader enforces; otherwise it parses the CSV. A content hash, not a
+timestamp, ties the two, as in hash-based ``.pyc`` files (PEP 552).
 """
 
 from __future__ import annotations
+
+import hashlib
+import struct
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -20,6 +35,12 @@ _NSYM = len(ALPHABET)
 _BYTE_CODE = np.full(256, -1, dtype=np.int16)
 for _ch, _i in ALPHABET_INDEX.items():
     _BYTE_CODE[ord(_ch)] = _i
+
+# the companion's header: tag, n, k, nnz, the dtypes of the offsets, ranks
+# and counts, and the SHA-256 digest of the triplet CSV's bytes
+_CSR_HEADER = struct.Struct("<8sQQQ3s3s3s32s")
+_CSR_TAG = b"SEQNCSR1"
+_CSR_DTYPES = {t.str.encode(): t for t in map(np.dtype, ("<u1", "<u2", "<u4", "<u8"))}
 
 
 def total_kmers(n: int, k: int) -> int:
@@ -122,11 +143,13 @@ class FeatureMatrix:
 
 
 def _feature_matrix(n: int, k: int, row_lengths, indices, data) -> FeatureMatrix:
-    """FeatureMatrix from row-major, per-row sorted ranks and their counts."""
+    """FeatureMatrix from row-major, per-row sorted ranks and their counts.
+    The ranks are an integer array of any width: scipy converts them once, to
+    the narrowest index dtype that holds them."""
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(row_lengths, out=indptr[1:])
     matrix = sparse.csr_matrix(
-        (np.asarray(data, dtype=np.float64), np.asarray(indices, dtype=np.int64), indptr),
+        (np.asarray(data, dtype=np.float64), indices, indptr),
         shape=(n, _NSYM**k),
     )
     return FeatureMatrix(matrix, k)
@@ -150,24 +173,116 @@ def featurize_dataset(dataset: Dataset, k: int = 3) -> FeatureMatrix:
         counts.append(cnt)
     return _feature_matrix(
         len(ranks), k, [len(r) for r in ranks],
-        np.concatenate(ranks or [[]]), np.concatenate(counts or [[]]),
+        np.concatenate(ranks or [np.empty(0, np.int64)]), np.concatenate(counts or [[]]),
     )
 
 
+def file_sha256(path) -> str:
+    """Hex SHA-256 digest of a file's bytes, read in 64 KB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(65536), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+class _HashingWriter:
+    """A binary file that hashes what is written to it."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.sha256 = hashlib.sha256()
+
+    def write(self, data):
+        self.sha256.update(data)
+        return self.fh.write(data)
+
+
+def _companion_path(path) -> Path:
+    return Path(str(path) + ".csr")
+
+
+def _narrowest(values) -> np.ndarray:
+    """``values`` in the narrowest little-endian unsigned dtype that holds
+    their largest value; non-negative integers are converted exactly."""
+    top = int(values.max()) if len(values) else 0
+    dtype = next(t for t in _CSR_DTYPES.values() if top <= np.iinfo(t).max)
+    return values.astype(dtype)
+
+
 def save_features(matrix: FeatureMatrix, path) -> None:
-    """Write the sparse triplet CSV: one metadata header line, then row,rank,count."""
+    """Write the sparse triplet CSV: one metadata header line, then
+    row,rank,count; then its binary companion, or, where that would not be
+    smaller than the CSV, remove a companion left from an earlier run."""
     x = matrix.to_csr()
     rows = np.repeat(np.arange(matrix.n, dtype=x.indices.dtype), np.diff(x.indptr))
     with open(path, "wb") as fh:
-        fh.write(f"# n={matrix.n} k={matrix.k} logical_length={matrix.logical_length}\n".encode())
-        write_int_rows(fh, (rows, x.indices, x.data), ",")
+        out = _HashingWriter(fh)
+        out.write(f"# n={matrix.n} k={matrix.k} logical_length={matrix.logical_length}\n".encode())
+        write_int_rows(out, (rows, x.indices, x.data), ",")
+        csv_bytes = fh.tell()
+    del rows  # not held while the companion's arrays are made
+    arrays = [_narrowest(a) for a in (x.indptr, x.indices, x.data)]
+    header = _CSR_HEADER.pack(_CSR_TAG, matrix.n, matrix.k, x.nnz,
+                              *(a.dtype.str.encode() for a in arrays), out.sha256.digest())
+    companion = _companion_path(path)
+    if len(header) + sum(a.nbytes for a in arrays) >= csv_bytes:
+        companion.unlink(missing_ok=True)
+        return
+    with open(companion, "wb") as fh:
+        fh.write(header)
+        for values in arrays:
+            fh.write(values.data)
 
 
-def load_features(path) -> FeatureMatrix:
+def _read_companion(path, n: int, k: int, sha256) -> tuple | None:
+    """(offsets, ranks, counts) from the companion of the triplet CSV at
+    ``path``, whose header gave ``n`` and ``k``; None where the companion is
+    missing or malformed, records another digest than the CSV's (``sha256``,
+    hex, or taken here), or holds arrays that break an invariant the CSV
+    reader enforces: n + 1 non-decreasing offsets from 0 to nnz, ranks below
+    20^k and strictly increasing within a row, counts of at least 1."""
+    try:
+        raw = _companion_path(path).read_bytes()
+    except OSError:
+        return None
+    if len(raw) < _CSR_HEADER.size:
+        return None
+    tag, n_, k_, nnz, *codes, digest = _CSR_HEADER.unpack_from(raw)
+    if tag != _CSR_TAG or (n_, k_) != (n, k) or not set(codes) <= _CSR_DTYPES.keys():
+        return None
+    dtypes = [_CSR_DTYPES[code] for code in codes]
+    lengths = (n + 1, nnz, nnz)
+    if len(raw) != _CSR_HEADER.size + sum(m * t.itemsize for m, t in zip(lengths, dtypes)):
+        return None
+    if digest.hex() != (sha256 or file_sha256(path)):
+        return None
+    arrays, start = [], _CSR_HEADER.size
+    for m, dtype in zip(lengths, dtypes):
+        arrays.append(np.frombuffer(raw, dtype=dtype, count=m, offset=start))
+        start += m * dtype.itemsize
+    offsets, ranks, counts = arrays
+    if int(offsets[0]) != 0 or int(offsets[-1]) != nnz or (offsets[1:] < offsets[:-1]).any():
+        return None
+    if nnz and (int(ranks.max()) >= _NSYM**k or counts.min() < 1):
+        return None
+    increasing = ranks[1:] > ranks[:-1]
+    # a row's first rank need not exceed the previous row's last
+    firsts = offsets[1:-1].astype(np.int64)
+    increasing[firsts[(firsts > 0) & (firsts < nnz)] - 1] = True
+    if not increasing.all():
+        return None
+    return offsets, ranks, counts
+
+
+def load_features(path, sha256: str | None = None) -> FeatureMatrix:
     """Read a triplet CSV written by :func:`save_features`.
 
     Triplets may come in any order; a repeated (row, rank) pair is an error.
     The body is read by :func:`tables.read_rows`, so a bad line is named.
+    Where the CSV's companion is current and valid its arrays are read
+    instead; ``sha256`` may pass the CSV's hex digest, taken once by the
+    caller, else it is taken here when a companion exists. Writes no file.
     """
     with open(path) as fh:
         header = fh.readline().strip()
@@ -178,6 +293,10 @@ def load_features(path) -> FeatureMatrix:
     n, k, logical_length = parse_numbers([fields[f] for f in ("n", "k", "logical_length")], 1)
     if logical_length != _NSYM**k:
         raise ParseError(f"logical_length {logical_length} != 20^{k}", line=1)
+    stored = _read_companion(path, n, k, sha256)
+    if stored is not None:
+        offsets, ranks, counts = stored
+        return _feature_matrix(n, k, np.diff(offsets.astype(np.int64)), ranks, counts)
     bounds = [(0, n - 1), (0, logical_length - 1), (1, np.iinfo(np.int64).max)]
     triplets, _ = read_rows(path, 2, "row,rank,count", "triplet", ints=3, bounds=bounds,
                             unique="(row, rank)")

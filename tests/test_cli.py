@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from evalmetrics_reference import cluster_quality_reference
 
-from seqnet import classify, errors
+from seqnet import classify, cli, errors, featurize
 from seqnet.cli import _effective, build_parser, main
 from seqnet.config import SECTIONS, PipelineConfig, load_config
 from seqnet.embed import EmbeddingMatrix, load_embedding, save_embedding
@@ -22,9 +22,10 @@ from seqnet.ssn import connected_components, load_graph, network_from_edges, sav
 
 
 ROOT = Path(__file__).resolve().parents[1]
-# scipy subpackages no stage uses; importing scipy.stats alone loads all five
+# scipy subpackages no stage uses (importing scipy.stats alone loads all
+# five), and scipy.special, which only SGNS uses and imports where it calls it
 UNUSED_SCIPY = ("scipy.stats", "scipy.optimize", "scipy.spatial", "scipy.interpolate",
-                "scipy.ndimage")
+                "scipy.ndimage", "scipy.special")
 
 
 def run(*argv):
@@ -808,6 +809,29 @@ class TestSidecarsAndDeterminism:
             "seed", "timings",
         }
         assert config_keys(pipeline_dir / "r.csv.meta") == set()
+
+    @pytest.mark.parametrize("argv", [
+        ("graph", "--input", "features.csv", "--output", "g.tsv", "--K", 3),
+        ("cluster", "--features", "features.csv", "--output", "c.csv", "--k-clusters", 3),
+        ("elbow", "--features", "features.csv", "--output", "e.csv", "--k-max", 3),
+        ("pca2d", "--input", "features.csv", "--output", "p.csv"),
+    ])
+    def test_feature_readers_hash_once_and_read_the_companion(self, pipeline_dir, argv):
+        """A subcommand that reads the triplet CSV takes each input's digest
+        once: it checks the companion, so the CSV is not parsed, and the
+        sidecar records it."""
+        features = pipeline_dir / "features.csv"
+        argv = [pipeline_dir / a if str(a).endswith((".csv", ".tsv")) else a for a in argv]
+        sha256 = featurize.file_sha256
+        with mock.patch.object(cli, "file_sha256", wraps=sha256) as digests, \
+                mock.patch.object(featurize, "file_sha256", side_effect=AssertionError("again")), \
+                mock.patch.object(featurize, "read_rows", side_effect=AssertionError("parsed")):
+            assert run(*argv) == 0
+        hashed = [str(call.args[0]) for call in digests.call_args_list]
+        assert str(features) in hashed and len(hashed) == len(set(hashed))
+        meta = dict(line.split("=", 1) for line in
+                    Path(str(argv[4]) + ".meta").read_text().splitlines())
+        assert meta["input.0.sha256"] == hashlib.sha256(features.read_bytes()).hexdigest()
 
     def test_graph_sidecar_records_mutual(self, pipeline_dir):
         metas = []

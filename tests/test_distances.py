@@ -200,6 +200,26 @@ def test_difference_branch_holds_one_block_at_a_time():
     assert peak < 1.5 * block * 8
 
 
+def test_k_nearest_holds_one_tile_at_a_time():
+    """k_nearest lets go of each float tile before the next one is made, so
+    the traced peak is one tile plus one difference block and what is left
+    (the output, one block's sums) stays under half a tile, not two tiles."""
+    n, dim = 2048, 64
+    x = np.random.default_rng(3).normal(size=(n, dim))
+    # 2^16 distances a tile (32 rows) and 2^19 differences a block (4 rows)
+    tile, block = 32 * n * 8, distances._BLOCK_ELEMS * 8
+    tracemalloc.start()
+    try:
+        got = k_nearest(x, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    d2 = sq_distances(x)
+    np.fill_diagonal(d2, np.inf)
+    assert got.tolist() == np.argsort(d2, axis=1, kind="stable")[:, :5].tolist()
+    assert peak < tile + block + tile // 2
+
+
 def test_one_query_row_skips_the_column_counts():
     """One query row has no hot column, so no column is counted for it; the
     lists are the oracle's. Two or more query rows still count them."""

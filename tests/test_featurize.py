@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 from unittest import mock
 
@@ -376,3 +377,190 @@ def test_save_features_matches_line_by_line_reference(tmp_path, matrix, block):
         save_features(matrix, got)
     save_features_reference(matrix, want)
     assert got.read_bytes() == want.read_bytes()
+
+
+# ------------------------------------------------------- the binary companion
+
+
+def companion_fields(csv):
+    """The fields of the companion of ``csv``: the header's tag, n, k, nnz
+    and digest, and the offsets, ranks and counts arrays."""
+    raw = (csv.parent / (csv.name + ".csr")).read_bytes()
+    tag, n, k, nnz, *codes, digest = featurize._CSR_HEADER.unpack_from(raw)
+    fields, start = dict(tag=tag, n=n, k=k, nnz=nnz, digest=digest), featurize._CSR_HEADER.size
+    for name, code, length in zip(("offsets", "ranks", "counts"), codes, (n + 1, nnz, nnz)):
+        fields[name] = np.frombuffer(raw, dtype=code.decode(), count=length, offset=start)
+        start += fields[name].nbytes
+    return fields
+
+
+def write_companion(csv, tag, n, k, nnz, digest, offsets, ranks, counts):
+    """A companion of ``csv`` holding these fields, each array in its own dtype."""
+    arrays = [np.asarray(a) for a in (offsets, ranks, counts)]
+    header = featurize._CSR_HEADER.pack(tag, n, k, nnz,
+                                        *(a.dtype.str.encode() for a in arrays), digest)
+    (csv.parent / (csv.name + ".csr")).write_bytes(header + b"".join(a.tobytes() for a in arrays))
+
+
+def load_without_companion(csv):
+    """``load_outcome`` of the CSV alone, the companion set aside meanwhile."""
+    companion = csv.parent / (csv.name + ".csr")
+    kept = companion.read_bytes() if companion.exists() else None
+    companion.unlink(missing_ok=True)
+    try:
+        return load_outcome(load_features, csv)
+    finally:
+        if kept is not None:
+            companion.write_bytes(kept)
+
+
+@pytest.fixture
+def saved(tmp_path):
+    """A triplet CSV and its companion, two rows of several ranks each."""
+    ds = synthesize_dataset(2, [3, 3], 40, 0.1, 8, seed=4)
+    path = tmp_path / "features.csv"
+    save_features(featurize_dataset(ds, k=2), path)
+    return path
+
+
+def with_arrays(fields, **arrays):
+    """``fields`` with each named array replaced by its function of a copy."""
+    return dict(fields, **{name: fn(fields[name].copy()) for name, fn in arrays.items()})
+
+
+def assign(index, value):
+    """A function that sets ``values[index] = value`` and returns ``values``."""
+    def set_one(values):
+        values[index] = value
+        return values
+    return set_one
+
+
+# each a companion with the CSV's digest that breaks one rule of the format
+BROKEN_COMPANIONS = {
+    "other_format_tag": lambda f: dict(f, tag=b"SEQNCSR2"),
+    "n_mismatch": lambda f: dict(f, n=f["n"] + 1),
+    "k_mismatch": lambda f: dict(f, k=f["k"] + 1),
+    "nnz_mismatch": lambda f: dict(f, nnz=f["nnz"] - 1, ranks=f["ranks"][:-1],
+                                   counts=f["counts"][:-1]),
+    "offsets_not_from_zero": lambda f: with_arrays(f, offsets=assign(0, 1)),
+    "offsets_decrease": lambda f: with_arrays(f, offsets=lambda o: np.concatenate(
+        [o[:1], o[2:3], o[1:2], o[3:]])),
+    "rank_out_of_range": lambda f: with_arrays(
+        f, ranks=lambda r: assign(-1, 20 ** f["k"])(r.astype("<u4"))),
+    "zero_count": lambda f: with_arrays(f, counts=assign(0, 0)),
+    "fractional_count": lambda f: with_arrays(f, counts=lambda c: assign(-1, 1.5)(c.astype("<f8"))),
+    "unsorted_ranks": lambda f: with_arrays(
+        f, ranks=lambda r: np.concatenate([r[1::-1], r[2:]])),
+    "repeated_rank": lambda f: with_arrays(f, ranks=lambda r: np.concatenate([r[:1], r[:1], r[2:]])),
+    "big_endian_ranks": lambda f: dict(f, ranks=f["ranks"].astype(">u2")),
+}
+
+
+class TestCompanion:
+    def test_written_beside_the_csv_and_read_without_the_parse(self, saved):
+        companion = saved.parent / "features.csv.csr"
+        assert 0 < companion.stat().st_size < saved.stat().st_size
+        fields = companion_fields(saved)
+        assert fields["digest"] == hashlib.sha256(saved.read_bytes()).digest()
+        with mock.patch.object(featurize, "read_rows", side_effect=AssertionError("parsed")):
+            got = load_features(saved)
+        want = load_without_companion(saved)
+        assert got == want
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got.matrix, name).dtype == getattr(want.matrix, name).dtype
+
+    def test_rewritten_companion_with_the_same_fields_is_used(self, saved):
+        """The control for the rejection cases: write_companion itself makes a
+        companion that passes."""
+        write_companion(saved, **companion_fields(saved))
+        want = load_without_companion(saved)
+        with mock.patch.object(featurize, "read_rows", side_effect=AssertionError("parsed")):
+            assert load_features(saved) == want
+
+    @pytest.mark.parametrize("case", sorted(BROKEN_COMPANIONS))
+    def test_broken_companion_reads_the_csv(self, saved, case):
+        write_companion(saved, **BROKEN_COMPANIONS[case](companion_fields(saved)))
+        with mock.patch.object(featurize, "read_rows", wraps=featurize.read_rows) as parse:
+            got = load_outcome(load_features, saved)
+        assert parse.called
+        assert got == load_without_companion(saved)
+
+    @pytest.mark.parametrize("cut", [1, 8, featurize._CSR_HEADER.size + 1])
+    def test_truncated_companion_reads_the_csv(self, saved, cut):
+        companion = saved.parent / "features.csv.csr"
+        companion.write_bytes(companion.read_bytes()[:-cut])
+        with mock.patch.object(featurize, "read_rows", wraps=featurize.read_rows) as parse:
+            got = load_outcome(load_features, saved)
+        assert parse.called
+        assert got == load_without_companion(saved)
+
+    def test_csv_edited_after_featurize_is_parsed(self, saved):
+        """A count changed in the CSV: the companion's digest no longer
+        matches, so the edited CSV's counts come back."""
+        lines = saved.read_text().splitlines(keepends=True)
+        row, rank, count = lines[-1].strip().split(",")
+        lines[-1] = f"{row},{rank},{int(count) + 1}\n"
+        saved.write_text("".join(lines))
+        got = load_features(saved)
+        assert got == load_without_companion(saved)
+        assert got.to_dense()[int(row), int(rank)] == int(count) + 1
+
+    @pytest.mark.parametrize("bad", ["0,99999,1", "0,1", "1,0,x"])
+    def test_csv_edited_into_an_error_raises_at_its_line(self, saved, bad):
+        lines = saved.read_text().splitlines(keepends=True)
+        lines[3] = bad + "\n"
+        saved.write_text("".join(lines))
+        got = load_outcome(load_features, saved)
+        assert got == load_without_companion(saved)
+        assert got[1] == 4
+
+    def test_directory_listing_unchanged_by_load(self, saved):
+        """A current companion, a stale one and none: loading writes nothing."""
+        def listing():
+            return sorted((p.name, p.stat().st_size, p.stat().st_mtime_ns)
+                          for p in saved.parent.iterdir())
+
+        for step in ("current", "stale", "none"):
+            if step == "stale":
+                saved.write_text(saved.read_text() + "\n")
+            if step == "none":
+                (saved.parent / "features.csv.csr").unlink()
+            before = listing()
+            load_features(saved)
+            assert listing() == before, step
+
+    def test_second_save_writes_the_same_bytes(self, saved):
+        companion = saved.parent / "features.csv.csr"
+        first = saved.read_bytes(), companion.read_bytes()
+        save_features(load_features(saved), saved)
+        assert (saved.read_bytes(), companion.read_bytes()) == first
+
+    def test_not_written_unless_smaller_and_an_old_one_removed(self, saved):
+        """Three empty rows make a 30-byte CSV: a companion would be larger,
+        so none is written, and the one an earlier save left goes."""
+        companion = saved.parent / "features.csv.csr"
+        assert companion.exists()
+        empty = FeatureMatrix(csr_reference([{}, {}, {}], 2), 2)
+        save_features(empty, saved)
+        assert not companion.exists()
+        assert load_features(saved) == empty
+
+
+# tmp_path is shared by the examples; each one overwrites the files
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(count_matrices())
+@example(FeatureMatrix(csr_reference([], 2), 2))  # n=0
+@example(FeatureMatrix(csr_reference([{7: 2**53}, {}, {0: 1, 399: 256}], 2), 2))
+def test_round_trip_with_and_without_companion(tmp_path, matrix):
+    """Counts up to 2^53, empty rows and n=0 come back equal through the
+    companion, where one is written, and through the CSV alone."""
+    path = tmp_path / "features.csv"
+    save_features(matrix, path)
+    companion = tmp_path / "features.csv.csr"
+    if companion.exists():
+        assert companion.stat().st_size < path.stat().st_size
+        with mock.patch.object(featurize, "read_rows", side_effect=AssertionError("parsed")):
+            assert load_features(path) == matrix
+    assert load_without_companion(path) == matrix
