@@ -19,7 +19,7 @@ import numpy as np
 
 from .cluster import _log_gaussian_diag
 from .distances import _dense, _gamma, _group_sums, _rows, k_nearest
-from .errors import ConfigError
+from .errors import ConfigError, check_number
 from .evalmetrics import ClassificationReport, classification_report
 from .seqio import split_indices
 
@@ -43,18 +43,6 @@ def _queries(x):
 def _with_bias(x):
     """x with a constant 1 feature appended, which carries a linear bias."""
     return np.hstack([x, np.ones((len(x), 1))])
-
-
-def _check_number(name, value, low, strict):
-    """ConfigError unless value is a finite number above ``low`` (``strict``)
-    or at least ``low``."""
-    if not (
-        isinstance(value, numbers.Real)
-        and np.isfinite(value)
-        and (value > low if strict else value >= low)
-    ):
-        relation = ">" if strict else ">="
-        raise ConfigError(f"{name} must be a finite number {relation} {low}, got {value!r}")
 
 
 def _check_epochs(epochs):
@@ -192,8 +180,8 @@ class LogisticRegression(_TimedFit):
     algorithm = "logistic_regression"
 
     def __init__(self, l2: float = 1e-3, lr: float = 0.5, epochs: int = 300):
-        _check_number("l2", l2, 0, strict=False)
-        _check_number("lr", lr, 0, strict=True)
+        check_number("l2", l2, 0, strict=False)
+        check_number("lr", lr, 0, strict=True)
         _check_epochs(epochs)
         self.l2 = l2
         self.lr = lr
@@ -229,7 +217,7 @@ class GaussianNB(_TimedFit):
     algorithm = "gaussian_nb"
 
     def __init__(self, var_smoothing: float = 1e-9):
-        _check_number("var_smoothing", var_smoothing, 0, strict=False)
+        check_number("var_smoothing", var_smoothing, 0, strict=False)
         self.var_smoothing = var_smoothing
 
     def _fit(self, x, y):
@@ -339,7 +327,7 @@ class LinearSVM(_TimedFit):
     algorithm = "linear_svm"
 
     def __init__(self, C: float = 1.0, epochs: int = 20, seed: int = 0):
-        _check_number("C", C, 0, strict=True)
+        check_number("C", C, 0, strict=True)
         _check_epochs(epochs)
         self.C = C
         self.epochs = epochs

@@ -114,7 +114,8 @@ _EMBED_OPTIONS = {
 _CLUSTER_METHODS = {
     "kmeans": lambda x, graph, cfg: cluster_mod.kmeans(x, cfg.k_clusters, seed=cfg.seed),
     "minibatch_kmeans": lambda x, graph, cfg: cluster_mod.kmeans(
-        x, cfg.k_clusters, seed=cfg.seed, batch_size=cfg.batch_size or 256
+        x, cfg.k_clusters, seed=cfg.seed,
+        batch_size=256 if cfg.batch_size is None else cfg.batch_size,
     ),
     "ward": lambda x, graph, cfg: cluster_mod.agglomerative(
         x, graph, cfg.k_clusters, linkage="ward"
@@ -174,7 +175,12 @@ def cmd_featurize(args):
     dataset = parse_fasta(_require_input(args.input), strict=cfg.strict)
     matrix = featurize_dataset(dataset, k=cfg.k)
     save_features(matrix, args.output)
-    _write_sidecar(args.output, args, cfg, [args.input])
+    x = matrix.to_csr()
+    windows = sum(len(rec.residues) - cfg.k + 1 for rec in dataset)
+    # rows with no counted window, and windows that held an out-of-alphabet residue
+    counters = {"empty_rows": int((x.getnnz(axis=1) == 0).sum()),
+                "windows_skipped": windows - int(x.data.sum())}
+    _write_sidecar(args.output, args, cfg, [args.input], counters)
     print(f"featurize: {matrix.n} rows, k={cfg.k}, bins={matrix.logical_length}")
     return EXIT_OK
 

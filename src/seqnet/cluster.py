@@ -13,6 +13,7 @@ available memory (:func:`seqnet.errors.check_memory`).
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -23,7 +24,7 @@ from scipy.linalg import eigh
 
 from .distances import _dense, _gram_is_exact, _group_sums, _row_tiles, _rows, _sq_norms
 from .distances import nearest, sq_distances
-from .errors import ConfigError, ParseError, check_memory
+from .errors import ConfigError, ParseError, check_memory, check_number
 from .ssn import SimilarityNetwork
 from .tables import read_rows
 
@@ -195,6 +196,8 @@ def kmeans(
     ``inertia`` and ``history`` keep the bits of dense explicit-difference
     Lloyd iterations.
     """
+    if batch_size is not None and (not isinstance(batch_size, numbers.Integral) or batch_size < 1):
+        raise ConfigError(f"batch_size must be an integer >= 1, got {batch_size!r}")
     x = _rows(x)
     n = x.shape[0]
     if not 1 <= k <= n:
@@ -344,8 +347,7 @@ def dbscan(x, eps: float, min_pts: int) -> ClusterAssignment:
     neighborhoods are read from one tile of distances at a time, so no
     n x n matrix is held, and a ``scipy.sparse`` input stays CSR.
     """
-    if eps <= 0:
-        raise ConfigError("eps must be positive")
+    check_number("eps", eps, 0, strict=True)
     if min_pts < 1:
         raise ConfigError("min_pts must be >= 1")
     x = _rows(x)
@@ -454,7 +456,10 @@ def gaussian_mixture(
 def spectral_clustering(
     x, k: int, gamma: Optional[float] = None, seed: int = 0
 ) -> ClusterAssignment:
-    """RBF affinity, normalized-Laplacian embedding, then k-means on its rows."""
+    """RBF affinity, normalized-Laplacian embedding, then k-means on its rows.
+    ``gamma=None`` takes 1 / (d · mean column variance)."""
+    if gamma is not None:
+        check_number("gamma", gamma, 0, strict=True)
     x = _rows(x)
     n, d = x.shape
     if not 1 <= k <= n:

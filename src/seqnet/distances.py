@@ -5,14 +5,14 @@ returns the same bits as explicit coordinate differences. It uses the Gram
 expansion ``|a|^2 + |b|^2 - 2 a.b`` only when that is exact: every entry of
 both operands is an integer and ``4 * dim * max|entry|^2 < 2**53``, so every
 intermediate is an integer that float64 holds exactly (k-mer counts always
-qualify). Otherwise it sums squared differences in C-ordered blocks of
-at most 2^19 values (4 MB): as many rows of the first operand against as
-many rows of the second as fit. Each pair's sum is taken over its own
-contiguous row, so the bits depend neither on the block nor on the
-operands' memory layout. Both functions work in tiles of at most 512 rows
-of the first operand (on the difference branch, at most 2^16 distances
-unless one block of rows is more), and make the exactness scan and the
-squared norms once per call.
+qualify). Otherwise every distance is summed by :func:`_paired_sq`, the
+one rule for float rows, which :func:`nearest` uses too: one row of the
+first operand against as many rows of the second as fit in 2^19
+differences (4 MB). Each pair's sum is taken over its own contiguous row,
+so the bits depend neither on the slice nor on the operands' memory
+layout. Both functions work in tiles of at most 512 rows of the first
+operand (on the difference branch, at most 2^16 distances unless one row
+is more), and make the exactness scan and the squared norms once per call.
 
 Where an operand is sparse, the Gram product splits the columns once per
 call (Yuster and Zwick's dense/sparse split, "Fast sparse matrix
@@ -44,7 +44,7 @@ from scipy import sparse
 
 from .featurize import FeatureMatrix
 
-# values in one of _row_tiles' explicit-difference blocks (4 MB of float64)
+# differences in one of _row_tiles' _paired_sq calls (4 MB of float64)
 _BLOCK_ELEMS = 1 << 19
 _TILE_ROWS = 512
 _CHUNK = 1 << 15
@@ -162,30 +162,16 @@ def _row_tiles(a, b):
         return
     a, b = _dense(a), _dense(b)
     (m, dim), n = a.shape, b.shape[0]
-    # a block is `step` rows of a against `cols` rows of b, at most
-    # _BLOCK_ELEMS differences; a tile is `tile` rows of a against all of b,
-    # at most an eighth as many distances unless one block of rows is more
-    # (a caller may still hold the last tile while the next one is made)
-    cols = max(1, min(n, _BLOCK_ELEMS // max(1, dim)))
-    step = max(1, min(m, _TILE_ROWS, _BLOCK_ELEMS // (cols * max(1, dim))))
-    tile = max(1, min(_TILE_ROWS, _BLOCK_ELEMS // 8 // max(1, n)) // step) * step
+    # one row of a against `cols` rows of b is at most _BLOCK_ELEMS
+    # differences; a tile is `tile` rows of a against all of b, at most an
+    # eighth as many distances unless one row is more
+    cols = max(1, _BLOCK_ELEMS // max(1, dim))
+    tile = max(1, min(_TILE_ROWS, _BLOCK_ELEMS // 8 // max(1, n)))
     for start in range(0, m, tile):
         d2 = np.empty((min(tile, m - start), n))
-        # one C-ordered block for the tile's differences: each pair is summed
-        # over its own contiguous row whatever the operands' layout, and a
-        # block does not cost fresh pages each time
-        block = np.empty(step * cols * dim)
-        for i in range(0, len(d2), step):
-            rows = a[start + i : start + min(i + step, len(d2))]
+        for i, row in enumerate(a[start : start + len(d2)]):
             for j in range(0, n, cols):
-                part = b[j : j + cols]
-                if len(rows) == len(part) == 1:  # one pair: summed in another order, see _paired_sq
-                    d2[i, j] = _paired_sq(rows, part)[0]
-                    continue
-                diff = block[: len(rows) * len(part) * dim].reshape(len(rows), len(part), dim)
-                np.subtract(rows[:, None, :], part[None, :, :], out=diff)
-                d2[i : i + len(rows), j : j + len(part)] = np.einsum("ijk,ijk->ij", diff, diff)
-        block = diff = None  # not held while the caller reads the tile
+                d2[i, j : j + cols] = _paired_sq(row, b[j : j + cols])
         yield start, d2
         del d2  # not held while the next tile is made
 
@@ -226,7 +212,11 @@ def _smallest(d2, k: int) -> np.ndarray:
     m, n = d2.shape
     if not 0 < k < n:
         return np.argsort(d2, axis=1, kind="stable")[:, :k]
-    kth = np.take_along_axis(d2, np.argpartition(d2, k - 1, axis=1)[:, k - 1 : k], axis=1)
+    # partitions copy a few rows at a time, not a second whole tile
+    step = max(1, _CHUNK // n)
+    kth = np.empty((m, 1))
+    for i in range(0, m, step):
+        kth[i : i + step] = np.partition(d2[i : i + step], k - 1, axis=1)[:, k - 1 : k]
     # a NaN k-th value (fewer than k numbers in the row) keeps the whole row
     rows, cols = np.nonzero((d2 <= kth) | np.isnan(kth))
     order = np.lexsort((cols, d2[rows, cols], rows))  # by row, value, index
@@ -236,8 +226,8 @@ def _smallest(d2, k: int) -> np.ndarray:
 
 
 def _paired_sq(a, b) -> np.ndarray:
-    """|a[i] - b[i]|^2 by explicit differences (rows paired after broadcasting),
-    summed as the difference branch of :func:`sq_distances` sums each pair.
+    """|a[i] - b[i]|^2 by explicit differences (rows paired after
+    broadcasting): the one rule by which every float distance is summed.
     A one-row einsum is a full reduction, which numpy sums in another order
     once a row is longer than 8,192 values; a second copy of the row keeps
     the per-row order. The differences are C-ordered, so each row is summed

@@ -1,6 +1,9 @@
-"""Exception types raised across the toolkit, and the memory guard that
+"""Exception types raised across the toolkit, the range check that
+classifier and clusterer hyperparameters share, and the memory guard that
 raises one before a dense allocation the machine cannot hold."""
 
+import math
+import numbers
 import os
 from typing import Optional
 
@@ -33,6 +36,18 @@ def parse_numbers(fields, line, convert=int) -> list:
         return list(map(convert, fields))
     except ValueError:
         raise ParseError(f"expected numbers, got {list(fields)!r}", line=line) from None
+
+
+def check_number(name, value, low, strict):
+    """ConfigError unless value is a finite number above ``low`` (``strict``)
+    or at least ``low``."""
+    if not (
+        isinstance(value, numbers.Real)
+        and math.isfinite(value)
+        and (value > low if strict else value >= low)
+    ):
+        relation = ">" if strict else ">="
+        raise ConfigError(f"{name} must be a finite number {relation} {low}, got {value!r}")
 
 
 class AlphabetError(SeqnetError, ValueError):

@@ -7,13 +7,14 @@ length-1274 sequence touches at most 1272 of the 8000 k=3 bins.
 
 :func:`save_features` writes the triplet CSV, the interchange file, and
 beside it a binary companion ``<csv>.csr``: a fixed header (format tag, n,
-k, nnz, the three arrays' dtypes and the SHA-256 of the CSV's bytes), then
-the CSR offsets, ranks and counts as raw little-endian unsigned integers,
-each in the narrowest dtype that holds its largest value. The companion is
-written only where it is smaller than the CSV. :func:`load_features` reads
-the arrays from the companion instead of parsing the CSV only when the
-recorded digest is the CSV's and the arrays keep every invariant the CSV
-reader enforces; otherwise it parses the CSV. A content hash, not a
+k, nnz, the three arrays' dtypes, the SHA-256 of the CSV's bytes and the
+CRC-32 of the arrays' bytes), then the CSR offsets, ranks and counts as raw
+little-endian unsigned integers, each in the narrowest dtype that holds its
+largest value. The companion is written only where it is smaller than the
+CSV. :func:`load_features` reads the arrays from the companion instead of
+parsing the CSV only when the recorded digest is the CSV's, the arrays'
+bytes have their recorded CRC-32 and the arrays keep every invariant the
+CSV reader enforces; otherwise it parses the CSV. A content hash, not a
 timestamp, ties the two, as in hash-based ``.pyc`` files (PEP 552).
 """
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +39,10 @@ for _ch, _i in ALPHABET_INDEX.items():
     _BYTE_CODE[ord(_ch)] = _i
 
 # the companion's header: tag, n, k, nnz, the dtypes of the offsets, ranks
-# and counts, and the SHA-256 digest of the triplet CSV's bytes
-_CSR_HEADER = struct.Struct("<8sQQQ3s3s3s32s")
-_CSR_TAG = b"SEQNCSR1"
+# and counts, the SHA-256 digest of the triplet CSV's bytes and the CRC-32
+# of the three arrays' bytes
+_CSR_HEADER = struct.Struct("<8sQQQ3s3s3s32sI")
+_CSR_TAG = b"SEQNCSR2"
 _CSR_DTYPES = {t.str.encode(): t for t in map(np.dtype, ("<u1", "<u2", "<u4", "<u8"))}
 
 
@@ -223,8 +226,11 @@ def save_features(matrix: FeatureMatrix, path) -> None:
         csv_bytes = fh.tell()
     del rows  # not held while the companion's arrays are made
     arrays = [_narrowest(a) for a in (x.indptr, x.indices, x.data)]
+    crc = 0
+    for values in arrays:
+        crc = zlib.crc32(values.data, crc)
     header = _CSR_HEADER.pack(_CSR_TAG, matrix.n, matrix.k, x.nnz,
-                              *(a.dtype.str.encode() for a in arrays), out.sha256.digest())
+                              *(a.dtype.str.encode() for a in arrays), out.sha256.digest(), crc)
     companion = _companion_path(path)
     if len(header) + sum(a.nbytes for a in arrays) >= csv_bytes:
         companion.unlink(missing_ok=True)
@@ -239,21 +245,24 @@ def _read_companion(path, n: int, k: int, sha256) -> tuple | None:
     """(offsets, ranks, counts) from the companion of the triplet CSV at
     ``path``, whose header gave ``n`` and ``k``; None where the companion is
     missing or malformed, records another digest than the CSV's (``sha256``,
-    hex, or taken here), or holds arrays that break an invariant the CSV
-    reader enforces: n + 1 non-decreasing offsets from 0 to nnz, ranks below
-    20^k and strictly increasing within a row, counts of at least 1."""
+    hex, or taken here) or another CRC-32 than its arrays', or holds arrays
+    that break an invariant the CSV reader enforces: n + 1 non-decreasing
+    offsets from 0 to nnz, ranks below 20^k and strictly increasing within a
+    row, counts of at least 1."""
     try:
         raw = _companion_path(path).read_bytes()
     except OSError:
         return None
     if len(raw) < _CSR_HEADER.size:
         return None
-    tag, n_, k_, nnz, *codes, digest = _CSR_HEADER.unpack_from(raw)
+    tag, n_, k_, nnz, *codes, digest, crc = _CSR_HEADER.unpack_from(raw)
     if tag != _CSR_TAG or (n_, k_) != (n, k) or not set(codes) <= _CSR_DTYPES.keys():
         return None
     dtypes = [_CSR_DTYPES[code] for code in codes]
     lengths = (n + 1, nnz, nnz)
     if len(raw) != _CSR_HEADER.size + sum(m * t.itemsize for m, t in zip(lengths, dtypes)):
+        return None
+    if zlib.crc32(memoryview(raw)[_CSR_HEADER.size :]) != crc:
         return None
     if digest.hex() != (sha256 or file_sha256(path)):
         return None

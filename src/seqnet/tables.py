@@ -1,7 +1,8 @@
-"""Numeric text tables: the triplet CSV, the edge TSV, the embedding CSV and
-the cluster-assignment CSV share one block writer of integer rows and one
-reader of a table's body, whose lines hold a fixed number of integer fields,
-then of float fields, joined by one delimiter.
+"""Numeric text tables: the triplet CSV and the edge TSV are written by one
+block writer of integer rows, and they, the embedding CSV and the
+cluster-assignment CSV are read by one reader of a table's body, whose
+lines hold a fixed number of integer fields, then of float fields, joined
+by one delimiter.
 """
 
 from __future__ import annotations

@@ -192,6 +192,18 @@ class TestPipelineCommands:
         matrix = load_features(out)
         assert matrix.to_csr()[0].sum() == 1272
 
+    def test_featurize_sidecar_counts_empty_rows_and_skipped_windows(self, tmp_path):
+        """A record made only of X counts no window: its row is all zero, and
+        the sidecar says so beside the windows that an X kept from counting."""
+        fasta = tmp_path / "x.fa"
+        fasta.write_text(">a|L\nACDEFG\n>b|L\nXXXXXX\n>c|L\nACXDEF\n")
+        out = tmp_path / "f.csv"
+        assert run("featurize", "--input", fasta, "--output", out, "--k", 3) == 0
+        assert load_features(out).to_csr().getnnz(axis=1).tolist() == [4, 0, 1]
+        meta = Path(str(out) + ".meta").read_text().splitlines()
+        # b's 4 windows and 3 of c's 4 hold an X
+        assert "empty_rows=1" in meta and "windows_skipped=7" in meta
+
     def test_graph_export_round_trip(self, pipeline_dir):
         graph = load_graph(pipeline_dir / "graph.tsv")
         assert graph.n == 36
@@ -707,6 +719,24 @@ class TestErrorChannels:
         monkeypatch.chdir(pipeline_dir)
         assert run(*argv) == 4
         assert not (pipeline_dir / argv[4]).exists()
+
+    @pytest.mark.parametrize("method, flag, value", [
+        ("dbscan", "--eps", "nan"),
+        ("spectral", "--gamma", "nan"),
+        ("spectral", "--gamma", "-1"),
+        ("minibatch_kmeans", "--batch-size", "0"),
+        ("minibatch_kmeans", "--batch-size", "-5"),
+    ])
+    def test_cluster_hyperparameter_out_of_range_exit_4(self, pipeline_dir, monkeypatch, capsys,
+                                                        method, flag, value):
+        """A non-finite or non-positive eps or gamma, or a batch size below 1,
+        is a config error before any clustering, and nothing is written."""
+        monkeypatch.chdir(pipeline_dir)
+        assert run("cluster", "--features", "features.csv", "--output", "c.csv",
+                   "--method", method, "--k-clusters", 3, flag, value) == 4
+        assert f"{flag[2:].replace('-', '_')} must be" in capsys.readouterr().err
+        assert not (pipeline_dir / "c.csv").exists()
+        assert not (pipeline_dir / "c.csv.meta").exists()
 
     @pytest.mark.parametrize("argv", [
         ["synth", "--output", "d.fa", "--workers", 0],

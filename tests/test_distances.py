@@ -220,6 +220,22 @@ def test_k_nearest_holds_one_tile_at_a_time():
     assert peak < tile + block + tile // 2
 
 
+def test_smallest_holds_no_second_tile():
+    """The k-th value of each row comes from partitions of a few rows at a
+    time, so selecting from a 4 MB tile allocates under half of one (an
+    argpartition of the whole tile would add 4 MB of int64 indices); the
+    lists are the head of a full stable argsort, ties included."""
+    d2 = np.random.default_rng(8).integers(0, 50, size=(256, 2048)).astype(float)
+    tracemalloc.start()
+    try:
+        got = distances._smallest(d2, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_same_bits(got, np.argsort(d2, axis=1, kind="stable")[:, :5])
+    assert peak < d2.nbytes // 2
+
+
 def test_one_query_row_skips_the_column_counts():
     """One query row has no hot column, so no column is counted for it; the
     lists are the oracle's. Two or more query rows still count them."""

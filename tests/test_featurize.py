@@ -1,5 +1,6 @@
 import hashlib
 import warnings
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -384,9 +385,10 @@ def test_save_features_matches_line_by_line_reference(tmp_path, matrix, block):
 
 def companion_fields(csv):
     """The fields of the companion of ``csv``: the header's tag, n, k, nnz
-    and digest, and the offsets, ranks and counts arrays."""
+    and digest, and the offsets, ranks and counts arrays (not the CRC-32,
+    which write_companion takes of what it writes)."""
     raw = (csv.parent / (csv.name + ".csr")).read_bytes()
-    tag, n, k, nnz, *codes, digest = featurize._CSR_HEADER.unpack_from(raw)
+    tag, n, k, nnz, *codes, digest, _ = featurize._CSR_HEADER.unpack_from(raw)
     fields, start = dict(tag=tag, n=n, k=k, nnz=nnz, digest=digest), featurize._CSR_HEADER.size
     for name, code, length in zip(("offsets", "ranks", "counts"), codes, (n + 1, nnz, nnz)):
         fields[name] = np.frombuffer(raw, dtype=code.decode(), count=length, offset=start)
@@ -394,12 +396,14 @@ def companion_fields(csv):
     return fields
 
 
-def write_companion(csv, tag, n, k, nnz, digest, offsets, ranks, counts):
-    """A companion of ``csv`` holding these fields, each array in its own dtype."""
+def write_companion(csv, tag, n, k, nnz, digest, offsets, ranks, counts, crc=None):
+    """A companion of ``csv`` holding these fields, each array in its own
+    dtype, and ``crc``, by default the CRC-32 of the arrays it writes."""
     arrays = [np.asarray(a) for a in (offsets, ranks, counts)]
-    header = featurize._CSR_HEADER.pack(tag, n, k, nnz,
-                                        *(a.dtype.str.encode() for a in arrays), digest)
-    (csv.parent / (csv.name + ".csr")).write_bytes(header + b"".join(a.tobytes() for a in arrays))
+    body = b"".join(a.tobytes() for a in arrays)
+    header = featurize._CSR_HEADER.pack(tag, n, k, nnz, *(a.dtype.str.encode() for a in arrays),
+                                        digest, zlib.crc32(body) if crc is None else crc)
+    (csv.parent / (csv.name + ".csr")).write_bytes(header + body)
 
 
 def load_without_companion(csv):
@@ -436,9 +440,14 @@ def assign(index, value):
     return set_one
 
 
+def crc_of(fields):
+    """The CRC-32 of the companion arrays in ``fields``."""
+    return zlib.crc32(b"".join(fields[name].tobytes() for name in ("offsets", "ranks", "counts")))
+
+
 # each a companion with the CSV's digest that breaks one rule of the format
 BROKEN_COMPANIONS = {
-    "other_format_tag": lambda f: dict(f, tag=b"SEQNCSR2"),
+    "other_format_tag": lambda f: dict(f, tag=b"SEQNCSR1"),
     "n_mismatch": lambda f: dict(f, n=f["n"] + 1),
     "k_mismatch": lambda f: dict(f, k=f["k"] + 1),
     "nnz_mismatch": lambda f: dict(f, nnz=f["nnz"] - 1, ranks=f["ranks"][:-1],
@@ -454,6 +463,9 @@ BROKEN_COMPANIONS = {
         f, ranks=lambda r: np.concatenate([r[1::-1], r[2:]])),
     "repeated_rank": lambda f: with_arrays(f, ranks=lambda r: np.concatenate([r[:1], r[:1], r[2:]])),
     "big_endian_ranks": lambda f: dict(f, ranks=f["ranks"].astype(">u2")),
+    # every invariant holds, but the bytes are not those the CRC-32 was taken of
+    "one count raised, checksum of the original": lambda f: dict(
+        with_arrays(f, counts=lambda c: assign(-1, c[-1] + 1)(c)), crc=crc_of(f)),
 }
 
 
@@ -463,6 +475,7 @@ class TestCompanion:
         assert 0 < companion.stat().st_size < saved.stat().st_size
         fields = companion_fields(saved)
         assert fields["digest"] == hashlib.sha256(saved.read_bytes()).digest()
+        assert featurize._CSR_HEADER.unpack_from(companion.read_bytes())[-1] == crc_of(fields)
         with mock.patch.object(featurize, "read_rows", side_effect=AssertionError("parsed")):
             got = load_features(saved)
         want = load_without_companion(saved)
@@ -486,7 +499,8 @@ class TestCompanion:
         assert parse.called
         assert got == load_without_companion(saved)
 
-    @pytest.mark.parametrize("cut", [1, 8, featurize._CSR_HEADER.size + 1])
+    # 74 is one byte more than the header of the SEQNCSR1 format, which had no CRC-32
+    @pytest.mark.parametrize("cut", [1, 8, 74, featurize._CSR_HEADER.size + 1])
     def test_truncated_companion_reads_the_csv(self, saved, cut):
         companion = saved.parent / "features.csv.csr"
         companion.write_bytes(companion.read_bytes()[:-cut])
