@@ -133,6 +133,15 @@ _CLUSTER_METHODS = {
 }
 
 
+# each cluster --method's checks of its own settings, made before the
+# features are read
+_CLUSTER_CHECKS = {
+    "minibatch_kmeans": lambda cfg: cluster_mod.check_kmeans_params(cfg.batch_size),
+    "dbscan": lambda cfg: cluster_mod.check_dbscan_params(cfg.eps, cfg.min_pts),
+    "spectral": lambda cfg: cluster_mod.check_spectral_params(cfg.gamma),
+}
+
+
 # the deterministic counters a cluster --method adds to its sidecar
 _CLUSTER_COUNTERS = {
     "kmeans": lambda out: {"kmeans_iters": len(out.history) - 1},
@@ -231,14 +240,17 @@ def cmd_embed(args):
 
 def cmd_cluster(args):
     cfg = _effective(args)
+    method = args.cluster_method
+    linked = method in ("ward", "average")
+    if linked and not args.graph:
+        raise ConfigError(f"--graph is required for {method} clustering")
+    if method in _CLUSTER_CHECKS:
+        _CLUSTER_CHECKS[method](cfg)
     matrix = _load_features(args, args.features)
     inputs = [args.features]
-    method = args.cluster_method
     t0 = time.perf_counter()
     graph = None
-    if method in ("ward", "average"):
-        if not args.graph:
-            raise ConfigError(f"--graph is required for {method} clustering")
+    if linked:
         graph, graph_inputs = _load_graph(args.graph, args.nodes_input)
         inputs += graph_inputs
     assignment = _CLUSTER_METHODS[method](matrix, graph, cfg)

@@ -178,6 +178,24 @@ def _minibatch(x, centers, batch_size, max_iter, tol, rng, sq_x):
     return assign, centers, float(point_cost.sum())
 
 
+# the checks of each clusterer's own settings, which need no data: the
+# clusterer makes them first, and the CLI before it reads the features
+def check_kmeans_params(batch_size: Optional[int] = None) -> None:
+    if batch_size is not None and (not isinstance(batch_size, numbers.Integral) or batch_size < 1):
+        raise ConfigError(f"batch_size must be an integer >= 1, got {batch_size!r}")
+
+
+def check_dbscan_params(eps: float, min_pts: int) -> None:
+    check_number("eps", eps, 0, strict=True)
+    if min_pts < 1:
+        raise ConfigError("min_pts must be >= 1")
+
+
+def check_spectral_params(gamma: Optional[float] = None) -> None:
+    if gamma is not None:
+        check_number("gamma", gamma, 0, strict=True)
+
+
 def kmeans(
     x,
     k: int,
@@ -196,8 +214,7 @@ def kmeans(
     ``inertia`` and ``history`` keep the bits of dense explicit-difference
     Lloyd iterations.
     """
-    if batch_size is not None and (not isinstance(batch_size, numbers.Integral) or batch_size < 1):
-        raise ConfigError(f"batch_size must be an integer >= 1, got {batch_size!r}")
+    check_kmeans_params(batch_size)
     x = _rows(x)
     n = x.shape[0]
     if not 1 <= k <= n:
@@ -347,9 +364,7 @@ def dbscan(x, eps: float, min_pts: int) -> ClusterAssignment:
     neighborhoods are read from one tile of distances at a time, so no
     n x n matrix is held, and a ``scipy.sparse`` input stays CSR.
     """
-    check_number("eps", eps, 0, strict=True)
-    if min_pts < 1:
-        raise ConfigError("min_pts must be >= 1")
+    check_dbscan_params(eps, min_pts)
     x = _rows(x)
     n = x.shape[0]
     nbrs = []
@@ -458,8 +473,7 @@ def spectral_clustering(
 ) -> ClusterAssignment:
     """RBF affinity, normalized-Laplacian embedding, then k-means on its rows.
     ``gamma=None`` takes 1 / (d · mean column variance)."""
-    if gamma is not None:
-        check_number("gamma", gamma, 0, strict=True)
+    check_spectral_params(gamma)
     x = _rows(x)
     n, d = x.shape
     if not 1 <= k <= n:

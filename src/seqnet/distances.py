@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse._sparsetools import csr_todense
 
 from .featurize import FeatureMatrix
 
@@ -119,20 +120,26 @@ def _split(x, hot):
 
 def _gram(a_parts, b_parts) -> np.ndarray:
     """a @ b.T as a dense array, from the operands' (hot, cold) parts: a
-    sparse product over the cold columns plus a dense one over the hot.
-    Exact, so called only on integer operands."""
+    dense product over the hot columns, into which the sparse product over
+    the cold ones is added in place, so one dense tile is held. Exact, so
+    called only on integer operands."""
     (a_hot, a_cold), (b_hot, b_cold) = a_parts, b_parts
     if a_cold is None:
         return a_hot @ b_hot.T
     if a_cold.shape[0] == 1:
         # scipy makes a CSR copy of a product's transposed right operand:
         # for one query row, copy that row, not all of b's cold columns
-        gram = (b_cold @ a_cold.T).T
+        cold = (b_cold @ a_cold.T).T
     else:
-        gram = a_cold @ b_cold.T
-    gram = gram.toarray() if sparse.issparse(gram) else gram
-    if a_hot is not None:
-        gram += a_hot @ b_hot.T
+        cold = a_cold @ b_cold.T
+    if a_hot is None:
+        return _dense(cold)
+    gram = a_hot @ b_hot.T
+    if sparse.issparse(cold):
+        cold = cold.tocsr()
+        csr_todense(*cold.shape, cold.indptr, cold.indices, cold.data, gram)  # gram += cold
+    else:
+        gram += cold
     return gram
 
 

@@ -26,7 +26,6 @@ import zlib
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse
 
 from .errors import AlphabetError, ConfigError, MerSizeError, ParseError, parse_numbers
@@ -44,6 +43,10 @@ for _ch, _i in ALPHABET_INDEX.items():
 _CSR_HEADER = struct.Struct("<8sQQQ3s3s3s32sI")
 _CSR_TAG = b"SEQNCSR2"
 _CSR_DTYPES = {t.str.encode(): t for t in map(np.dtype, ("<u1", "<u2", "<u4", "<u8"))}
+
+# residues per block of featurize_dataset, its rows padded to the longest
+# record: the block's codes, ranks, masks and runs stay within a few MB
+_BLOCK_CELLS = 1 << 16
 
 
 def total_kmers(n: int, k: int) -> int:
@@ -87,24 +90,7 @@ def encode_residues(seq: str) -> np.ndarray:
         raw = np.frombuffer(seq.encode("latin-1"), dtype=np.uint8)
     except UnicodeEncodeError:
         return np.array([ALPHABET_INDEX.get(ch, -1) for ch in seq], dtype=np.int16)
-    return _BYTE_CODE[raw]
-
-
-def _kmer_counts(seq: str, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct k-mer ranks of ``seq`` and how often each occurs;
-    windows holding an out-of-alphabet character are skipped."""
-    n = len(seq)
-    if n < k:
-        raise MerSizeError(f"sequence length {n} shorter than k={k}")
-
-    codes = encode_residues(seq)
-    invalid = codes < 0
-    windows = sliding_window_view(codes.astype(np.int64), k)
-    powers = _NSYM ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    ranks = windows @ powers
-    if invalid.any():
-        ranks = ranks[~sliding_window_view(invalid, k).any(axis=1)]
-    return np.unique(ranks, return_counts=True)
+    return _BYTE_CODE.take(raw)
 
 
 class FeatureMatrix:
@@ -158,26 +144,89 @@ def _feature_matrix(n: int, k: int, row_lengths, indices, data) -> FeatureMatrix
     return FeatureMatrix(matrix, k)
 
 
+def _block_counts(seqs, lengths, k: int, rank_dtype):
+    """For a block of records: each row's distinct ranks in ascending order
+    and their counts, all rows' run together, and each row's number of them.
+
+    The records are padded with -1 codes to the block's longest into one
+    (rows, L) array. A window holding an out-of-alphabet residue or running
+    past its record's end ranks as the sentinel 20^k, so after one sort a
+    row's sentinels are one run at its end and are dropped."""
+    rows, width = len(seqs), max(lengths)
+    codes = np.full((rows, width), -1, dtype=np.int16)
+    codes[np.arange(width) < np.asarray(lengths)[:, None]] = encode_residues("".join(seqs))
+    windows = width - k + 1
+    sentinel = _NSYM**k
+    ranks = codes[:, :windows].astype(rank_dtype)
+    invalid = codes < 0
+    bad = invalid[:, :windows].copy()
+    for j in range(1, k):
+        ranks *= _NSYM
+        ranks += codes[:, j : j + windows]
+        bad |= invalid[:, j : j + windows]
+    ranks[bad] = sentinel
+    del codes, invalid, bad  # not held beside the sort's masks
+    ranks.sort(axis=1)
+    first = np.empty(ranks.shape, dtype=bool)  # the first window of each run
+    first[:, 0] = True
+    np.not_equal(ranks[:, 1:], ranks[:, :-1], out=first[:, 1:])
+    row_nnz = np.count_nonzero(first, axis=1) - (ranks[:, -1] == sentinel)
+    starts = np.flatnonzero(first)
+    del first
+    counts = np.diff(starts, append=ranks.size)
+    values = ranks.ravel().take(starts)
+    del starts  # the int64 runs are not held beside the kept ones
+    keep = values != sentinel
+    return values[keep], counts[keep], row_nnz
+
+
 def featurize_dataset(dataset: Dataset, k: int = 3) -> FeatureMatrix:
     """Frequency vector per record, in dataset order. Default k=3.
 
     Out-of-alphabet residues are tolerated: windows containing them are
     skipped rather than failing the whole record.
+
+    Consecutive records are counted a block at a time, as many as keep the
+    block within ``_BLOCK_CELLS`` residues (one if a record is longer),
+    their ranks in the narrowest integer dtype that holds 20^k. The ranks
+    and counts go straight into the CSR's own index and float64 arrays,
+    allocated once at an upper bound of the nonzeros and shrunk in place at
+    the end.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    ranks, counts = [], []
-    for rec in dataset:
-        try:
-            uniq, cnt = _kmer_counts(rec.residues, k)
-        except MerSizeError as exc:
-            raise MerSizeError(f"record {rec.id!r}: {exc}") from exc
-        ranks.append(uniq)
-        counts.append(cnt)
-    return _feature_matrix(
-        len(ranks), k, [len(r) for r in ranks],
-        np.concatenate(ranks or [np.empty(0, np.int64)]), np.concatenate(counts or [[]]),
-    )
+    n, dim = len(dataset), _NSYM**k
+    rank_dtype = next((t for t in (np.int16, np.int32, np.int64) if dim <= np.iinfo(t).max), None)
+    if rank_dtype is None:
+        raise ConfigError(f"k={k}: 20^k ranks do not fit in 64 bits")
+    seqs = [rec.residues for rec in dataset]
+    lengths = [len(seq) for seq in seqs]
+    for rec, length in zip(dataset, lengths):
+        if length < k:
+            raise MerSizeError(f"record {rec.id!r}: sequence length {length} shorter than k={k}")
+    # a row has at most one nonzero per window and per bin
+    bound = sum(min(length - k + 1, dim) for length in lengths)
+    # the index dtype scipy would choose for these shape and offsets
+    index_dtype = np.int32 if max(n, dim, bound) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=index_dtype)
+    indices = np.empty(bound, dtype=index_dtype)
+    data = np.empty(bound, dtype=np.float64)
+    nnz = 0
+    # a block pads its rows to its own longest, at most the longest of all
+    rows = max(1, _BLOCK_CELLS // max(lengths, default=1))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        values, counts, row_nnz = _block_counts(seqs[start:stop], lengths[start:stop], k,
+                                                rank_dtype)
+        indices[nnz : nnz + len(values)] = values
+        data[nnz : nnz + len(values)] = counts
+        np.cumsum(row_nnz, out=indptr[start + 1 : stop + 1])
+        indptr[start + 1 : stop + 1] += nnz
+        nnz += len(values)
+    # a realloc in place, so the arrays are not copied
+    indices.resize(nnz, refcheck=False)
+    data.resize(nnz, refcheck=False)
+    return FeatureMatrix(sparse.csr_matrix((data, indices, indptr), shape=(n, dim)), k)
 
 
 def file_sha256(path) -> str:

@@ -24,32 +24,37 @@ def write_int_rows(fh, columns, sep: str) -> None:
     ``fh`` as ASCII decimal lines, the fields joined by ``sep``.
 
     Works in blocks of ``_WRITE_ROWS`` lines, so its buffers stay within a
-    few MB however long the columns are: a block's digits are formed by numpy
-    division into a uint8 array with one field of the block's widest width
-    per column, the leading zeros are masked out and the rest is written at
-    once. A column may be of any numeric dtype holding integers.
+    few MB however long the columns are. A block is laid out as one
+    contiguous row per byte column of its lines, a column's field as wide as
+    its widest value: the digits are taken from the values as uint32 (uint64
+    where the block's largest is at least 2^32) by division by 10, the
+    leading zeros are masked out and the rest is written at once, in line
+    order. A column may be of any numeric dtype holding integers.
     """
     columns = [np.asarray(col) for col in columns]
     ends = [ord(sep)] * (len(columns) - 1) + [ord("\n")]
     for start in range(0, len(columns[0]), _WRITE_ROWS):
-        block = [col[start : start + _WRITE_ROWS].astype(np.int64) for col in columns]
+        block = [col[start : start + _WRITE_ROWS] for col in columns]
         if any(values.min() < 0 for values in block):
             raise ValueError("negative value in an integer column")
-        widths = [len(str(int(values.max()))) for values in block]
-        text = np.empty((len(block[0]), sum(widths) + len(widths)), dtype=np.uint8)
+        tops = [int(values.max()) for values in block]
+        widths = [len(str(top)) for top in tops]
+        text = np.empty((sum(widths) + len(widths), len(block[0])), dtype=np.uint8)
         keep = np.ones(text.shape, dtype=bool)
         pos = 0
-        for values, width, end in zip(block, widths, ends):
+        for values, top, width, end in zip(block, tops, widths, ends):
+            rest = values.astype(np.uint32 if top < 2**32 else np.uint64)
             last = pos + width - 1  # the units digit
-            rest = values
-            for col in range(last, pos - 1, -1):
-                rest, text[:, col] = np.divmod(rest, 10)
-            text[:, pos : last + 1] += ord("0")
             for col in range(pos, last):  # a leading digit is kept once nonzero
-                keep[:, col] = values >= 10 ** (last - col)
-            text[:, last + 1] = end
+                np.greater_equal(rest, 10 ** (last - col), out=keep[col])
+            for col in range(last, pos - 1, -1):
+                quotient = rest // 10
+                np.subtract(rest, quotient * 10, out=text[col], casting="unsafe")
+                rest = quotient
+            text[pos : last + 1] += ord("0")
+            text[last + 1] = end
             pos = last + 2
-        fh.write(text[keep])
+        fh.write(text.T[keep.T])
 
 
 def _loadtxt(path, start, delimiter, ints, floats):

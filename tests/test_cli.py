@@ -331,7 +331,8 @@ class TestPipelineCommands:
         row = report.read_text().splitlines()[1]
         assert row.endswith(repr(runtime))
 
-    def test_cluster_ward_requires_graph(self, pipeline_dir):
+    def test_cluster_ward_requires_graph(self, pipeline_dir, monkeypatch):
+        monkeypatch.setattr(cli, "_load_features", mock.Mock(side_effect=AssertionError("read")))
         code = run(
             "cluster", "--features", pipeline_dir / "features.csv",
             "--output", pipeline_dir / "a.csv", "--method", "ward",
@@ -726,12 +727,15 @@ class TestErrorChannels:
         ("spectral", "--gamma", "-1"),
         ("minibatch_kmeans", "--batch-size", "0"),
         ("minibatch_kmeans", "--batch-size", "-5"),
+        ("dbscan", "--min-pts", "0"),
     ])
     def test_cluster_hyperparameter_out_of_range_exit_4(self, pipeline_dir, monkeypatch, capsys,
                                                         method, flag, value):
-        """A non-finite or non-positive eps or gamma, or a batch size below 1,
-        is a config error before any clustering, and nothing is written."""
+        """A non-finite or non-positive eps or gamma, a batch size or min_pts
+        below 1, is a config error before the features are read, and nothing
+        is written."""
         monkeypatch.chdir(pipeline_dir)
+        monkeypatch.setattr(cli, "_load_features", mock.Mock(side_effect=AssertionError("read")))
         assert run("cluster", "--features", "features.csv", "--output", "c.csv",
                    "--method", method, "--k-clusters", 3, flag, value) == 4
         assert f"{flag[2:].replace('-', '_')} must be" in capsys.readouterr().err

@@ -9,7 +9,7 @@ from scipy import sparse
 from seqnet import distances
 from seqnet.distances import k_nearest, sq_distances
 from seqnet.featurize import featurize_dataset
-from seqnet.seqio import ALPHABET, Dataset, SequenceRecord
+from seqnet.seqio import ALPHABET, Dataset, SequenceRecord, synthesize_dataset
 from seqnet.ssn import knn_query
 
 
@@ -218,6 +218,29 @@ def test_k_nearest_holds_one_tile_at_a_time():
     np.fill_diagonal(d2, np.inf)
     assert got.tolist() == np.argsort(d2, axis=1, kind="stable")[:, :5].tolist()
     assert peak < tile + block + tile // 2
+
+
+def test_gram_holds_one_dense_tile():
+    """A count Gram tile is the dense product over the hot columns, into
+    which the sparse cold product is added in place: one call allocates one
+    tile, not the cold part's dense copy beside the hot product's, and keeps
+    the bits of the two dense parts' sum."""
+    data = synthesize_dataset(4, [100] * 4, 400, 0.02, 6, seed=3)
+    x = distances._rows(featurize_dataset(data, k=3))
+    hot = distances._hot_columns(x, x)
+    assert hot.any() and not hot.all()
+    b_parts = distances._split(x, hot)
+    a_parts = tuple(part[:256] for part in b_parts)
+    tracemalloc.start()
+    try:
+        got = distances._gram(a_parts, b_parts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = (a_parts[1] @ b_parts[1].T).toarray()
+    want += a_parts[0] @ b_parts[0].T
+    assert_same_bits(got, want)
+    assert peak < 1.5 * got.nbytes
 
 
 def test_smallest_holds_no_second_tile():

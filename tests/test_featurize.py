@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 import warnings
 import zlib
 from unittest import mock
@@ -163,6 +164,20 @@ class TestFeaturizeDataset:
         with pytest.raises(MerSizeError, match="tiny"):
             featurize_dataset(ds, k=5)
 
+    def test_k_past_64_bit_ranks_is_a_config_error(self):
+        ds = Dataset([SequenceRecord("a", "AC" * 10)])
+        assert featurize_dataset(ds, k=14).to_csr().indices.dtype == np.int64
+        with pytest.raises(ConfigError, match="k=15"):
+            featurize_dataset(ds, k=15)
+
+    @pytest.mark.parametrize("budget", [1, 1 << 16])
+    def test_short_record_error_names_the_first_in_dataset_order(self, budget):
+        ds = Dataset([SequenceRecord("long", "ACDEFGH"), SequenceRecord("first", "ACD"),
+                      SequenceRecord("ok", "ACDEF"), SequenceRecord("second", "AC")])
+        with mock.patch.object(featurize, "_BLOCK_CELLS", budget):
+            with pytest.raises(MerSizeError, match="^record 'first': sequence length 3 "):
+                featurize_dataset(ds, k=4)
+
 
 class TestMatrixExport:
     def test_dense_and_csr_agree(self):
@@ -229,14 +244,20 @@ class TestMatrixExport:
             tables.write_int_rows(fh, ([3, 4], [5, -1]), ",")
 
 
-RESIDUES = st.text(alphabet=ALPHABET + "XBZ*-", min_size=3, max_size=40)
+# out-of-alphabet residues, one of them outside latin-1
+RESIDUES = st.text(alphabet=ALPHABET + "XBZ*-\u03a9", min_size=3, max_size=60)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(RESIDUES, max_size=6), st.integers(1, 3))
-def test_featurize_matches_stacked_reference_counts(seqs, k):
+@settings(max_examples=300, deadline=None)
+@given(st.lists(RESIDUES, max_size=8), st.integers(1, 4),
+       st.sampled_from([featurize._BLOCK_CELLS, 60, 100, 1]))
+def test_featurize_matches_stacked_reference_counts(seqs, k, budget):
+    """Records of mixed lengths in blocks of several, of one each, or under a
+    budget smaller than one record."""
+    seqs = [seq for seq in seqs if len(seq) >= k]
     ds = Dataset(SequenceRecord(str(i), seq) for i, seq in enumerate(seqs))
-    got = featurize_dataset(ds, k=k).to_csr()
+    with mock.patch.object(featurize, "_BLOCK_CELLS", budget):
+        got = featurize_dataset(ds, k=k).to_csr()
     want = csr_reference([counts_reference(seq, k) for seq in seqs], k)
     assert got.shape == want.shape
     assert got.dtype == np.float64
@@ -244,6 +265,27 @@ def test_featurize_matches_stacked_reference_counts(seqs, k):
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
     assert np.array_equal(got.data, want.data)
+    assert (got.indptr.dtype, got.indices.dtype) == (want.indptr.dtype, want.indices.dtype)
+
+
+def test_featurize_peak_memory_is_the_csr_and_one_block():
+    """At 773 x 1,274 the traced peak of featurize_dataset is the CSR's
+    arrays, allocated at the upper bound of their nonzeros, plus one block's
+    codes, ranks, masks and runs. Per-record int64 rank and count lists and
+    their concatenations held about three times the CSR."""
+    ds = synthesize_dataset(1, [773], 1274, 0.01, 8, seed=4)
+    budget = 1 << 16
+    with mock.patch.object(featurize, "_BLOCK_CELLS", budget):
+        tracemalloc.start()
+        try:
+            x = featurize_dataset(ds, k=3).to_csr()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    csr = x.indptr.nbytes + x.indices.nbytes + x.data.nbytes
+    # ranks and counts at the most one per window
+    unused = (773 * total_kmers(1274, 3) - x.nnz) * (x.indices.itemsize + x.data.itemsize)
+    assert peak <= csr + unused + 64 * budget
 
 
 MUTATIONS = (
@@ -340,9 +382,10 @@ def test_load_features_raises_the_reference_error_among_several(tmp_path, body):
         want = ("line 2: expected integers, got '0,1,99999999999999999999'", 2)
     assert got == want
 
-# row ids, ranks and counts either side of a new digit, up to 2^53
+# row ids, ranks and counts either side of a new digit and of the block
+# writer's uint32 digits, up to 2^53
 EDGE_VALUES = [0, 1, 9, 10, 99, 100, 999, 1000]
-EDGE_COUNTS = [1, 9, 10, 99, 100, 1274, 10**9 - 1, 10**9, 2**32, 2**53]
+EDGE_COUNTS = [1, 9, 10, 99, 100, 1274, 2**16 - 1, 10**9 - 1, 10**9, 2**32 - 1, 2**32, 2**53]
 
 
 @st.composite
