@@ -13,6 +13,7 @@ available memory (:func:`seqnet.errors.check_memory`).
 
 from __future__ import annotations
 
+import itertools
 import numbers
 import time
 from dataclasses import dataclass, replace
@@ -22,8 +23,8 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
 
-from .distances import _dense, _gram_is_exact, _group_sums, _row_tiles, _rows, _sq_norms
-from .distances import nearest, sq_distances
+from .distances import _assigned_sq, _dense, _gram_is_exact, _group_sums, _row_tiles, _rows
+from .distances import _sq_norms, k_nearest, sq_distances
 from .errors import ConfigError, ParseError, check_memory, check_number
 from .ssn import SimilarityNetwork
 from .tables import read_rows
@@ -104,19 +105,17 @@ def pca_project(x, dim: int) -> np.ndarray:
     return centered @ comps.T
 
 
-def _kmeans_pp_init(x, k: int, rng: np.random.Generator, sq_x: np.ndarray) -> np.ndarray:
-    """k-means++ seeds. The centres are rows of x, so where x's Gram
-    expansion is exact (integer counts) each new centre costs one
-    matrix-vector product; otherwise :func:`nearest` makes the distances by
-    explicit differences. Either way they are ``sq_distances``' bits."""
+def _kmeans_pp_init(x, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeds with ``sq_distances``' bits: a matrix-vector product a
+    centre where x's Gram expansion is exact, else explicit differences."""
     n = x.shape[0]
-    exact = _gram_is_exact(x, x)
+    sq_x = _sq_norms(x) if _gram_is_exact(x, x) else None
 
     def dist_to(idx):
         row = _row(x, idx)
-        if exact:
-            return sq_x + sq_x[idx] - 2.0 * (x @ row)
-        return nearest(x, row[None, :], sq_x)[1]
+        if sq_x is None:
+            return _assigned_sq(x, row[None, :], np.zeros(n, np.int64))
+        return sq_x + sq_x[idx] - 2.0 * (x @ row)
 
     centers = np.empty((k, x.shape[1]))
     idx = int(rng.integers(n))
@@ -133,11 +132,15 @@ def _kmeans_pp_init(x, k: int, rng: np.random.Generator, sq_x: np.ndarray) -> np
     return centers
 
 
-def _lloyd(x, centers, max_iter, tol, sq_x):
-    history = []
-    for _ in range(max_iter):
-        assign, point_cost = nearest(x, centers, sq_x)
+def _lloyd(x, centers, max_iter, tol):
+    history, shift = [], np.inf
+    # the last pass only assigns, to the centres the updates ended on
+    for step in itertools.count():
+        assign = k_nearest(centers, 1, queries=x)[:, 0]
+        point_cost = _assigned_sq(x, centers, assign)
         history.append(float(point_cost.sum()))
+        if step >= max_iter or shift < tol:
+            break
 
         counts = np.bincount(assign, minlength=len(centers))[:, None]
         sums = _group_sums(x, assign, len(centers))
@@ -150,21 +153,16 @@ def _lloyd(x, centers, max_iter, tol, sq_x):
             spent[idx] = -1.0
         shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
         centers = new_centers
-        if shift < tol:
-            break
-    assign, point_cost = nearest(x, centers, sq_x)
-    sse = float(point_cost.sum())
-    history.append(sse)
-    return assign, centers, sse, history
+    return assign, centers, history[-1], history
 
 
-def _minibatch(x, centers, batch_size, max_iter, tol, rng, sq_x):
+def _minibatch(x, centers, batch_size, max_iter, tol, rng):
     n, k = x.shape[0], len(centers)
     counts = np.zeros((k, 1))
     for _ in range(max_iter):
         batch = rng.integers(0, n, size=min(batch_size, n))
         xb = x[batch]
-        assign, _ = nearest(xb, centers, sq_x[batch])
+        assign = k_nearest(centers, 1, queries=xb)[:, 0]
         m = np.bincount(assign, minlength=k)[:, None]
         # running-mean update: equivalent to the per-sample learning rates
         sums = counts * centers + _group_sums(xb, assign, k)
@@ -174,8 +172,8 @@ def _minibatch(x, centers, batch_size, max_iter, tol, rng, sq_x):
         centers = new_centers
         if shift < tol:
             break
-    assign, point_cost = nearest(x, centers, sq_x)
-    return assign, centers, float(point_cost.sum())
+    assign = k_nearest(centers, 1, queries=x)[:, 0]
+    return assign, centers, float(_assigned_sq(x, centers, assign).sum())
 
 
 # the checks of each clusterer's own settings, which need no data: the
@@ -208,28 +206,24 @@ def kmeans(
     """k-means++ seeded Lloyd iterations; mini-batch updates when
     ``batch_size`` is given. Reports full-data SSE either way.
 
-    A ``FeatureMatrix`` or ``scipy.sparse`` input stays CSR: the assignment
-    step is :func:`seqnet.distances.nearest`'s certified Gram step and the
-    centres are ``distances._group_sums`` row sums over counts. Labels,
-    ``inertia`` and ``history`` keep the bits of dense explicit-difference
-    Lloyd iterations.
+    A ``FeatureMatrix`` or ``scipy.sparse`` input stays CSR: each row takes
+    ``k_nearest(centers, 1, queries=x)``, and centres ``distances._group_sums``
+    row sums. Labels, ``inertia`` and ``history`` keep the bits of dense
+    explicit-difference Lloyd iterations.
     """
     check_kmeans_params(batch_size)
     x = _rows(x)
     n = x.shape[0]
     if not 1 <= k <= n:
         raise ConfigError(f"k={k} out of range for n={n}")
-    sq_x = _sq_norms(x)
     best = None
     for trial in range(max(1, n_init)):
         rng = np.random.default_rng([seed, trial])
-        centers = _kmeans_pp_init(x, k, rng, sq_x)
+        centers = _kmeans_pp_init(x, k, rng)
         if batch_size is None:
-            assign, centers, sse, history = _lloyd(x, centers, max_iter, tol, sq_x)
+            assign, centers, sse, history = _lloyd(x, centers, max_iter, tol)
         else:
-            assign, centers, sse = _minibatch(
-                x, centers, batch_size, max_iter, tol, rng, sq_x
-            )
+            assign, centers, sse = _minibatch(x, centers, batch_size, max_iter, tol, rng)
             history = [sse]
         if best is None or sse < best[1]:
             best = (assign, sse, history)
@@ -433,7 +427,7 @@ def gaussian_mixture(
     x = _dense(x)
 
     rng = np.random.default_rng(seed)
-    means = _kmeans_pp_init(x, k, rng, _sq_norms(x))
+    means = _kmeans_pp_init(x, k, rng)
     variances = np.tile(np.maximum(x.var(axis=0), var_floor), (k, 1))
     weights = np.full(k, 1.0 / k)
 

@@ -6,35 +6,30 @@ expansion ``|a|^2 + |b|^2 - 2 a.b`` only when that is exact: every entry of
 both operands is an integer and ``4 * dim * max|entry|^2 < 2**53``, so every
 intermediate is an integer that float64 holds exactly (k-mer counts always
 qualify). Otherwise every distance is summed by :func:`_paired_sq`, the
-one rule for float rows, which :func:`nearest` uses too: one row of the
-first operand against as many rows of the second as fit in 2^19
-differences (4 MB). Each pair's sum is taken over its own contiguous row,
-so the bits depend neither on the slice nor on the operands' memory
-layout. Both functions work in tiles of at most 512 rows of the first
-operand (on the difference branch, at most 2^16 distances unless one row
-is more), and make the exactness scan and the squared norms once per call.
+one rule for float rows, in blocks of at most 2^19 differences (4 MB).
+Each pair's sum is taken over its own contiguous row, so the bits depend
+neither on the block nor on the operands' memory layout. Both functions
+work in row tiles of the first operand and scan for exactness once a call.
 
 Where an operand is sparse, the Gram product splits the columns once per
 call (Yuster and Zwick's dense/sparse split, "Fast sparse matrix
 multiplication", 2005). :func:`_hot_columns` picks the columns whose
 pairs of nonzeros cost more as scattered sparse multiply-adds than in
 BLAS; on k=3 counts of related sequences they are about a seventh of the
-columns and hold most of the nonzeros, on a single query row there are
-none, so a one-row query skips the column count. The second operand's
-hot columns are densified once per call, its cold columns kept as one
-sparse slice, and each tile is a sparse product over the cold columns
-plus a dense product over the hot ones. Every
-partial sum is an exact integer, so the bits do not depend on the split.
-An operand whose columns all fall on one side is not copied, and when
-both operands are the same matrix a tile's parts are row slices of the
-second operand's. :func:`k_nearest` orders each query's rows by
-(distance, index), sorting only the distances at or below the k-th.
+columns and hold most of the nonzeros. A single query row has none, nor
+does a product against a dense searched operand (k-means' centres). The
+second operand's hot columns are densified once per call, its cold
+columns kept as one sparse slice, and each tile is a sparse product over
+the cold columns plus a dense product over the hot ones. Every partial
+sum is an exact integer, so the bits do not depend on the split. An
+operand whose columns all fall on one side is not copied, and when both
+operands are the same matrix a tile's parts are row slices of the second
+operand's.
 
-:func:`nearest` is k-means' assignment step: each row's nearest centre and
-its squared distance, with the bits of ``sq_distances(x, centers)`` and a
-row-wise argmin but none of its n x k x dim difference blocks. It certifies
-a float64 Gram argmin by an a-priori rounding bound and recomputes by
-explicit differences only what the bound leaves open.
+:func:`k_nearest` orders each query's rows by (distance, index), sorting
+only the distances at or below the k-th; on float rows it sums explicit
+differences only for the pairs a certified Gram tile leaves open
+(:func:`_bounded_tile`). k-means assigns ``k_nearest(centers, 1, queries=x)``.
 """
 
 from __future__ import annotations
@@ -49,8 +44,8 @@ from .featurize import FeatureMatrix
 _BLOCK_ELEMS = 1 << 19
 _TILE_ROWS = 512
 _CHUNK = 1 << 15
-# values in one of nearest's explicit-difference blocks (1 MB of float64)
-_NEAREST_ELEMS = 1 << 17
+# values in one of _assigned_sq's explicit-difference blocks (1 MB of float64)
+_ASSIGNED_ELEMS = 1 << 17
 _UNIT_ROUNDOFF = 2.0**-53
 # a BLAS multiply-add costs about 1/70 of a sparse one, or of writing one
 # dense element (measured on a 2-core host, two BLAS threads)
@@ -87,9 +82,20 @@ def _gram_is_exact(a, b) -> bool:
 
 
 def _sq_norms(x) -> np.ndarray:
-    if sparse.issparse(x):
-        return np.asarray(x.multiply(x).sum(axis=1)).ravel()
-    return np.einsum("ij,ij->i", x, x)
+    if not sparse.issparse(x):
+        return np.einsum("ij,ij->i", x, x)
+    # a duplicate entry's values add before squaring
+    x = x if x.has_canonical_format else x.tocoo().tocsr()
+    # each row's squared stored values, summed with no CSR copy of x * x, in
+    # runs of whole rows about _CHUNK values long: squaring all of x.data at
+    # once costs more in fresh pages than the sums. In a run of non-empty
+    # rows each row's values end where the next one's start
+    sq = np.zeros(x.shape[0])
+    filled = np.flatnonzero(x.indptr[:-1] < x.indptr[1:])
+    for rows in filter(len, np.array_split(filled, 1 + x.nnz // _CHUNK)):
+        lo, hi = x.indptr[rows[0]], x.indptr[rows[-1] + 1]
+        sq[rows] = np.add.reduceat(np.square(x.data[lo:hi]), x.indptr[rows] - lo)
+    return sq
 
 
 def _col_counts(x) -> np.ndarray:
@@ -143,13 +149,16 @@ def _gram(a_parts, b_parts) -> np.ndarray:
     return gram
 
 
-def _row_tiles(a, b):
-    """(start, squared distances from a[start:start + m] to b) for each tile."""
+def _row_tiles(a, b, k=None):
+    """(start, squared distances from a[start:start + m] to b) for each tile;
+    with ``k``, a float tile is :func:`_bounded_tile`'s for that k."""
     if _gram_is_exact(a, b):
         sq_a = _sq_norms(a)
         sq_b = sq_a if b is a else _sq_norms(b)
-        # one row has no column with pairs enough to be hot
-        hot = np.zeros(b.shape[1], bool) if a.shape[0] == 1 else _hot_columns(a, b)
+        # one row has no column with pairs enough to be hot, and a sparse
+        # product against a dense b needs no dense columns
+        skip = a.shape[0] == 1 or not sparse.issparse(b)
+        hot = np.zeros(b.shape[1], bool) if skip else _hot_columns(a, b)
         # b is split once per call, not once per tile: slicing scans all of it
         b_parts = _split(b, hot)
         for start in range(0, a.shape[0], _TILE_ROWS):
@@ -167,13 +176,23 @@ def _row_tiles(a, b):
             yield start, d2
             del d2  # not held while the next tile is made
         return
-    a, b = _dense(a), _dense(b)
     (m, dim), n = a.shape, b.shape[0]
-    # one row of a against `cols` rows of b is at most _BLOCK_ELEMS
-    # differences; a tile is `tile` rows of a against all of b, at most an
-    # eighth as many distances unless one row is more
+    # one row of a against `cols` rows of b is at most _BLOCK_ELEMS differences
     cols = max(1, _BLOCK_ELEMS // max(1, dim))
+    if k is not None:
+        # a tile is `tile` rows of a against all of b, at most an eighth as
+        # many distances unless one row is more; CSR rows, which a slice
+        # copies (dense ones it views), take 8 times as many
+        tile = max(1, _BLOCK_ELEMS // (1 if sparse.issparse(a) else 8) // max(1, n))
+        b, sq_b = _dense(b), _sq_norms(b)
+        for start in range(0, m, tile):
+            # a is not densified, and a single tile is not a CSR row slice's copy
+            rows = a if tile >= m else a[start : start + tile]
+            yield start, _bounded_tile(rows, b, sq_b, k, cols)
+        return
+    # on the difference branch, an eighth as many distances and at most _TILE_ROWS rows
     tile = max(1, min(_TILE_ROWS, _BLOCK_ELEMS // 8 // max(1, n)))
+    a, b = _dense(a), _dense(b)
     for start in range(0, m, tile):
         d2 = np.empty((min(tile, m - start), n))
         for i, row in enumerate(a[start : start + len(d2)]):
@@ -181,6 +200,39 @@ def _row_tiles(a, b):
                 d2[i, j : j + cols] = _paired_sq(row, b[j : j + cols])
         yield start, d2
         del d2  # not held while the next tile is made
+
+
+def _bounded_tile(a, b, sq_b, k: int, pairs: int) -> np.ndarray:
+    """Squared distances from the rows of a to the dense rows of b, to rank
+    each row's k smallest: explicit differences where a pair may be among
+    them, +inf where it cannot, 0 for a row's only open pair.
+
+    With u = 2^-53 and gamma_n = n u / (1 - n u), the float64 Gram value
+    g = |a|^2 + |b|^2 - 2 a.b and the explicit sum e both lie within
+    gamma_(dim+2) (|a| + |b|)^2 of the true distance (Higham, "Accuracy and
+    Stability of Numerical Algorithms", ch. 3), so |g - e| <= eps =
+    gamma_(4 dim + 16) (|a| + |b|)^2, which also covers the rounding of eps
+    and of the comparisons. A pair whose g + eps is finite and whose g - eps
+    exceeds its row's k-th smallest g + eps has k other pairs with smaller
+    e. Open pairs take :func:`_paired_sq`, ``pairs`` at a time."""
+    sq_a = _sq_norms(a)
+    d2 = sq_a[:, None] + sq_b[None, :] - 2.0 * (a @ b.T)  # g, dense as b is
+    eps = _gamma(4 * b.shape[1] + 16) * np.add.outer(np.sqrt(sq_a), np.sqrt(sq_b)) ** 2
+    hi = d2 + eps
+    d2 -= eps  # g - eps
+    # with k or more columns, no pair is ruled out
+    upper = np.partition(hi, k - 1, axis=1)[:, k - 1 : k] if 0 < k < d2.shape[1] else np.inf
+    keep = ~(np.isfinite(hi) & (d2 > upper))
+    del eps, hi
+    d2.fill(np.inf)
+    # a row's only open pair is its nearest, whatever its distance
+    alone = keep & (keep.sum(axis=1, keepdims=True) == 1)
+    d2[alone] = 0.0
+    rows, cols = np.nonzero(keep & ~alone)
+    for i in range(0, len(rows), pairs):
+        r, c = rows[i : i + pairs], cols[i : i + pairs]
+        d2[r, c] = _paired_sq(_dense(a[r]), b[c])
+    return d2
 
 
 def sq_distances(a, b=None) -> np.ndarray:
@@ -204,9 +256,11 @@ def k_nearest(x, k: int, queries=None) -> np.ndarray:
     own = queries is None
     queries = x if own else _rows(queries)
     out = np.empty((queries.shape[0], k), dtype=np.int64)
-    for start, d2 in _row_tiles(queries, x):
+    # with its own row among the candidates, a row's list needs k + 1
+    for start, d2 in _row_tiles(queries, x, k + own):
         if own:
-            d2[np.arange(len(d2)), np.arange(start, start + len(d2))] = np.inf
+            # NaN sorts after every distance, +inf included
+            d2[np.arange(len(d2)), np.arange(start, start + len(d2))] = np.nan
         out[start : start + len(d2)] = _smallest(d2, k)
         del d2  # not held while the next tile is made
     return out
@@ -232,14 +286,14 @@ def _smallest(d2, k: int) -> np.ndarray:
     return cols[order][firsts[:, None] + np.arange(k)]
 
 
-def _paired_sq(a, b) -> np.ndarray:
+def _paired_sq(a, b, out=None) -> np.ndarray:
     """|a[i] - b[i]|^2 by explicit differences (rows paired after
     broadcasting): the one rule by which every float distance is summed.
     A one-row einsum is a full reduction, which numpy sums in another order
     once a row is longer than 8,192 values; a second copy of the row keeps
-    the per-row order. The differences are C-ordered, so each row is summed
-    contiguously whatever the operands' layout."""
-    diff = np.subtract(a, b, order="C")
+    the per-row order. The differences are C-ordered (``out`` must be), so
+    each row is summed contiguously whatever the operands' layout."""
+    diff = np.subtract(a, b, out=out, order="C")
     rows = len(diff)
     if rows == 1:
         diff = np.vstack((diff, diff))
@@ -250,59 +304,23 @@ def _gamma(n: int) -> float:
     return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
 
 
-def _recheck(x, centers, rows) -> np.ndarray:
-    """The nearest centre of each of x's ``rows`` by explicit differences."""
-    return np.array(
-        [_paired_sq(_dense(x[i : i + 1]), centers).argmin() for i in rows], dtype=np.int64
-    )
-
-
-def nearest(x, centers, sq_x=None) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's nearest centre (lowest index on ties) and its squared
-    distance: the bits of ``d2 = sq_distances(x, centers)``, ``d2.argmin(1)``
-    and the chosen entries, without the n x k x dim difference blocks.
-
-    x is an array or ``scipy.sparse``; ``centers`` is a dense k x dim array;
-    ``sq_x`` may pass the squared row norms of x, made once by the caller.
-    The Gram value g = |x|^2 + |c|^2 - 2 x.c is formed in float64 for every
-    pair. With u = 2^-53 and gamma_n = n u / (1 - n u), both g and the
-    explicit-difference sum e that :func:`sq_distances` returns lie within
-    gamma_(dim+2) (|x| + |c|)^2 of the true distance, so |g - e| <= eps =
-    gamma_(4 dim + 16) (|x| + |c|)^2; the larger n also covers the rounding
-    of eps itself and of the comparisons below. A row's Gram argmin w is
-    accepted when every other centre's g - eps exceeds w's g + eps: then
-    no e can tie or beat e_w. The remaining rows (near ties, duplicate
-    centres, non-finite values) are recomputed against all centres by
-    explicit differences. Every row's chosen distance is computed by
-    explicit differences, in row blocks of about 2^17 values, never n x k x
-    dim.
-    """
-    x = _rows(x)
-    centers = np.asarray(centers, dtype=np.float64)
-    n, dim = x.shape
-    sq_x = _sq_norms(x) if sq_x is None else sq_x
-    sq_c = _sq_norms(centers)
-    d2 = sq_x[:, None] + sq_c[None, :] - 2.0 * (x @ centers.T)
-    eps = _gamma(4 * dim + 16) * (np.sqrt(sq_x)[:, None] + np.sqrt(sq_c)[None, :]) ** 2
-    best = d2.argmin(axis=1)
-    rows = np.arange(n)
-    upper = d2[rows, best] + eps[rows, best]
-    d2 -= eps
-    d2[rows, best] = np.inf
-    # negated so that a NaN bound fails the test too
-    unsure = np.flatnonzero(~(d2.min(axis=1) > upper))
-    best[unsure] = _recheck(x, centers, unsure)
-    return best, _assigned_sq(x, centers, best)
-
-
 def _assigned_sq(x, centers, assign) -> np.ndarray:
-    """|x[i] - centers[assign[i]]|^2 by explicit differences, ``_NEAREST_ELEMS`` at a time."""
+    """|x[i] - centers[assign[i]]|^2 by explicit differences, ``_ASSIGNED_ELEMS``
+    at a time, in two arrays made once per call (fresh 1 MB arrays each block
+    are fresh pages from the system); CSR rows are added into zeros, as in ``toarray``."""
     n, dim = x.shape
     cost = np.empty(n)
-    step = max(1, _NEAREST_ELEMS // max(1, dim))
+    step = max(1, min(n, _ASSIGNED_ELEMS // max(1, dim)))
+    rows, near = np.empty((step, dim)), np.empty((step, dim))
     for start in range(0, n, step):
-        stop = start + step
-        cost[start:stop] = _paired_sq(_dense(x[start:stop]), centers[assign[start:stop]])
+        stop = min(start + step, n)
+        # assign holds valid centres; "clip" takes them unbuffered, "raise" copies
+        c = np.take(centers, assign[start:stop], axis=0, out=near[: stop - start], mode="clip")
+        block = x[start:stop] if not sparse.issparse(x) else rows[: stop - start]
+        if sparse.issparse(x):
+            block.fill(0.0)
+            csr_todense(stop - start, dim, x.indptr[start : stop + 1], x.indices, x.data, block)
+        cost[start:stop] = _paired_sq(block, c, out=c)
     return cost
 
 

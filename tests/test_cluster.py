@@ -29,7 +29,7 @@ from seqnet.cluster import (
     save_elbow,
     spectral_clustering,
 )
-from seqnet.distances import nearest, sq_distances
+from seqnet.distances import k_nearest, sq_distances
 from seqnet.errors import ConfigError, MemoryLimitError, ParseError
 from seqnet.featurize import FeatureMatrix, featurize_dataset
 from seqnet.seqio import synthesize_dataset
@@ -163,11 +163,15 @@ def same_fit(got, want):
 
 
 @given(kmeans_inputs(), st.integers(0, 3), st.sampled_from([None, 1, 3, 8]),
-       st.sampled_from([1, 2, 300]), st.integers(1, 3), st.sampled_from([1, 7, 1 << 20]))
+       st.sampled_from([1, 2, 300]), st.integers(1, 3), st.sampled_from([1, 7, 1 << 20]),
+       st.sampled_from([1, 2, 512]))
 @settings(max_examples=150, deadline=None)
-def test_kmeans_matches_dense_reference(case, seed, batch_size, max_iter, n_init, block):
+def test_kmeans_matches_dense_reference(case, seed, batch_size, max_iter, n_init, block, tile):
+    """At every block size of the explicit differences (the bounded tiles'
+    open pairs and the assigned costs) and every row tile."""
     x, dense, k = case
-    with mock.patch.object(distances, "_NEAREST_ELEMS", block):
+    with mock.patch.multiple(distances, _ASSIGNED_ELEMS=block, _BLOCK_ELEMS=block,
+                             _TILE_ROWS=tile):
         got = kmeans(x, k, seed=seed, batch_size=batch_size, max_iter=max_iter, n_init=n_init)
     same_fit(got, kmeans_reference(dense, k, seed=seed, batch_size=batch_size,
                                    max_iter=max_iter, n_init=n_init))
@@ -183,7 +187,13 @@ def test_densify_labels_matches_row_loop(raw):
     assert got.dtype == want.dtype and np.array_equal(got, want) and k == want_k
 
 
-def test_nearest_rechecks_only_the_rows_the_bound_leaves_open():
+def assign_nearest(x, centers):
+    """k-means' assignment step: each row's nearest centre, then its cost."""
+    best = k_nearest(centers, 1, queries=x)[:, 0]
+    return best, distances._assigned_sq(x, centers, best)
+
+
+def test_assignment_sums_only_the_pairs_the_bound_leaves_open():
     centers = np.array([[11736.5], [11733.5 - 2.0**-29], [0.0], [2.0]])
     x = np.array([
         # Gram ranks centre 1 first, explicit differences rank centre 0 first
@@ -198,20 +208,28 @@ def test_nearest_rechecks_only_the_rows_the_bound_leaves_open():
     sq_x = np.einsum("ij,ij->i", x, x)
     gram = sq_x[:, None] + np.einsum("ij,ij->i", centers, centers) - 2.0 * x @ centers.T
     assert gram[0].argmin() == 1 and d2[0].argmin() == 0
-    with mock.patch.object(distances, "_recheck", wraps=distances._recheck) as spy:
-        best, cost = nearest(x, centers)
-    assert spy.call_count == 1 and spy.call_args.args[2].tolist() == [0, 1]
+    seen, paired_sq = [], distances._paired_sq
+
+    def spy(a, b, out=None):
+        seen.append((a.tolist(), b.tolist()))  # before ``out`` takes the differences
+        return paired_sq(a, b, out=out)
+
+    with mock.patch.object(distances, "_paired_sq", spy):
+        best, cost = assign_nearest(x, centers)
+    # the open pairs of rows 0 and 1 in one block, then every row's own cost
+    assert seen == [(x[[0, 0, 1, 1]].tolist(), centers[[0, 1, 2, 3]].tolist()),
+                    (x.tolist(), centers[best].tolist())]
     assert best.tolist() == d2.argmin(axis=1).tolist() == [0, 2, 2, 1]
     assert cost.tobytes() == d2[np.arange(len(x)), best].tobytes()
 
 
-def test_nearest_keeps_the_bits_of_one_long_row():
+def test_assignment_keeps_the_bits_of_one_long_row():
     # numpy orders a one-row einsum's sum differently past 8,192 columns
     rng = np.random.default_rng(1)
     x = rng.normal(size=(1, 8530)) * 100
     centers = rng.normal(size=(3, 8530)) * 100
     d2 = sq_distances(x, centers)
-    best, cost = nearest(x, centers)
+    best, cost = assign_nearest(x, centers)
     assert best.tolist() == [d2[0].argmin()]
     assert cost.tobytes() == d2[0, best].tobytes()
 

@@ -334,11 +334,15 @@ def test_one_dimensional_input_is_a_column():
 
 @st.composite
 def knn_cases(draw):
-    """Points on a tiny integer grid (many distance ties) and a query mode."""
+    """Points on a tiny grid (many distance ties) at a drawn scale, and a
+    query mode. Integer grids take the Gram branch; at 0.1 and 1/3 the
+    float rows hold ties and near-ties, and at 1e154 and 1e200 some
+    distances overflow to +inf."""
     dim = draw(st.integers(1, 3))
     n = draw(st.integers(2, 40))
+    scale = draw(st.sampled_from([1.0, 0.1, 1 / 3, 1e154, 1e200]))
     x = np.array(draw(st.lists(st.lists(st.integers(0, 2), min_size=dim, max_size=dim),
-                               min_size=n, max_size=n)), dtype=np.float64)
+                               min_size=n, max_size=n)), dtype=np.float64) * scale
     mode = draw(st.sampled_from(["all_rows", "one_row", "queries"]))
     k = draw(st.integers(1, n if mode == "queries" else n - 1))
     rows = queries = None
@@ -347,7 +351,7 @@ def knn_cases(draw):
     elif mode == "queries":
         queries = np.array(draw(st.lists(st.lists(st.integers(0, 2), min_size=dim,
                                                   max_size=dim), max_size=20)),
-                           dtype=np.float64).reshape(-1, dim)
+                           dtype=np.float64).reshape(-1, dim) * scale
     return x, k, rows, queries
 
 

@@ -14,6 +14,7 @@ from ssn_reference import (
 )
 
 from seqnet import tables
+from seqnet.distances import k_nearest
 from seqnet.errors import NeighborCountError, ParseError
 from seqnet.featurize import featurize_dataset
 from seqnet.seqio import synthesize_dataset
@@ -160,14 +161,28 @@ class TestBuildSsn:
     def test_feature_matrix_input_matches_dense(self):
         ds = synthesize_dataset(2, [10, 10], 60, 0.05, 15, seed=2)
         mat = featurize_dataset(ds, k=2)
+        csr = mat.to_csr()
+        # each count v stored as two entries, v - 1 and 1, in the same column
+        twice = sparse.csr_matrix((np.column_stack([csr.data - 1, np.ones(csr.nnz)]).ravel(),
+                                   np.repeat(csr.indices, 2), 2 * csr.indptr), shape=csr.shape)
+        assert not twice.has_canonical_format
         for mode in ("union", "mutual"):
             want = build_ssn(mat.to_dense(), k=3, mode=mode)
-            for features in (mat, mat.to_csr(), sparse.coo_matrix(mat.to_dense())):
+            for features in (mat, csr, sparse.coo_matrix(mat.to_dense()), twice):
                 assert build_ssn(features, k=3, mode=mode) == want
 
     def test_k_too_large(self):
         with pytest.raises(NeighborCountError):
             build_ssn(np.zeros((4, 2)), k=4)
+
+    def test_overflowing_distances_list_no_row_as_its_own_neighbour(self):
+        # every distance between these finite rows overflows to +inf, so
+        # each list is the lowest other indices, never the row itself
+        assert k_nearest(np.array([[0.0], [1e200]]), 1).tolist() == [[1], [0]]
+        x = np.array([[0.0], [1e200], [-1e200], [3e200]])
+        g = build_ssn(x, k=2)
+        assert g.adjacency.diagonal().tolist() == [0, 0, 0, 0]
+        assert set(g.edges()) == oracle_knn_edges(x, 2)
 
 
 class TestComponents:
