@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import copy
 import itertools
-import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -19,7 +18,7 @@ import numpy as np
 
 from .cluster import _log_gaussian_diag
 from .distances import _dense, _gamma, _group_sums, _rows, k_nearest
-from .errors import ConfigError, check_number
+from .errors import ConfigError, check_int, check_number
 from .evalmetrics import ClassificationReport, classification_report
 from .seqio import split_indices
 
@@ -43,11 +42,6 @@ def _queries(x):
 def _with_bias(x):
     """x with a constant 1 feature appended, which carries a linear bias."""
     return np.hstack([x, np.ones((len(x), 1))])
-
-
-def _check_epochs(epochs):
-    if not isinstance(epochs, numbers.Integral) or epochs < 1:
-        raise ConfigError(f"epochs must be an integer >= 1, got {epochs!r}")
 
 
 def _fit_and_score(model, x, y, fit_rows, score_rows):
@@ -109,16 +103,12 @@ class KNNClassifier(_TimedFit):
     algorithm = "knn"
 
     def __init__(self, k_votes: int = 5):
-        if k_votes < 1:
-            raise ConfigError("k_votes must be >= 1")
+        check_int("k_votes", k_votes, 1)
         self.k_votes = k_votes
 
     def _fit(self, x, y):
         self._x, self.classes_, self._y = _prepare(x, y)
-        if self.k_votes > len(self._x):
-            raise ConfigError(
-                f"k_votes={self.k_votes} exceeds training size {len(self._x)}"
-            )
+        check_int("k_votes", self.k_votes, 1, len(self._x))
 
     def _scores(self, x):
         return self._vote_fractions(self._y[k_nearest(self._x, self.k_votes, queries=x)])
@@ -182,7 +172,7 @@ class LogisticRegression(_TimedFit):
     def __init__(self, l2: float = 1e-3, lr: float = 0.5, epochs: int = 300):
         check_number("l2", l2, 0, strict=False)
         check_number("lr", lr, 0, strict=True)
-        _check_epochs(epochs)
+        check_int("epochs", epochs, 1)
         self.l2 = l2
         self.lr = lr
         self.epochs = epochs
@@ -328,7 +318,7 @@ class LinearSVM(_TimedFit):
 
     def __init__(self, C: float = 1.0, epochs: int = 20, seed: int = 0):
         check_number("C", C, 0, strict=True)
-        _check_epochs(epochs)
+        check_int("epochs", epochs, 1)
         self.C = C
         self.epochs = epochs
         self.seed = seed
@@ -693,6 +683,12 @@ def _grow_trees(x, samples, encoded, n_classes, max_depth, min_leaf, m_features=
     )
 
 
+def _check_tree_params(max_depth, min_leaf):
+    if max_depth is not None:
+        check_int("max_depth", max_depth, 0)
+    check_int("min_leaf", min_leaf, 1)
+
+
 class DecisionTree(_TimedFit):
     """Binary CART on Gini impurity with midpoint thresholds.
 
@@ -707,8 +703,7 @@ class DecisionTree(_TimedFit):
     algorithm = "decision_tree"
 
     def __init__(self, max_depth: Optional[int] = None, min_leaf: int = 1):
-        if min_leaf < 1:
-            raise ConfigError("min_leaf must be >= 1")
+        _check_tree_params(max_depth, min_leaf)
         self.max_depth = max_depth
         self.min_leaf = min_leaf
 
@@ -742,8 +737,8 @@ class RandomForest(_TimedFit):
         bootstrap: bool = True,
         seed: int = 0,
     ):
-        if n_trees < 1:
-            raise ConfigError("n_trees must be >= 1")
+        check_int("n_trees", n_trees, 1)
+        _check_tree_params(max_depth, min_leaf)
         if feature_frac is not None and not 0.0 < feature_frac <= 1.0:
             raise ConfigError("feature_frac must lie in (0, 1]")
         self.n_trees = n_trees

@@ -138,6 +138,7 @@ _CLUSTER_METHODS = {
 _CLUSTER_CHECKS = {
     "minibatch_kmeans": lambda cfg: cluster_mod.check_kmeans_params(cfg.batch_size),
     "dbscan": lambda cfg: cluster_mod.check_dbscan_params(cfg.eps, cfg.min_pts),
+    "gmm": lambda cfg: cluster_mod.check_gmm_params(cfg.var_floor, cfg.pca_dim),
     "spectral": lambda cfg: cluster_mod.check_spectral_params(cfg.gamma),
 }
 

@@ -14,7 +14,6 @@ available memory (:func:`seqnet.errors.check_memory`).
 from __future__ import annotations
 
 import itertools
-import numbers
 import time
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -25,7 +24,7 @@ from scipy.linalg import eigh
 
 from .distances import _assigned_sq, _dense, _gram_is_exact, _group_sums, _row_tiles, _rows
 from .distances import _sq_norms, k_nearest, sq_distances
-from .errors import ConfigError, ParseError, check_memory, check_number
+from .errors import ConfigError, ParseError, check_int, check_memory, check_number
 from .ssn import SimilarityNetwork
 from .tables import read_rows
 
@@ -88,6 +87,7 @@ def pca_project(x, dim: int) -> np.ndarray:
     Component signs are fixed (largest-magnitude loading positive) so the
     projection is reproducible byte for byte.
     """
+    check_int("dim", dim, 1)
     x = _rows(x)
     n, d = x.shape
     m = min(n, d)
@@ -179,14 +179,19 @@ def _minibatch(x, centers, batch_size, max_iter, tol, rng):
 # the checks of each clusterer's own settings, which need no data: the
 # clusterer makes them first, and the CLI before it reads the features
 def check_kmeans_params(batch_size: Optional[int] = None) -> None:
-    if batch_size is not None and (not isinstance(batch_size, numbers.Integral) or batch_size < 1):
-        raise ConfigError(f"batch_size must be an integer >= 1, got {batch_size!r}")
+    if batch_size is not None:
+        check_int("batch_size", batch_size, 1)
 
 
 def check_dbscan_params(eps: float, min_pts: int) -> None:
     check_number("eps", eps, 0, strict=True)
-    if min_pts < 1:
-        raise ConfigError("min_pts must be >= 1")
+    check_int("min_pts", min_pts, 1)
+
+
+def check_gmm_params(var_floor: float, pca_dim: Optional[int]) -> None:
+    check_number("var_floor", var_floor, 0, strict=True)
+    if pca_dim is not None:
+        check_int("pca_dim", pca_dim, 1)
 
 
 def check_spectral_params(gamma: Optional[float] = None) -> None:
@@ -213,9 +218,7 @@ def kmeans(
     """
     check_kmeans_params(batch_size)
     x = _rows(x)
-    n = x.shape[0]
-    if not 1 <= k <= n:
-        raise ConfigError(f"k={k} out of range for n={n}")
+    check_int("k", k, 1, x.shape[0])
     best = None
     for trial in range(max(1, n_init)):
         rng = np.random.default_rng([seed, trial])
@@ -261,8 +264,7 @@ def agglomerative(
     n = x.shape[0]
     if graph.n != n:
         raise ConfigError(f"graph has {graph.n} nodes for {n} rows")
-    if not 1 <= k <= n:
-        raise ConfigError(f"k={k} out of range for n={n}")
+    check_int("k", k, 1, n)
 
     # each linkage's cluster state: the cost of a pair, and folding b into a
     # while size still holds both clusters' old sizes
@@ -416,12 +418,12 @@ def gaussian_mixture(
     an optional PCA pre-reduction for high-dimensional count inputs. Labels
     take the posterior argmax of the returned soft responsibilities.
     """
+    check_gmm_params(var_floor, pca_dim)
     x = _rows(x)
     if pca_dim is not None:
         x = pca_project(x, pca_dim)
     n, d = x.shape
-    if not 1 <= k <= n:
-        raise ConfigError(f"k={k} out of range for n={n}")
+    check_int("k", k, 1, n)
     # the rows and the two n x d temporaries of each component's density
     check_memory(8 * 3 * n * d, f"gaussian_mixture on {n} x {d} rows")
     x = _dense(x)
@@ -470,8 +472,7 @@ def spectral_clustering(
     check_spectral_params(gamma)
     x = _rows(x)
     n, d = x.shape
-    if not 1 <= k <= n:
-        raise ConfigError(f"k={k} out of range for n={n}")
+    check_int("k", k, 1, n)
     # the dense rows, then the affinity, the Laplacian and two n x n temporaries
     check_memory(8 * (n * d + 4 * n * n), f"spectral_clustering on {n} x {d} rows")
     x = _dense(x)
@@ -522,8 +523,8 @@ def elbow_select_k(
     play no part in the choice.
     """
     x = _rows(x)
-    if not 1 <= k_min < k_max <= x.shape[0]:
-        raise ConfigError(f"need 1 <= k_min < k_max <= n, got [{k_min}, {k_max}]")
+    check_int("k_min", k_min, 1)
+    check_int("k_max", k_max, k_min + 1, x.shape[0])
     ks = list(range(k_min, k_max + 1))
     sse = []
     runtimes = []

@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass, replace
 from typing import Optional, get_type_hints
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 
 WORKERS_ENV = "SEQNET_WORKERS"
 
@@ -94,8 +94,7 @@ class PipelineConfig:
     num_folds: int = 5
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        check_int("workers", self.workers, 1)
 
 
 # the INI section of each field

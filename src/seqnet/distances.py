@@ -94,7 +94,10 @@ def _sq_norms(x) -> np.ndarray:
     filled = np.flatnonzero(x.indptr[:-1] < x.indptr[1:])
     for rows in filter(len, np.array_split(filled, 1 + x.nnz // _CHUNK)):
         lo, hi = x.indptr[rows[0]], x.indptr[rows[-1] + 1]
-        sq[rows] = np.add.reduceat(np.square(x.data[lo:hi]), x.indptr[rows] - lo)
+        # a value above 1.3e154 squares to +inf: the float bound then leaves
+        # its pairs open (see _bounded_tile)
+        with np.errstate(over="ignore"):
+            sq[rows] = np.add.reduceat(np.square(x.data[lo:hi]), x.indptr[rows] - lo)
     return sq
 
 
@@ -216,10 +219,14 @@ def _bounded_tile(a, b, sq_b, k: int, pairs: int) -> np.ndarray:
     exceeds its row's k-th smallest g + eps has k other pairs with smaller
     e. Open pairs take :func:`_paired_sq`, ``pairs`` at a time."""
     sq_a = _sq_norms(a)
-    d2 = sq_a[:, None] + sq_b[None, :] - 2.0 * (a @ b.T)  # g, dense as b is
-    eps = _gamma(4 * b.shape[1] + 16) * np.add.outer(np.sqrt(sq_a), np.sqrt(sq_b)) ** 2
-    hi = d2 + eps
-    d2 -= eps  # g - eps
+    # where a norm overflows, g and eps are +inf or NaN (inf - inf): such a
+    # pair's g + eps is not finite and NaN compares false, so it stays open
+    # and takes an explicit difference, which is right
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = sq_a[:, None] + sq_b[None, :] - 2.0 * (a @ b.T)  # g, dense as b is
+        eps = _gamma(4 * b.shape[1] + 16) * np.add.outer(np.sqrt(sq_a), np.sqrt(sq_b)) ** 2
+        hi = d2 + eps
+        d2 -= eps  # g - eps
     # with k or more columns, no pair is ruled out
     upper = np.partition(hi, k - 1, axis=1)[:, k - 1 : k] if 0 < k < d2.shape[1] else np.inf
     keep = ~(np.isfinite(hi) & (d2 > upper))

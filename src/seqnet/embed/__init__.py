@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..errors import ConfigError, ParseError
+from ..errors import ParseError, check_int
 from ..tables import read_rows
 
 
@@ -37,12 +37,6 @@ class EmbeddingMatrix:
         return self.vectors.shape[0]
 
 
-def _check_dim(d: int) -> None:
-    """d below 1 is a config error whatever the graph."""
-    if d < 1:
-        raise ConfigError(f"d must be >= 1, got {d}")
-
-
 from .walks import WalkConfig, WalkCorpus, generate_walks, step_distribution  # noqa: E402
 from .sgns import sgns_fit, sgns_train, unigram_distribution  # noqa: E402
 from .factorization import gf_objective, graph_factorization  # noqa: E402
@@ -53,7 +47,7 @@ def node2vec(graph, d: int = 200, config: Optional[WalkConfig] = None) -> Embedd
     """Biased-walk corpus plus skip-gram training; p and q come from config.
     ``info`` holds p, q, seed, the corpus's ``walk_steps`` and the counters of
     :func:`sgns_fit`."""
-    _check_dim(d)
+    check_int("d", d, 1)
     config = config or WalkConfig()
     corpus = generate_walks(graph, config)
     vectors, counters = sgns_fit(corpus, graph.n, d, config)

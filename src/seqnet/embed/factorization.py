@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError, DivergenceError
+from ..errors import DivergenceError, check_int, check_number
 from ..ssn import SimilarityNetwork
-from . import EmbeddingMatrix, _check_dim
+from . import EmbeddingMatrix
 
 
 # floats gathered per endpoint and block of edges by _edge_inner
@@ -77,13 +77,10 @@ def graph_factorization(
     a per-edge ``yi @ yj``) and one scatter give the per-edge loop's bits.
     Raises DivergenceError at the first epoch that leaves a non-finite value.
     """
-    _check_dim(d)
-    if not (np.isfinite(lr) and lr > 0):
-        raise ConfigError(f"lr must be positive and finite, got {lr}")
-    if not (np.isfinite(lam) and lam >= 0):
-        raise ConfigError(f"lam must be nonnegative and finite, got {lam}")
-    if epochs < 1:
-        raise ConfigError("epochs must be >= 1")
+    check_int("d", d, 1)
+    check_number("lr", lr, 0, strict=True)
+    check_number("lam", lam, 0, strict=False)
+    check_int("epochs", epochs, 1)
     rng = np.random.default_rng(seed)
     y = rng.uniform(-0.1, 0.1, size=(graph.n, d))
     edges = graph.edge_array()

@@ -19,8 +19,9 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh
 
 from ..errors import ConfigError, ConnectivityError, DimensionError, DivergenceError
+from ..errors import check_int, check_number
 from ..ssn import SimilarityNetwork, connected_components
-from . import EmbeddingMatrix, _check_dim
+from . import EmbeddingMatrix
 
 # shift-invert target just below the nonnegative spectra of L and (I-W)^T(I-W)
 _SHIFT = -1e-3
@@ -61,7 +62,7 @@ def _per_component(graph: SimilarityNetwork, d: int, method: str, operator) -> E
     """The d smallest eigenpairs over all components after each drops its
     first (constant) one, ordered by (eigenvalue, component id, index); each
     column is the block's eigenvector, zero outside its component."""
-    _check_dim(d)
+    check_int("d", d, 1)
     adjacency = graph.adjacency
     if np.any(np.diff(adjacency.indptr) == 0):
         raise ConnectivityError(f"{method} requires no isolated nodes")
@@ -133,7 +134,7 @@ def hope_embed(
     and target halves [U sqrt(S) | V sqrt(S)]. Default beta is 0.5 / rho(A);
     beta at or beyond 1 / rho(A) diverges.
     """
-    _check_dim(d)
+    check_int("d", d, 1)
     if d % 2:
         raise ConfigError(f"d must be even for the source/target split, got {d}")
     n = graph.n
@@ -147,8 +148,7 @@ def hope_embed(
     rho = float(values[-1])  # the Perron root, as A is nonnegative
     if beta is None:
         beta = 0.5 / rho if rho > 0 else 0.5
-    if beta <= 0:
-        raise ConfigError(f"beta must be positive, got {beta}")
+    check_number("beta", beta, 0, strict=True)
     if rho > 0 and beta >= 1.0 / rho:
         raise DivergenceError(f"beta={beta} >= 1/rho(A)={1.0 / rho}")
     katz = beta * values / (1.0 - beta * values)

@@ -13,13 +13,12 @@ root has no neighbors ends early, as the one-node walk [root].
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..config import PipelineConfig
-from ..errors import ConfigError
+from ..errors import check_int, check_number
 from ..ssn import SimilarityNetwork
 
 # rejection rounds of one biased step before its pending walkers invert the
@@ -44,13 +43,12 @@ class WalkConfig:
 
     def __post_init__(self):
         for name in ("walks_per_node", "walk_length", "window", "negatives", "epochs"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        # 1/p and 1/q are step weights, so they must be finite too
-        if not all(x > 0 and math.isfinite(x) and math.isfinite(1 / x) for x in (self.p, self.q)):
-            raise ConfigError("p and q must be positive and finite, with finite inverses")
-        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
-            raise ConfigError("learning_rate must be positive and finite")
+            check_int(name, getattr(self, name), 1)
+        for name in ("p", "q"):
+            check_number(name, getattr(self, name), 0, strict=True)
+            # 1/p and 1/q are step weights, so they must be finite too
+            check_number(f"1/{name}", 1 / getattr(self, name), 0, strict=True)
+        check_number("learning_rate", self.learning_rate, 0, strict=True)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
-"""Exception types raised across the toolkit, the range check that
-classifier and clusterer hyperparameters share, and the memory guard that
-raises one before a dense allocation the machine cannot hold."""
+"""Exception types raised across the toolkit, the range checks that every
+count (:func:`check_int`) and every real setting (:func:`check_number`) goes
+through, and the memory guard raised before a dense allocation too large."""
 
 import math
 import numbers
@@ -48,6 +48,15 @@ def check_number(name, value, low, strict):
     ):
         relation = ">" if strict else ">="
         raise ConfigError(f"{name} must be a finite number {relation} {low}, got {value!r}")
+
+
+def check_int(name, value, low, high=None):
+    """ConfigError unless value is an integer in [low, high], high None being no cap."""
+    if not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if not low <= value <= (value if high is None else high):
+        span = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ConfigError(f"{name} must be {span}, got {value}")
 
 
 class AlphabetError(SeqnetError, ValueError):

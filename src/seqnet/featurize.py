@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .errors import AlphabetError, ConfigError, MerSizeError, ParseError, parse_numbers
+from .errors import AlphabetError, ConfigError, MerSizeError, ParseError, check_int, parse_numbers
 from .seqio import ALPHABET, ALPHABET_INDEX, Dataset
 from .tables import read_rows, write_int_rows
 
@@ -51,8 +51,7 @@ _BLOCK_CELLS = 1 << 16
 
 def total_kmers(n: int, k: int) -> int:
     """Number of width-k windows in a length-n sequence: (n - k) + 1."""
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    check_int("k", k, 1)
     if k > n:
         raise MerSizeError(f"k={k} exceeds sequence length {n}")
     return (n - k) + 1
@@ -193,8 +192,7 @@ def featurize_dataset(dataset: Dataset, k: int = 3) -> FeatureMatrix:
     allocated once at an upper bound of the nonzeros and shrunk in place at
     the end.
     """
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    check_int("k", k, 1)
     n, dim = len(dataset), _NSYM**k
     rank_dtype = next((t for t in (np.int16, np.int32, np.int64) if dim <= np.iinfo(t).max), None)
     if rank_dtype is None:
@@ -265,8 +263,15 @@ def _narrowest(values) -> np.ndarray:
 def save_features(matrix: FeatureMatrix, path) -> None:
     """Write the sparse triplet CSV: one metadata header line, then
     row,rank,count; then its binary companion, or, where that would not be
-    smaller than the CSV, remove a companion left from an earlier run."""
+    smaller than the CSV, remove a companion left from an earlier run. A count
+    the loader refuses, not an integer in [1, 2^63 - 1], or a repeated (row,
+    rank) entry raises ValueError before a file is opened."""
     x = matrix.to_csr()
+    if x.nnz and not (x.data.min() >= 1 and x.data.max() < 2.0**63
+                      and np.array_equal(np.floor(x.data), x.data)):
+        raise ValueError("feature counts must be integers in [1, 2^63 - 1]")
+    if not x.has_canonical_format and x.tocoo().tocsr().nnz < x.nnz:
+        raise ValueError("repeated (row, rank) entry in the feature matrix")
     rows = np.repeat(np.arange(matrix.n, dtype=x.indices.dtype), np.diff(x.indptr))
     with open(path, "wb") as fh:
         out = _HashingWriter(fh)

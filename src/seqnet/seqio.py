@@ -15,6 +15,7 @@ from .errors import (
     EmptyInputError,
     ParseError,
     StratifyError,
+    check_int,
 )
 
 # The 20 amino acids, in the fixed order that defines k-mer ranks downstream.
@@ -235,18 +236,18 @@ def synthesize_dataset(
     ``within_mut_rate``. Fully deterministic given ``seed``; labels are
     ``L0`` .. ``L{num_lineages-1}``.
     """
-    if num_lineages < 1:
-        raise ConfigError("num_lineages must be >= 1")
-    if length < 1:
-        raise ConfigError("length must be >= 1")
+    check_int("num_lineages", num_lineages, 1)
+    check_int("length", length, 1)
     if len(per_lineage) != num_lineages:
         raise ConfigError(
             f"per_lineage has {len(per_lineage)} entries for {num_lineages} lineages"
         )
+    for li, count in enumerate(per_lineage):
+        check_int(f"per_lineage[{li}]", count, 0)
+    check_int("sum(per_lineage)", sum(per_lineage), 1)
     if not 0.0 <= within_mut_rate <= 1.0:
         raise ConfigError("within_mut_rate must lie in [0, 1]")
-    if not 0 <= between_mut_count <= length:
-        raise ConfigError("between_mut_count must lie in [0, length]")
+    check_int("between_mut_count", between_mut_count, 0, length)
 
     rng = np.random.default_rng(seed)
     nsym = len(ALPHABET)
@@ -291,8 +292,7 @@ def split_indices(
     n = len(labels)
     if not 0.0 < test_fraction < 1.0:
         raise ConfigError("test_fraction must lie strictly between 0 and 1")
-    if num_folds < 2:
-        raise ConfigError("num_folds must be >= 2")
+    check_int("num_folds", num_folds, 2)
     n_train = int(round((1.0 - test_fraction) * n))
     n_test = n - n_train
     if n_train < num_folds:

@@ -18,7 +18,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from .distances import _rows, k_nearest
-from .errors import ConfigError, NeighborCountError, ParseError, parse_numbers
+from .errors import NeighborCountError, ParseError, check_int, parse_numbers
 from .tables import read_rows, write_int_rows
 
 
@@ -113,8 +113,7 @@ def network_from_edges(
 
 def _check_neighbor_count(k: int, n: int) -> None:
     """K below 1 is a config error whatever the data; K >= n a data error."""
-    if k < 1:
-        raise ConfigError(f"K must be >= 1, got {k}")
+    check_int("K", k, 1)
     if k > n - 1:
         raise NeighborCountError(f"K={k} out of range for n={n}")
 
@@ -123,6 +122,7 @@ def knn_query(features, i: int, k: int) -> list[int]:
     """The k indices nearest to row i, ordered by (distance, index)."""
     x = _rows(features)
     _check_neighbor_count(k, x.shape[0])
+    check_int("i", i, 0, x.shape[0] - 1)
     # row i is at distance 0, so it is among its own k + 1 nearest unless
     # more than k lower-indexed duplicates precede it
     nearest = k_nearest(x, k + 1, queries=x[i : i + 1])[0].tolist()

@@ -714,6 +714,8 @@ class TestErrorChannels:
          "graph_factorization", "--dim", 2, "--gf-lr", "nan"],
         ["embed", "--input", "graph.tsv", "--output", "e.csv", "--method",
          "graph_factorization", "--dim", 2, "--lam", "inf"],
+        ["embed", "--input", "graph.tsv", "--output", "e.csv", "--method", "hope", "--dim", 2,
+         "--beta", "nan"],
     ])
     def test_parameter_out_of_range_exit_4(self, pipeline_dir, monkeypatch, argv):
         """A value invalid whatever the data is a config error, not a data error."""
@@ -728,6 +730,8 @@ class TestErrorChannels:
         ("minibatch_kmeans", "--batch-size", "0"),
         ("minibatch_kmeans", "--batch-size", "-5"),
         ("dbscan", "--min-pts", "0"),
+        ("gmm", "--pca-dim", "0"),
+        ("gmm", "--pca-dim", "-3"),
     ])
     def test_cluster_hyperparameter_out_of_range_exit_4(self, pipeline_dir, monkeypatch, capsys,
                                                         method, flag, value):
@@ -741,6 +745,33 @@ class TestErrorChannels:
         assert f"{flag[2:].replace('-', '_')} must be" in capsys.readouterr().err
         assert not (pipeline_dir / "c.csv").exists()
         assert not (pipeline_dir / "c.csv.meta").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "0", "-1"])
+    def test_cluster_var_floor_out_of_range_exit_4(self, pipeline_dir, monkeypatch, capsys,
+                                                   value):
+        """var_floor has no flag: from a config file, a variance floor that is
+        not a finite number above 0 fails before the features are read."""
+        monkeypatch.chdir(pipeline_dir)
+        monkeypatch.setattr(cli, "_load_features", mock.Mock(side_effect=AssertionError("read")))
+        (pipeline_dir / "floor.ini").write_text(f"[cluster]\nvar_floor = {value}\n")
+        assert run("cluster", "--features", "features.csv", "--output", "c.csv",
+                   "--method", "gmm", "--k-clusters", 3, "--config", "floor.ini") == 4
+        assert "var_floor must be" in capsys.readouterr().err
+        assert not (pipeline_dir / "c.csv").exists()
+        assert not (pipeline_dir / "c.csv.meta").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--per-lineage", "-1"],
+        ["--per-lineage", "0"],
+        ["--lineages", 2, "--per-lineage", "3,-2"],
+    ])
+    def test_synth_per_lineage_below_zero_or_empty_exit_4(self, tmp_path, capsys, flags):
+        """Every lineage size is at least 0 and their sum at least 1."""
+        out = tmp_path / "d.fa"
+        assert run("synth", "--output", out, *flags) == 4
+        assert "per_lineage" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "d.fa.meta").exists()
 
     @pytest.mark.parametrize("argv", [
         ["synth", "--output", "d.fa", "--workers", 0],

@@ -13,6 +13,7 @@ from featurize_reference import (
     save_features_reference,
 )
 from hypothesis import HealthCheck, example, given, settings, strategies as st
+from scipy import sparse
 
 from seqnet import featurize, tables
 from seqnet.errors import AlphabetError, ConfigError, MerSizeError, ParseError
@@ -205,6 +206,30 @@ class TestMatrixExport:
         with pytest.raises(ParseError, match="duplicate") as err:
             load_features(path)
         assert err.value.line == 5
+
+    @pytest.mark.parametrize("ranks, counts", [
+        ([3, 5], [0.5, 2.7]),
+        ([3, 5], [0.0, 1.0]),
+        ([3, 5], [-1.0, 1.0]),
+        ([3, 5], [np.nan, 1.0]),
+        ([3, 5], [np.inf, 1.0]),
+        ([3, 5], [2.0**63, 1.0]),
+        ([3, 3], [1.0, 2.0]),  # a repeated (row, rank)
+    ])
+    def test_save_refuses_what_the_loader_would_and_writes_nothing(self, tmp_path, ranks,
+                                                                    counts):
+        """Counts that are not integers in [1, 2^63 - 1], or a repeated
+        entry, raise before a file is opened."""
+        x = sparse.csr_matrix((counts, ranks, [0, 0, 2]), shape=(2, 20))
+        with pytest.raises(ValueError, match="count|repeated"):
+            save_features(FeatureMatrix(x, 1), tmp_path / "features.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unsorted_ranks_save_and_load(self, tmp_path):
+        x = sparse.csr_matrix(([2.0, 1.0], [7, 3], [0, 0, 2]), shape=(2, 20))
+        assert not x.has_canonical_format
+        save_features(FeatureMatrix(x, 1), tmp_path / "features.csv")
+        assert load_features(tmp_path / "features.csv").to_dense().tolist() == x.toarray().tolist()
 
     def test_saved_file_is_parsed_without_the_line_scan(self, tmp_path):
         ds = synthesize_dataset(3, [5, 5, 5], 90, 0.05, 9, seed=2)
