@@ -5,10 +5,12 @@
 
 Every subcommand reads and writes only the documented file formats, accepts
 `--config` (INI) with CLI flags taking precedence, and drops a `<output>.meta`
-sidecar per artifact recording the tool version, the config fields the
-subcommand reads and input digests. Runtime columns are written as 0.0 unless
-`--timings` is given, so identical configs and seeds reproduce artifacts byte
-for byte.
+sidecar per artifact from its run's one recorder, `_Run`: the tool version,
+the config fields the subcommand reads, its inputs' digests and its counters.
+Runtime columns are written as 0.0 unless `--timings` is given, so identical
+configs and seeds reproduce artifacts byte for byte; `--timings` also adds
+`wall_s` and `peak_rss_mb` (the process's peak, so the subcommand's own in its
+own process) to every sidecar.
 
 Exit codes: 0 success, 2 usage, 3 missing input file, 4 schema/config error,
 5 data error, 1 unexpected failure.
@@ -17,6 +19,7 @@ Exit codes: 0 success, 2 usage, 3 missing input file, 4 schema/config error,
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 from dataclasses import fields, replace
@@ -35,7 +38,7 @@ from .seqio import (
     write_fasta,
     write_labels_csv,
 )
-from .ssn import _default_nodes_path, build_ssn, load_graph, save_graph
+from .ssn import _default_nodes_path, build_ssn, connected_components, load_graph, save_graph
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -45,47 +48,54 @@ EXIT_DATA = 5
 EXIT_UNEXPECTED = 1
 
 
-def _sha256(args, path) -> str:
-    """SHA-256 of an input file, taken once per subcommand run: the digest
-    that checks a triplet CSV's companion is the one its sidecar records."""
-    digests = vars(args).setdefault("input_sha256", {})
-    if path not in digests:
-        digests[path] = file_sha256(path)
-    return digests[path]
-
-
-def _sidecar_lines(args, config, inputs, extra=None) -> list[str]:
-    lines = ["tool=seqnet", f"version={__version__}", f"subcommand={args.subcommand}"]
-    for key, value in config_items(config, args.config_fields):
-        lines.append(f"config.{key}={value}")
-    for i, path in enumerate(inputs):
-        lines.append(f"input.{i}.path={path}")
-        lines.append(f"input.{i}.sha256={_sha256(args, path)}")
-    for key in sorted(extra or {}):
-        lines.append(f"{key}={extra[key]}")
-    return lines
-
-
-def _write_sidecar(output, args, config, inputs, extra=None):
-    lines = _sidecar_lines(args, config, inputs, extra)
-    Path(str(output) + ".meta").write_text("\n".join(lines) + "\n")
-
-
 def _require_input(path):
     if not Path(path).exists():
         raise FileNotFoundError(f"missing input file: {path}")
     return path
 
 
-def _load_features(args, path):
+class _Run:
+    """One subcommand run and every sidecar it writes: the effective config,
+    the inputs the run read, in read order, each file hashed once as it is
+    read (the digest that checks a triplet CSV's companion is the one its
+    sidecar records), and the counters that every sidecar of the run records."""
+
+    def __init__(self, args):
+        self.start = time.perf_counter()
+        self.args = args
+        self.config = _effective(args)
+        self.inputs = []
+        self.digests = {}
+        self.counters = {}
+
+    def read(self, path):
+        """``path``, checked to exist, listed as an input and hashed."""
+        self.inputs.append(_require_input(path))
+        if path not in self.digests:
+            self.digests[path] = file_sha256(path)
+        return path
+
+    def lines(self, **extra) -> list[str]:
+        """The sidecar: provenance, then the counters and ``extra`` by key;
+        with --timings, the seconds since the run's start and the process's
+        peak RSS so far too."""
+        lines = ["tool=seqnet", f"version={__version__}", f"subcommand={self.args.subcommand}"]
+        lines += [f"config.{k}={v}" for k, v in config_items(self.config, self.args.config_fields)]
+        for i, path in enumerate(self.inputs):
+            lines += [f"input.{i}.path={path}", f"input.{i}.sha256={self.digests[path]}"]
+        extra.update(self.counters)
+        if self.config.timings:
+            extra["wall_s"] = time.perf_counter() - self.start
+            extra["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+        return lines + [f"{key}={extra[key]}" for key in sorted(extra)]
+
+    def write(self, output, **extra):
+        Path(str(output) + ".meta").write_text("\n".join(self.lines(**extra)) + "\n")
+
+
+def _load_features(run, path):
     """The triplet CSV's k-mer rows; its companion is checked by the sidecar's digest."""
-    return load_features(_require_input(path), sha256=_sha256(args, path))
-
-
-def _load_graph(edges, nodes=None):
-    """The graph, and the edge file and node CSV it was read from (sidecar inputs)."""
-    nodes = nodes or _default_nodes_path(edges)
-    return load_graph(_require_input(edges), nodes), [edges, nodes]
+    return load_features(run.read(path), sha256=run.digests[path])
 
 
 def _effective(args) -> PipelineConfig:
@@ -154,8 +164,7 @@ _CLUSTER_COUNTERS = {
 # ---------------------------------------------------------------- subcommands
 
 
-def cmd_synth(args):
-    cfg = _effective(args)
+def cmd_synth(args, run):
     per_lineage = list(args.per_lineage)
     if len(per_lineage) == 1:
         per_lineage *= args.lineages
@@ -165,51 +174,48 @@ def cmd_synth(args):
         args.length,
         args.within_rate,
         args.between_count,
-        cfg.seed,
+        run.config.seed,
     )
     # the flags that shape the dataset, as given
-    shape = dict(lineages=args.lineages, per_lineage=",".join(map(str, args.per_lineage)),
-                 length=args.length, within_rate=args.within_rate,
-                 between_count=args.between_count)
+    run.counters.update(lineages=args.lineages, per_lineage=",".join(map(str, args.per_lineage)),
+                        length=args.length, within_rate=args.within_rate,
+                        between_count=args.between_count)
     write_fasta(dataset, args.output)
-    _write_sidecar(args.output, args, cfg, [], dict(shape, records=len(dataset)))
+    run.write(args.output, records=len(dataset))
     if args.labels_output:
         write_labels_csv(dataset, args.labels_output)
-        _write_sidecar(args.labels_output, args, cfg, [], shape)
+        run.write(args.labels_output)
     print(f"synth: wrote {len(dataset)} records to {args.output}")
     return EXIT_OK
 
 
-def cmd_featurize(args):
-    cfg = _effective(args)
-    dataset = parse_fasta(_require_input(args.input), strict=cfg.strict)
+def cmd_featurize(args, run):
+    cfg = run.config
+    dataset = parse_fasta(run.read(args.input), strict=cfg.strict)
     matrix = featurize_dataset(dataset, k=cfg.k)
     save_features(matrix, args.output)
     x = matrix.to_csr()
     windows = sum(len(rec.residues) - cfg.k + 1 for rec in dataset)
     # rows with no counted window, and windows that held an out-of-alphabet residue
-    counters = {"empty_rows": int((x.getnnz(axis=1) == 0).sum()),
-                "windows_skipped": windows - int(x.data.sum())}
-    _write_sidecar(args.output, args, cfg, [args.input], counters)
+    run.write(args.output, empty_rows=int((x.getnnz(axis=1) == 0).sum()),
+              windows_skipped=windows - int(x.data.sum()))
     print(f"featurize: {matrix.n} rows, k={cfg.k}, bins={matrix.logical_length}")
     return EXIT_OK
 
 
-def cmd_graph(args):
-    cfg = _effective(args)
-    matrix = _load_features(args, args.input)
+def cmd_graph(args, run):
+    cfg = run.config
+    matrix = _load_features(run, args.input)
     node_ids = None
     labels = None
-    inputs = [args.input]
     if args.labels:
-        rows = read_labels_csv(_require_input(args.labels))
+        rows = read_labels_csv(run.read(args.labels))
         if len(rows) != matrix.n:
             raise ConfigError(
                 f"labels file has {len(rows)} rows for {matrix.n} feature rows"
             )
         node_ids = [r[0] for r in rows]
         labels = [r[1] for r in rows]
-        inputs.append(args.labels)
     graph = build_ssn(
         matrix,
         k=cfg.K,
@@ -218,42 +224,46 @@ def cmd_graph(args):
         mode="mutual" if args.mutual else "union",
     )
     save_graph(graph, args.output, args.nodes_output)
-    extra = {"edges": graph.num_edges, "mutual": args.mutual}
-    _write_sidecar(args.output, args, cfg, inputs, extra)
+    # isolated: the nodes without a neighbor, which only --mutual can leave
+    run.write(args.output, edges=graph.num_edges, mutual=args.mutual,
+              components=int(connected_components(graph).max()) + 1,
+              isolated=int((graph.adjacency.getnnz(axis=1) == 0).sum()))
     print(f"graph: {graph.n} nodes, {graph.num_edges} edges (K={cfg.K})")
     return EXIT_OK
 
 
-def cmd_embed(args):
-    cfg = _effective(args)
-    graph, inputs = _load_graph(args.input, args.nodes_input)
+def cmd_embed(args, run):
+    cfg = run.config
     method = cfg.method
     if method not in EMBED_METHODS:
         raise ConfigError(f"unknown embedding method {method!r}")
+    # the method's settings are checked before the graph is read
     options = _EMBED_OPTIONS[method](cfg, args) if method in _EMBED_OPTIONS else {}
     options = {k: v for k, v in options.items() if v is not None}
+    # the node CSV sets n and the node ids, so it is an input too
+    graph = load_graph(run.read(args.input),
+                       run.read(args.nodes_input or _default_nodes_path(args.input)))
     embedding = EMBED_METHODS[method](graph, cfg.dim, **options)
     # one sidecar: the provenance, then the embedding's own fields
-    save_embedding(embedding, args.output, provenance=_sidecar_lines(args, cfg, inputs))
+    save_embedding(embedding, args.output, provenance=run.lines())
     print(f"embed: {method} -> {embedding.n} x {embedding.d}")
     return EXIT_OK
 
 
-def cmd_cluster(args):
-    cfg = _effective(args)
+def cmd_cluster(args, run):
+    cfg = run.config
     method = args.cluster_method
     linked = method in ("ward", "average")
     if linked and not args.graph:
         raise ConfigError(f"--graph is required for {method} clustering")
     if method in _CLUSTER_CHECKS:
         _CLUSTER_CHECKS[method](cfg)
-    matrix = _load_features(args, args.features)
-    inputs = [args.features]
+    matrix = _load_features(run, args.features)
     t0 = time.perf_counter()
     graph = None
     if linked:
-        graph, graph_inputs = _load_graph(args.graph, args.nodes_input)
-        inputs += graph_inputs
+        graph = load_graph(run.read(args.graph),
+                           run.read(args.nodes_input or _default_nodes_path(args.graph)))
     assignment = _CLUSTER_METHODS[method](matrix, graph, cfg)
     runtime = time.perf_counter() - t0
 
@@ -261,34 +271,31 @@ def cmd_cluster(args):
         assignment, args.output, runtime_sec=runtime if cfg.timings else None
     )
     counters = _CLUSTER_COUNTERS[method](assignment) if method in _CLUSTER_COUNTERS else {}
-    _write_sidecar(
-        args.output, args, cfg, inputs,
-        {"cluster_method": method, "k_found": assignment.k_found, **counters},
-    )
+    run.write(args.output, cluster_method=method, k_found=assignment.k_found, **counters)
     print(f"cluster: {method} found {assignment.k_found} clusters")
     return EXIT_OK
 
 
-def cmd_elbow(args):
-    cfg = _effective(args)
-    matrix = _load_features(args, args.features)
+def cmd_elbow(args, run):
+    cfg = run.config
+    matrix = _load_features(run, args.features)
     curve = cluster_mod.elbow_select_k(matrix, args.k_min, args.k_max, seed=cfg.seed)
     if not cfg.timings:
         curve = replace(curve, runtimes_sec=(0.0,) * len(curve.ks))
     cluster_mod.save_elbow(curve, args.output)
-    _write_sidecar(args.output, args, cfg, [args.features], {"chosen_k": curve.chosen_k})
+    run.write(args.output, chosen_k=curve.chosen_k)
     print(f"elbow: chose k={curve.chosen_k} over [{args.k_min}, {args.k_max}]")
     return EXIT_OK
 
 
-def _load_vectors(args, path):
+def _load_vectors(run, path):
     """Features triplet CSV (kept sparse) or embedding CSV, by its first line."""
     with open(_require_input(path)) as fh:
         first = fh.readline()
     if first.startswith("# n="):
-        return _load_features(args, path)
+        return _load_features(run, path)
     if first.startswith("node_index,"):
-        return load_embedding(path).vectors
+        return load_embedding(run.read(path)).vectors
     raise ParseError(f"unrecognized input format in {path}", line=1)
 
 
@@ -300,10 +307,10 @@ def _read_runtime_comment(path) -> float:
     return 0.0
 
 
-def cmd_evaluate(args):
-    cfg = _effective(args)
-    x = _load_vectors(args, args.features)
-    labels = cluster_mod.load_assignment(_require_input(args.assignments))
+def cmd_evaluate(args, run):
+    cfg = run.config
+    x = _load_vectors(run, args.features)
+    labels = cluster_mod.load_assignment(run.read(args.assignments))
     if len(labels) != len(x):
         raise ConfigError(
             f"assignment has {len(labels)} rows for {len(x)} feature rows"
@@ -316,7 +323,7 @@ def cmd_evaluate(args):
             f"{args.name},{report.silhouette!r},{report.calinski_harabasz!r},"
             f"{report.davies_bouldin!r},{report.runtime_sec!r}\n"
         )
-    _write_sidecar(args.output, args, cfg, [args.features, args.assignments])
+    run.write(args.output)
     print(
         f"evaluate: silhouette={report.silhouette:.4f} "
         f"ch={report.calinski_harabasz:.2f} db={report.davies_bouldin:.4f}"
@@ -324,25 +331,17 @@ def cmd_evaluate(args):
     return EXIT_OK
 
 
-def cmd_classify(args):
-    cfg = _effective(args)
+def cmd_classify(args, run):
+    cfg = run.config
     embeddings = {}
-    inputs = []
     for entry in args.embedding:
-        if "=" in entry:
-            name, path = entry.split("=", 1)
-        else:
-            path = entry
-            name = None
-        _require_input(path)
-        emb = load_embedding(path)
+        name, path = entry.split("=", 1) if "=" in entry else (None, entry)
+        emb = load_embedding(run.read(path))
         name = name or emb.method
         if name in embeddings:
             raise ConfigError(f"two embeddings named {name!r}; give each one as name=path")
         embeddings[name] = emb
-        inputs.append(path)
-    rows = read_labels_csv(_require_input(args.labels))
-    inputs.append(args.labels)
+    rows = read_labels_csv(run.read(args.labels))
     some = next(iter(embeddings.values()))
     if len(rows) != some.n:
         raise ConfigError(f"labels file has {len(rows)} rows for {some.n} embedding rows")
@@ -363,17 +362,16 @@ def cmd_classify(args):
         if not cfg.timings:
             rows = [dict(row, train_time_sec=0.0) for row in rows]
         classify_mod.save_result_csv(rows, path)
-        _write_sidecar(path, args, cfg, inputs)
+        run.write(path)
     print(f"classify: wrote {paths[0]} and {paths[1]}")
     return EXIT_OK
 
 
-def cmd_report(args):
-    cfg = _effective(args)
+def cmd_report(args, run):
     header = None
     rows = []
     for path in args.inputs:
-        lines = Path(_require_input(path)).read_text().strip().splitlines()
+        lines = Path(run.read(path)).read_text().strip().splitlines()
         if not lines:
             raise ParseError(f"empty report input {path}", line=1)
         if header is None:
@@ -387,21 +385,20 @@ def cmd_report(args):
         fh.write(header + "\n")
         for row in rows:
             fh.write(row + "\n")
-    _write_sidecar(args.output, args, cfg, list(args.inputs))
+    run.write(args.output)
     print(f"report: merged {len(args.inputs)} files, {len(rows)} rows")
     return EXIT_OK
 
 
-def cmd_pca2d(args):
-    cfg = _effective(args)
-    x = _load_vectors(args, args.input)
+def cmd_pca2d(args, run):
+    x = _load_vectors(run, args.input)
     projection = cluster_mod.pca_project(x, 2)
     with open(args.output, "w") as fh:
         fh.write("node_index,pc0,pc1\n")
         # Python floats: their repr is the shortest round-trip text on any NumPy
         for i, (pc0, pc1) in enumerate(projection.tolist()):
             fh.write(f"{i},{pc0!r},{pc1!r}\n")
-    _write_sidecar(args.output, args, cfg, [args.input])
+    run.write(args.output)
     print(f"pca2d: projected {len(projection)} rows")
     return EXIT_OK
 
@@ -412,7 +409,7 @@ def cmd_pca2d(args):
 # argparse options of a config flag beyond its parser
 _FLAG_OPTIONS = {
     "workers": {"help": "cap on internal parallelism (no stage reads it yet)"},
-    "timings": {"help": "write real wall-clock columns instead of 0.0"},
+    "timings": {"help": "write real runtime columns and sidecar wall_s and peak_rss_mb"},
     "method": {"choices": sorted(EMBED_METHODS)},
 }
 
@@ -543,7 +540,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _Run(args))
     except FileNotFoundError as exc:
         print(f"seqnet: error[{EXIT_MISSING_INPUT}]: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT

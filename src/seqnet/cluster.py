@@ -217,10 +217,13 @@ def kmeans(
     explicit-difference Lloyd iterations.
     """
     check_kmeans_params(batch_size)
+    check_int("n_init", n_init, 1)
+    check_int("max_iter", max_iter, 1)
+    check_number("tol", tol, 0, strict=False)
     x = _rows(x)
     check_int("k", k, 1, x.shape[0])
     best = None
-    for trial in range(max(1, n_init)):
+    for trial in range(n_init):
         rng = np.random.default_rng([seed, trial])
         centers = _kmeans_pp_init(x, k, rng)
         if batch_size is None:
@@ -419,6 +422,8 @@ def gaussian_mixture(
     take the posterior argmax of the returned soft responsibilities.
     """
     check_gmm_params(var_floor, pca_dim)
+    check_int("max_iter", max_iter, 1)
+    check_number("tol", tol, 0, strict=False)
     x = _rows(x)
     if pca_dim is not None:
         x = pca_project(x, pca_dim)

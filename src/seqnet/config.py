@@ -95,6 +95,9 @@ class PipelineConfig:
 
     def __post_init__(self):
         check_int("workers", self.workers, 1)
+        check_int("seed", self.seed, 0)
+        for seed in self.seeds:
+            check_int("seeds", seed, 0)
 
 
 # the INI section of each field

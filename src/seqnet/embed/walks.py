@@ -49,6 +49,7 @@ class WalkConfig:
             # 1/p and 1/q are step weights, so they must be finite too
             check_number(f"1/{name}", 1 / getattr(self, name), 0, strict=True)
         check_number("learning_rate", self.learning_rate, 0, strict=True)
+        check_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -508,6 +509,18 @@ class TestPipelineCommands:
         assert ("finite" if code == 4 else "diverged in epoch 1") in err
         assert not out.exists()
 
+    def test_embed_walk_setting_checked_before_the_graph_is_read(self, pipeline_dir, monkeypatch,
+                                                                capsys):
+        """A bad walk setting exits 4 before the graph is read, so a missing
+        graph with a bad walk setting exits 4 too, not 3."""
+        monkeypatch.setattr(cli, "load_graph", mock.Mock(side_effect=AssertionError("read")))
+        out = pipeline_dir / "e.csv"
+        for graph in (pipeline_dir / "graph.tsv", pipeline_dir / "missing.tsv"):
+            assert run("embed", "--input", graph, "--output", out, "--method", "node2vec",
+                       "--window", 0) == 4
+            assert "window must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_merges_matching_schemas(self, pipeline_dir):
         a = pipeline_dir / "qa.csv"
         b = pipeline_dir / "qb.csv"
@@ -716,6 +729,7 @@ class TestErrorChannels:
          "graph_factorization", "--dim", 2, "--lam", "inf"],
         ["embed", "--input", "graph.tsv", "--output", "e.csv", "--method", "hope", "--dim", 2,
          "--beta", "nan"],
+        ["synth", "--seed", -1, "--output", "s.fa"],
     ])
     def test_parameter_out_of_range_exit_4(self, pipeline_dir, monkeypatch, argv):
         """A value invalid whatever the data is a config error, not a data error."""
@@ -812,6 +826,7 @@ class TestErrorChannels:
     @pytest.mark.parametrize("flags, message", [
         (["--seeds", ""], "seeds"),
         (["--config", "empty_seeds.ini"], "seeds"),
+        (["--seeds", "0,-2"], "seeds must be >= 0"),
         (["--seeds", 0, "--classifiers", "knn,gaussian_nb,knn"], "'knn' named twice"),
     ])
     def test_classify_empty_seeds_or_repeated_classifier_exit_4(
@@ -906,6 +921,93 @@ class TestSidecarsAndDeterminism:
                        "--K", 3, *flags) == 0
             metas.append(set((pipeline_dir / "g.tsv.meta").read_text().splitlines()))
         assert "mutual=False" in metas[0] and "mutual=True" in metas[1]
+
+    @pytest.mark.parametrize("mutual, components, isolated", [(False, 1, 0), (True, 2, 1)])
+    def test_graph_sidecar_records_components_and_isolated_nodes(self, tmp_path, mutual,
+                                                                 components, isolated):
+        """At K=1, c's nearest row is b, but b's is a: the mutual graph
+        leaves c without a neighbor, the union graph joins it to b."""
+        fasta, features, edges = tmp_path / "d.fa", tmp_path / "f.csv", tmp_path / "g.tsv"
+        fasta.write_text(">a\nAAAAAAAAAA\n>b\nAAAAAAAAAC\n>c\nCCCCCCCCCC\n")
+        assert run("featurize", "--input", fasta, "--output", features, "--k", 1) == 0
+        assert run("graph", "--input", features, "--output", edges, "--K", 1,
+                   *(["--mutual"] if mutual else [])) == 0
+        meta = (tmp_path / "g.tsv.meta").read_text().splitlines()
+        assert f"components={components}" in meta and f"isolated={isolated}" in meta
+        assert connected_components(load_graph(edges)).max() + 1 == components
+
+    def test_inputs_are_listed_in_read_order(self, pipeline_dir, monkeypatch):
+        """A path read twice is listed twice; an embedding CSV that evaluate
+        sniffs and then loads is listed once; an input is hashed as it is
+        read, before the run overwrites it."""
+        monkeypatch.chdir(pipeline_dir)
+        assert run("embed", "--input", "graph.tsv", "--output", "hope.csv", "--method", "hope",
+                   "--dim", 4) == 0
+        assert run("cluster", "--features", "features.csv", "--output", "c.csv",
+                   "--k-clusters", 3) == 0
+        assert run("evaluate", "--features", "hope.csv", "--assignments", "c.csv",
+                   "--output", "q.csv") == 0
+        assert run("report", "--inputs", "q.csv", "q.csv", "--output", "r.csv") == 0
+
+        def inputs(meta):
+            lines = Path(meta).read_text().splitlines()
+            return [line.split("=", 1)[1] for line in lines if line.startswith("input.")]
+
+        def digest(path):
+            return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+        assert inputs("q.csv.meta") == ["hope.csv", digest("hope.csv"), "c.csv", digest("c.csv")]
+        assert inputs("r.csv.meta") == ["q.csv", digest("q.csv")] * 2
+        read = digest("r.csv")
+        assert run("report", "--inputs", "r.csv", "r.csv", "--output", "r.csv") == 0
+        assert digest("r.csv") != read and inputs("r.csv.meta") == ["r.csv", read] * 2
+
+    @pytest.mark.parametrize("subcommand, argv, outputs", [
+        ("synth", ["--output", "OUT.fa", "--labels-output", "OUT.csv", "--lineages", 2,
+                   "--per-lineage", 3, "--length", 30], ["OUT.fa", "OUT.csv"]),
+        ("featurize", ["--input", "data.fa", "--output", "OUT.csv", "--k", 2], ["OUT.csv"]),
+        ("graph", ["--input", "features.csv", "--labels", "labels.csv", "--output", "OUT.tsv",
+                   "--K", 3], ["OUT.tsv"]),
+        ("embed", ["--input", "graph.tsv", "--output", "OUT.csv", "--method", "hope",
+                   "--dim", 4], ["OUT.csv"]),
+        ("cluster", ["--features", "features.csv", "--output", "OUT.csv", "--method", "ward",
+                     "--k-clusters", 3, "--graph", "graph.tsv"], ["OUT.csv"]),
+        ("elbow", ["--features", "features.csv", "--output", "OUT.csv", "--k-max", 3],
+         ["OUT.csv"]),
+        ("evaluate", ["--features", "features.csv", "--assignments", "c.csv",
+                      "--output", "OUT.csv"], ["OUT.csv"]),
+        ("classify", ["--embedding", "hope.csv", "--labels", "labels.csv",
+                      "--output-prefix", "OUT", "--classifiers", "knn", "--seeds", 0,
+                      "--num-folds", 2], ["OUT_mean.csv", "OUT_std.csv"]),
+        ("report", ["--inputs", "labels.csv", "--output", "OUT.csv"], ["OUT.csv"]),
+        ("pca2d", ["--input", "features.csv", "--output", "OUT.csv"], ["OUT.csv"]),
+    ])
+    def test_timings_add_wall_s_and_peak_rss_mb_to_every_sidecar(
+        self, pipeline_dir, monkeypatch, subcommand, argv, outputs
+    ):
+        """With --timings, every sidecar of every subcommand holds one finite,
+        positive wall_s and peak_rss_mb; without those two and config.timings
+        it is the plain run's sidecar."""
+        monkeypatch.chdir(pipeline_dir)
+        assert run("embed", "--input", "graph.tsv", "--output", "hope.csv", "--method", "hope",
+                   "--dim", 4) == 0
+        assert run("cluster", "--features", "features.csv", "--output", "c.csv",
+                   "--k-clusters", 3) == 0
+        for stem, flags in (("plain", []), ("timed", ["--timings"])):
+            assert run(subcommand, *[str(a).replace("OUT", stem) for a in argv], *flags) == 0
+
+        def sidecar(output, stem):
+            lines = Path(output.replace("OUT", stem) + ".meta").read_text().splitlines()
+            return [line for line in lines if not line.startswith("config.timings=")]
+
+        for output in outputs:
+            plain, timed = sidecar(output, "plain"), sidecar(output, "timed")
+            for key in ("wall_s", "peak_rss_mb"):
+                values = [float(line.split("=", 1)[1]) for line in timed
+                          if line.startswith(key + "=")]
+                assert len(values) == 1 and math.isfinite(values[0]) and values[0] > 0, key
+            assert [line for line in timed
+                    if not line.startswith(("wall_s=", "peak_rss_mb="))] == plain
 
     def test_synth_sidecar_records_the_dataset_flags(self, tmp_path):
         fasta, labels = tmp_path / "d.fa", tmp_path / "l.csv"

@@ -18,6 +18,9 @@ GRAPH = build_ssn(X, 2)
 # each count setting: its call and a value below its low bound
 COUNTS = {
     "kmeans k": (lambda v: kmeans(X, v), 0),
+    "kmeans n_init": (lambda v: kmeans(X, 2, n_init=v), 0),
+    "kmeans max_iter": (lambda v: kmeans(X, 2, max_iter=v), 0),
+    "gaussian_mixture max_iter": (lambda v: gaussian_mixture(X, 2, max_iter=v), 0),
     "KNNClassifier k_votes": (lambda v: KNNClassifier(v), 0),
     "RandomForest n_trees": (lambda v: RandomForest(n_trees=v), 0),
     "RandomForest min_leaf": (lambda v: RandomForest(min_leaf=v), 0),
@@ -28,6 +31,7 @@ COUNTS = {
     "elbow_select_k k_min": (lambda v: elbow_select_k(X, v, 4), 0),
     "knn_query i": (lambda v: knn_query(X, v, 2), -1),
     "WalkConfig walks_per_node": (lambda v: WalkConfig(walks_per_node=v), 0),
+    "WalkConfig seed": (lambda v: WalkConfig(seed=v), -1),
     "dbscan min_pts": (lambda v: dbscan(X, 1.0, v), 0),
     "gaussian_mixture pca_dim": (lambda v: gaussian_mixture(X, 2, pca_dim=v), 0),
     "pca_project dim": (lambda v: pca_project(X, v), 0),
@@ -36,12 +40,15 @@ COUNTS = {
 REALS = {
     "hope_embed beta": (lambda v: hope_embed(GRAPH, 2, beta=v), 0.0),
     "gaussian_mixture var_floor": (lambda v: gaussian_mixture(X, 2, var_floor=v), 0.0),
+    "kmeans tol": (lambda v: kmeans(X, 2, tol=v), -1.0),
+    "gaussian_mixture tol": (lambda v: gaussian_mixture(X, 2, tol=v), -1.0),
 }
 CASES = (
     [(name, value) for name, (_, low) in COUNTS.items() for value in (2.5, np.nan, low)]
     + [(name, value) for name, (_, low) in REALS.items() for value in (np.inf, np.nan, low)]
     + [("knn_query i", len(X)), ("RandomForest min_leaf", -2),
-       ("gaussian_mixture pca_dim", -3), ("gaussian_mixture var_floor", -1.0)]
+       ("gaussian_mixture pca_dim", -3), ("gaussian_mixture var_floor", -1.0),
+       ("kmeans n_init", -3), ("kmeans max_iter", -1)]
 )
 
 
