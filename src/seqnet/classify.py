@@ -144,16 +144,20 @@ class KNNClassifier(_TimedFit):
         return np.array([float(np.mean(a)) for a in acc])
 
 
+def _softmax(logits):
+    """Each row of ``logits`` (overwritten) less its max, exponentiated, normalised."""
+    logits -= logits.max(axis=1, keepdims=True)
+    exp = np.exp(logits)
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
 def softmax_loss_and_grad(weights, bias, x, encoded, l2):
     """Mean cross-entropy of multinomial softmax plus L2 on the weights.
 
     Returns (loss, grad_weights, grad_bias); exposed for gradient checking.
     """
     n = len(x)
-    logits = x @ weights.T + bias
-    logits -= logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits)
-    probs = exp / exp.sum(axis=1, keepdims=True)
+    probs = _softmax(x @ weights.T + bias)
     loss = -float(np.log(probs[np.arange(n), encoded] + 1e-300).mean())
     loss += 0.5 * l2 * float((weights * weights).sum())
     delta = probs
@@ -190,10 +194,7 @@ class LogisticRegression(_TimedFit):
             self._b -= self.lr * grad_b
 
     def _scores(self, x):
-        logits = x @ self._w.T + self._b
-        logits -= logits.max(axis=1, keepdims=True)
-        exp = np.exp(logits)
-        return exp / exp.sum(axis=1, keepdims=True)
+        return _softmax(x @ self._w.T + self._b)
 
 
 class GaussianNB(_TimedFit):
@@ -221,10 +222,7 @@ class GaussianNB(_TimedFit):
         self._priors = sizes[:, 0] / len(x)
 
     def _scores(self, x):
-        log_post = _log_gaussian_diag(x, self._means, self._vars, self._priors)
-        log_post -= log_post.max(axis=1, keepdims=True)
-        post = np.exp(log_post)
-        return post / post.sum(axis=1, keepdims=True)
+        return _softmax(_log_gaussian_diag(x, self._means, self._vars, self._priors))
 
 
 # Pegasos steps whose visits, step sizes and signs are made at once
@@ -901,8 +899,12 @@ def run_experiment(
     ``reports[(method, classifier)]`` holds one report per seed, in seed order.
 
     ``embeddings`` maps method name to an EmbeddingMatrix (or array) row-aligned
-    with ``labels``. Returns per-cell reports ready for mean/std tables.
+    with ``labels``; a row whose label is None is refused before any split or
+    fit. Returns per-cell reports ready for mean/std tables.
     """
+    if unlabeled := [i for i, label in enumerate(labels) if label is None]:
+        raise ConfigError(f"{len(unlabeled)} of {len(labels)} rows have no label; "
+                          f"the first is row {unlabeled[0]}")
     labels = np.asarray(labels)
     classifiers = tuple(classifiers) if classifiers else tuple(CLASSIFIERS)
     grids = dict(DEFAULT_GRIDS, **(grids or {}))

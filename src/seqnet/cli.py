@@ -28,7 +28,8 @@ from pathlib import Path
 from . import __version__, classify as classify_mod, cluster as cluster_mod
 from .config import PARSERS, PipelineConfig, config_items, load_config, parse_bool, parse_int_list
 from .embed import EMBED_METHODS, WalkConfig, load_embedding, save_embedding
-from .errors import ConfigError, ParseError, SeqnetError, parse_numbers
+from .embed import check_gf_params, check_hope_params
+from .errors import ConfigError, ParseError, SeqnetError, check_int, parse_numbers
 from .evalmetrics import cluster_quality
 from .featurize import featurize_dataset, file_sha256, load_features, save_features
 from .seqio import (
@@ -117,6 +118,17 @@ _EMBED_OPTIONS = {
     },
     "deepwalk": lambda cfg, args: {"config": _walk_config(cfg)},
     "node2vec": lambda cfg, args: {"config": _walk_config(cfg)},
+}
+
+
+# each embed --method's checks of d and its own settings, made before the
+# graph is read; a method not listed checks d alone, and the walk methods'
+# settings are checked as _EMBED_OPTIONS builds their WalkConfig
+_EMBED_CHECKS = {
+    "hope": lambda cfg, args: check_hope_params(cfg.dim, args.beta),
+    "graph_factorization": lambda cfg, args: check_gf_params(
+        cfg.dim, args.lam, args.gf_lr, args.gf_epochs
+    ),
 }
 
 
@@ -238,6 +250,7 @@ def cmd_embed(args, run):
     if method not in EMBED_METHODS:
         raise ConfigError(f"unknown embedding method {method!r}")
     # the method's settings are checked before the graph is read
+    _EMBED_CHECKS.get(method, lambda cfg, args: check_int("d", cfg.dim, 1))(cfg, args)
     options = _EMBED_OPTIONS[method](cfg, args) if method in _EMBED_OPTIONS else {}
     options = {k: v for k, v in options.items() if v is not None}
     # the node CSV sets n and the node ids, so it is an input too

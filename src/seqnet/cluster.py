@@ -439,12 +439,16 @@ def gaussian_mixture(
     weights = np.full(k, 1.0 / k)
 
     history = []
-    resp = None
-    for _ in range(max_iter):
+    # the last pass only takes the responsibilities, of the parameters the
+    # updates ended on: after max_iter updates, or one past the pass whose
+    # log-likelihood gained less than tol
+    for step in itertools.count():
         joint = _log_gaussian_diag(x, means, variances, weights)
         norm = np.logaddexp.reduce(joint, axis=1)
         history.append(float(norm.sum()))
         resp = np.exp(joint - norm[:, None])
+        if step >= max_iter or step >= 2 and history[-2] - history[-3] < tol:
+            break
 
         nk = np.maximum(resp.sum(axis=0), 1e-12)
         weights = nk / n
@@ -452,13 +456,6 @@ def gaussian_mixture(
         for c in range(k):
             diff2 = (x - means[c]) ** 2
             variances[c] = np.maximum((resp[:, c] @ diff2) / nk[c], var_floor)
-        if len(history) > 1 and history[-1] - history[-2] < tol:
-            break
-
-    joint = _log_gaussian_diag(x, means, variances, weights)
-    norm = np.logaddexp.reduce(joint, axis=1)
-    history.append(float(norm.sum()))
-    resp = np.exp(joint - norm[:, None])
     labels, k_found = _densify_labels(resp.argmax(axis=1))
     return ClusterAssignment(
         labels,

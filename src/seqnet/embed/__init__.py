@@ -39,8 +39,8 @@ class EmbeddingMatrix:
 
 from .walks import WalkConfig, WalkCorpus, generate_walks, step_distribution  # noqa: E402
 from .sgns import sgns_fit, sgns_train, unigram_distribution  # noqa: E402
-from .factorization import gf_objective, graph_factorization  # noqa: E402
-from .spectral import hope_embed, laplacian_eigenmaps, lle_embed  # noqa: E402
+from .factorization import check_gf_params, gf_objective, graph_factorization  # noqa: E402
+from .spectral import check_hope_params, hope_embed, laplacian_eigenmaps, lle_embed  # noqa: E402
 
 
 def node2vec(graph, d: int = 200, config: Optional[WalkConfig] = None) -> EmbeddingMatrix:

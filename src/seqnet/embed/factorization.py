@@ -10,6 +10,8 @@ the final loss is reported.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from ..errors import DivergenceError, check_int, check_number
@@ -60,6 +62,20 @@ def _level_schedule(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return edges[order], np.cumsum(np.bincount(levels, minlength=1))
 
 
+# graph factorization's checks of d and of each setting given, which need no
+# graph: graph_factorization makes them first, and the CLI before it reads
+# the graph
+def check_gf_params(d: int, lam: Optional[float] = None, lr: Optional[float] = None,
+                    epochs: Optional[int] = None) -> None:
+    check_int("d", d, 1)
+    if lr is not None:
+        check_number("lr", lr, 0, strict=True)
+    if lam is not None:
+        check_number("lam", lam, 0, strict=False)
+    if epochs is not None:
+        check_int("epochs", epochs, 1)
+
+
 def graph_factorization(
     graph: SimilarityNetwork,
     d: int,
@@ -77,10 +93,7 @@ def graph_factorization(
     a per-edge ``yi @ yj``) and one scatter give the per-edge loop's bits.
     Raises DivergenceError at the first epoch that leaves a non-finite value.
     """
-    check_int("d", d, 1)
-    check_number("lr", lr, 0, strict=True)
-    check_number("lam", lam, 0, strict=False)
-    check_int("epochs", epochs, 1)
+    check_gf_params(d, lam, lr, epochs)
     rng = np.random.default_rng(seed)
     y = rng.uniform(-0.1, 0.1, size=(graph.n, d))
     edges = graph.edge_array()

@@ -139,9 +139,6 @@ def sgns_fit(corpus: WalkCorpus, n: int, d: int, config: WalkConfig) -> tuple[np
     # rounding can leave the last value below 1.0, and a draw above it would
     # index n: the last node with noise weight takes every draw up to 1.0
     noise_cdf[noise_cdf == noise_cdf[-1]] = max(noise_cdf[-1], 1.0)
-    # Chen & Asau's guide table: cell j of 4n counts the CDF values in cells
-    # below j, so a draw in cell j steps up from there to searchsorted's index
-    guide = np.searchsorted(np.floor(noise_cdf * (4 * n)), np.arange(4 * n))
     rng = np.random.default_rng(config.seed)
     # float32 parameters: the trainer streams tens of GB of row gathers, and
     # single precision halves that without affecting the learned structure
@@ -159,14 +156,11 @@ def sgns_fit(corpus: WalkCorpus, n: int, d: int, config: WalkConfig) -> tuple[np
             for batch, start in enumerate(range(0, n_pairs, batch_size), epoch * batches):
                 chunk = order[start : start + batch_size]
                 sets = -(-len(chunk) // _GROUP)
-                x = rng.random((sets, m)).ravel()
-                negatives = guide[(x * (4 * n)).astype(np.intp)]
-                while (low := np.flatnonzero(noise_cdf[negatives] < x)).size:
-                    negatives[low] += 1
+                negatives = np.searchsorted(noise_cdf, rng.random((sets, m)))
                 rate = max(1.0 - batch / (config.epochs * batches), _MIN_LR_FRACTION)
                 alpha = np.float32(config.learning_rate * rate)
                 loss += _sgns_batch(u, v, targets[chunk], contexts[chunk],
-                                    negatives.reshape(sets, m), alpha, _GROUP)
+                                    negatives, alpha, _GROUP)
                 sets_total += sets
         if not (np.isfinite(v).all() and np.isfinite(u).all()):
             raise DivergenceError(

@@ -121,6 +121,16 @@ def lle_embed(graph: SimilarityNetwork, d: int) -> EmbeddingMatrix:
     return _per_component(graph, d, "lle", _lle_gram)
 
 
+# HOPE's checks of its settings, which need no graph: hope_embed makes them
+# first, and the CLI before it reads the graph
+def check_hope_params(d: int, beta: Optional[float] = None) -> None:
+    check_int("d", d, 1)
+    if d % 2:
+        raise ConfigError(f"d must be even for the source/target split, got {d}")
+    if beta is not None:
+        check_number("beta", beta, 0, strict=True)
+
+
 def hope_embed(
     graph: SimilarityNetwork, d: int, beta: Optional[float] = None
 ) -> EmbeddingMatrix:
@@ -134,9 +144,7 @@ def hope_embed(
     and target halves [U sqrt(S) | V sqrt(S)]. Default beta is 0.5 / rho(A);
     beta at or beyond 1 / rho(A) diverges.
     """
-    check_int("d", d, 1)
-    if d % 2:
-        raise ConfigError(f"d must be even for the source/target split, got {d}")
+    check_hope_params(d, beta)
     n = graph.n
     half = d // 2
     if half > n:
@@ -148,7 +156,6 @@ def hope_embed(
     rho = float(values[-1])  # the Perron root, as A is nonnegative
     if beta is None:
         beta = 0.5 / rho if rho > 0 else 0.5
-    check_number("beta", beta, 0, strict=True)
     if rho > 0 and beta >= 1.0 / rho:
         raise DivergenceError(f"beta={beta} >= 1/rho(A)={1.0 / rho}")
     katz = beta * values / (1.0 - beta * values)

@@ -84,12 +84,9 @@ def kmer_unrank(rank: int, k: int) -> str:
 
 
 def encode_residues(seq: str) -> np.ndarray:
-    """Map residues to integer codes; non-alphabet characters become -1."""
-    try:
-        raw = np.frombuffer(seq.encode("latin-1"), dtype=np.uint8)
-    except UnicodeEncodeError:
-        return np.array([ALPHABET_INDEX.get(ch, -1) for ch in seq], dtype=np.int16)
-    return _BYTE_CODE.take(raw)
+    """Map residues to integer codes; non-alphabet characters become -1 (one
+    outside latin-1 is encoded as ``?``, which is not in the alphabet)."""
+    return _BYTE_CODE.take(np.frombuffer(seq.encode("latin-1", "replace"), dtype=np.uint8))
 
 
 class FeatureMatrix:

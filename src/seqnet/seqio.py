@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
@@ -17,6 +16,7 @@ from .errors import (
     StratifyError,
     check_int,
 )
+from .tables import read_csv_rows, write_csv_rows
 
 # The 20 amino acids, in the fixed order that defines k-mer ranks downstream.
 ALPHABET = "ACDEFGHIKLMNPQRSTVWY"
@@ -196,27 +196,16 @@ def write_fasta(dataset: Dataset, path) -> None:
 
 def write_labels_csv(dataset: Dataset, path) -> None:
     """Write the (id, label) sidecar; empty label field for unlabeled records."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "label"])
-        for rec in dataset:
-            writer.writerow([rec.id, rec.label if rec.label is not None else ""])
+    write_csv_rows(path, ["id", "label"], ((rec.id, rec.label) for rec in dataset))
 
 
 def read_labels_csv(path) -> list[tuple[str, Optional[str]]]:
     """Read an (id, label) sidecar written by :func:`write_labels_csv`."""
     rows: list[tuple[str, Optional[str]]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["id", "label"]:
-            raise ParseError(f"expected 'id,label' header in {path}", line=1)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < 2:
-                raise ParseError(f"short row in labels file {path}: {row!r}", line=reader.line_num)
-            rows.append((row[0], row[1] or None))
+    for lineno, row in read_csv_rows(path, ["id", "label"]):
+        if len(row) < 2:
+            raise ParseError(f"short row in labels file {path}: {row!r}", line=lineno)
+        rows.append((row[0], row[1] or None))
     return rows
 
 

@@ -9,7 +9,6 @@ index so results are deterministic everywhere.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -19,7 +18,7 @@ from scipy.sparse import csgraph
 
 from .distances import _rows, k_nearest
 from .errors import NeighborCountError, ParseError, check_int, parse_numbers
-from .tables import read_rows, write_int_rows
+from .tables import read_csv_rows, read_rows, write_csv_rows, write_int_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,36 +170,23 @@ def _default_nodes_path(edges_path) -> str:
 
 def save_graph(graph: SimilarityNetwork, edges_path, nodes_path=None) -> None:
     """Write the tab-separated edge list (u < v) and the node attribute CSV."""
-    if nodes_path is None:
-        nodes_path = _default_nodes_path(edges_path)
+    nodes_path = nodes_path or _default_nodes_path(edges_path)
     with open(edges_path, "wb") as fh:
         write_int_rows(fh, graph.edge_array().T, "\t")
-    with open(nodes_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "id", "label"])
-        for i in range(graph.n):
-            label = graph.labels[i] if graph.labels else None
-            writer.writerow([i, graph.node_ids[i], label if label is not None else ""])
+    write_csv_rows(nodes_path, ["index", "id", "label"],
+                   zip(range(graph.n), graph.node_ids, graph.labels or (None,) * graph.n))
 
 
 def load_graph(edges_path, nodes_path=None) -> SimilarityNetwork:
     """Re-import a graph written by :func:`save_graph`; exact round trip."""
-    if nodes_path is None:
-        nodes_path = _default_nodes_path(edges_path)
+    nodes_path = nodes_path or _default_nodes_path(edges_path)
     ids: list[str] = []
     labels: list[Optional[str]] = []
-    with open(nodes_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != ["index", "id", "label"]:
-            raise ParseError(f"expected 'index,id,label' header in {nodes_path}", line=1)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < 3 or parse_numbers(row[:1], reader.line_num) != [len(ids)]:
-                raise ParseError(f"bad node row {row!r} in {nodes_path}", line=reader.line_num)
-            ids.append(row[1])
-            labels.append(row[2] or None)
+    for lineno, row in read_csv_rows(nodes_path, ["index", "id", "label"]):
+        if len(row) < 3 or parse_numbers(row[:1], lineno) != [len(ids)]:
+            raise ParseError(f"bad node row {row!r} in {nodes_path}", line=lineno)
+        ids.append(row[1])
+        labels.append(row[2] or None)
     edges, _ = read_rows(edges_path, 1, r"u\tv", "edge", ints=2, delimiter="\t",
                          bounds=[(0, len(ids) - 1)] * 2)
     return network_from_edges(len(ids), edges, node_ids=ids, labels=labels)

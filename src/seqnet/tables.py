@@ -1,12 +1,14 @@
-"""Numeric text tables: the triplet CSV and the edge TSV are written by one
-block writer of integer rows, and they, the embedding CSV and the
+"""Text tables: the triplet CSV and the edge TSV are written by one block
+writer of integer rows, and they, the embedding CSV and the
 cluster-assignment CSV are read by one reader of a table's body, whose
 lines hold a fixed number of integer fields, then of float fields, joined
-by one delimiter.
+by one delimiter. The labels CSV and the node CSV, whose fields are
+strings, are written by one writer and read by one header-checked reader.
 """
 
 from __future__ import annotations
 
+import csv
 import warnings
 from array import array
 from itertools import islice
@@ -55,6 +57,26 @@ def write_int_rows(fh, columns, sep: str) -> None:
             text[last + 1] = end
             pos = last + 2
         fh.write(text.T[keep.T])
+
+
+def write_csv_rows(path, header, rows) -> None:
+    """A string CSV: the ``header`` row, then ``rows``, a None field left empty."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_csv_rows(path, header):
+    """(lineno, row) per nonblank row, after a header whose first fields strip to ``header``."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None or [h.strip() for h in first[: len(header)]] != header:
+            raise ParseError(f"expected '{','.join(header)}' header in {path}", line=1)
+        for row in reader:
+            if row:
+                yield reader.line_num, row
 
 
 def _loadtxt(path, start, delimiter, ints, floats):

@@ -11,7 +11,11 @@ protocol cell's grid together. ``GaussianNBReference`` fits each class's
 mean and variance from its own member rows, where the library sums every
 class through ``seqnet.distances._group_sums``. Tests require the library to
 build the same trees, scores, weights, CV accuracies and Gaussian NB
-parameters, bit for bit. ``hinge_loss_and_grad`` is the Pegasos objective
+parameters, bit for bit. ``LogisticRegressionReference`` and
+``GaussianNBReference`` also write out the max-subtract, exp and normalise of
+their scores, and ``softmax_loss_and_grad_reference`` of the gradient, where
+the library shares one ``_softmax``; tests require the same weights and
+scores, bit for bit. ``hinge_loss_and_grad`` is the Pegasos objective
 with its subgradient, for finite-difference checks.
 """
 
@@ -19,7 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from seqnet.classify import GaussianNB, LinearSVM, _gini, _prepare, make_classifier
+from seqnet.classify import (
+    GaussianNB,
+    LinearSVM,
+    LogisticRegression,
+    _gini,
+    _log_gaussian_diag,
+    _prepare,
+    make_classifier,
+)
 from seqnet.errors import ConfigError
 
 def hinge_loss_and_grad(w, x, y_signed, lam):
@@ -271,3 +283,46 @@ class GaussianNBReference(GaussianNB):
             self._means[c] = members.mean(axis=0)
             self._vars[c] = members.var(axis=0) + eps
             self._priors[c] = len(members) / len(x)
+
+    def _scores(self, x):
+        log_post = _log_gaussian_diag(x, self._means, self._vars, self._priors)
+        log_post -= log_post.max(axis=1, keepdims=True)
+        post = np.exp(log_post)
+        return post / post.sum(axis=1, keepdims=True)
+
+
+def softmax_loss_and_grad_reference(weights, bias, x, encoded, l2):
+    n = len(x)
+    logits = x @ weights.T + bias
+    logits -= logits.max(axis=1, keepdims=True)
+    exp = np.exp(logits)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    loss = -float(np.log(probs[np.arange(n), encoded] + 1e-300).mean())
+    loss += 0.5 * l2 * float((weights * weights).sum())
+    delta = probs
+    delta[np.arange(n), encoded] -= 1.0
+    grad_w = delta.T @ x / n + l2 * weights
+    grad_b = delta.mean(axis=0)
+    return loss, grad_w, grad_b
+
+
+class LogisticRegressionReference(LogisticRegression):
+    def _fit(self, x, y):
+        x, self.classes_, encoded = _prepare(x, y)
+        if len(self.classes_) < 2:
+            raise ConfigError("need at least 2 classes")
+        k, d = len(self.classes_), x.shape[1]
+        self._w = np.zeros((k, d))
+        self._b = np.zeros(k)
+        for _ in range(self.epochs):
+            _, grad_w, grad_b = softmax_loss_and_grad_reference(
+                self._w, self._b, x, encoded, self.l2
+            )
+            self._w -= self.lr * grad_w
+            self._b -= self.lr * grad_b
+
+    def _scores(self, x):
+        logits = x @ self._w.T + self._b
+        logits -= logits.max(axis=1, keepdims=True)
+        exp = np.exp(logits)
+        return exp / exp.sum(axis=1, keepdims=True)

@@ -20,12 +20,25 @@ Assignments: ``load_assignment_reference`` reads the CSV one line at a time
 with ``int()``, the way ``seqnet.cluster.load_assignment`` did before it read
 the body through ``seqnet.tables.read_rows``; tests require the same labels,
 or a ``ParseError`` on the same line.
+
+Gaussian mixture: ``gaussian_mixture_reference`` is the EM loop that ran its
+E-step once more after the loop, where ``seqnet.cluster.gaussian_mixture``
+lets the loop's last pass take only the responsibilities; tests require the
+same labels, ``log_likelihood``, ``history`` and responsibilities, bit for
+bit.
 """
 
 import numpy as np
 from scipy import sparse
 
-from seqnet.cluster import ClusterAssignment
+from seqnet.cluster import (
+    ClusterAssignment,
+    _densify_labels,
+    _kmeans_pp_init,
+    _log_gaussian_diag,
+    check_gmm_params,
+    pca_project,
+)
 from seqnet.distances import _dense, _rows, sq_distances
 from seqnet.errors import ConfigError, ParseError, parse_numbers
 from seqnet.featurize import FeatureMatrix
@@ -271,3 +284,48 @@ def load_assignment_reference(path):
                 raise ParseError(f"bad assignment row {line!r} in {path}", line=lineno)
             labels.append(parts[1])
     return np.asarray(labels, dtype=np.int64)
+
+
+def gaussian_mixture_reference(x, k, seed=0, max_iter=100, var_floor=1e-6, tol=1e-8,
+                               pca_dim=None):
+    check_gmm_params(var_floor, pca_dim)
+    x = _rows(x)
+    if pca_dim is not None:
+        x = pca_project(x, pca_dim)
+    n, d = x.shape
+    x = _dense(x)
+
+    rng = np.random.default_rng(seed)
+    means = _kmeans_pp_init(x, k, rng)
+    variances = np.tile(np.maximum(x.var(axis=0), var_floor), (k, 1))
+    weights = np.full(k, 1.0 / k)
+
+    history = []
+    resp = None
+    for _ in range(max_iter):
+        joint = _log_gaussian_diag(x, means, variances, weights)
+        norm = np.logaddexp.reduce(joint, axis=1)
+        history.append(float(norm.sum()))
+        resp = np.exp(joint - norm[:, None])
+
+        nk = np.maximum(resp.sum(axis=0), 1e-12)
+        weights = nk / n
+        means = (resp.T @ x) / nk[:, None]
+        for c in range(k):
+            diff2 = (x - means[c]) ** 2
+            variances[c] = np.maximum((resp[:, c] @ diff2) / nk[c], var_floor)
+        if len(history) > 1 and history[-1] - history[-2] < tol:
+            break
+
+    joint = _log_gaussian_diag(x, means, variances, weights)
+    norm = np.logaddexp.reduce(joint, axis=1)
+    history.append(float(norm.sum()))
+    resp = np.exp(joint - norm[:, None])
+    labels, k_found = _densify_labels(resp.argmax(axis=1))
+    return ClusterAssignment(
+        labels,
+        k_found,
+        log_likelihood=history[-1],
+        history=tuple(history),
+        responsibilities=resp,
+    )

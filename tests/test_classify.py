@@ -11,6 +11,7 @@ import pytest
 from classify_reference import (
     GaussianNBReference,
     LinearSVMReference,
+    LogisticRegressionReference,
     _Leaf,
     _Split,
     _grow_tree,
@@ -19,6 +20,7 @@ from classify_reference import (
     grow_tree_reference,
     hinge_loss_and_grad,
     pegasos_reference,
+    softmax_loss_and_grad_reference,
 )
 from conftest import finite_difference, relative_error
 from hypothesis import example, given, settings, strategies as st
@@ -209,6 +211,32 @@ def test_gaussian_nb_matches_per_class_members(dim, n_classes, seed, smoothing, 
     for attr in ("_means", "_vars", "_priors"):
         assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
     assert np.array_equal(got.predict_scores(x), want.predict_scores(x))
+
+
+@given(st.integers(1, 4), st.integers(2, 4), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-3, 1.0, 1e3]), st.sampled_from([0.0, 1e-2]))
+@settings(max_examples=60, deadline=None)
+def test_softmax_matches_written_out_reference(dim, n_classes, seed, scale, l2):
+    """Logistic regression's fitted weights, its loss and gradient, and the
+    scores of it and Gaussian NB keep the bits of their own written-out
+    max-subtract, exp and normalise; large scales push exp to 0 for a class."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(n_classes, 40))
+    y = np.concatenate([np.arange(n_classes), rng.integers(0, n_classes, n - n_classes)])
+    x = rng.normal(size=(n, dim)) * scale + rng.normal(size=dim) * scale
+    queries = rng.normal(size=(7, dim)) * scale
+    got = LogisticRegression(l2=l2, lr=0.5, epochs=15).fit(x, y)
+    want = LogisticRegressionReference(l2=l2, lr=0.5, epochs=15).fit(x, y)
+    assert np.array_equal(got._w, want._w) and np.array_equal(got._b, want._b)
+    for rows in (x, queries):
+        assert np.array_equal(got.predict_scores(rows), want.predict_scores(rows))
+    encoded = np.unique(y, return_inverse=True)[1]
+    loss, grad_w, grad_b = softmax_loss_and_grad(got._w, got._b, x, encoded, l2)
+    ref_loss, ref_w, ref_b = softmax_loss_and_grad_reference(want._w, want._b, x, encoded, l2)
+    assert loss == ref_loss and np.array_equal(grad_w, ref_w) and np.array_equal(grad_b, ref_b)
+    got, want = GaussianNB().fit(x, y), GaussianNBReference().fit(x, y)
+    for rows in (x, queries):
+        assert np.array_equal(got.predict_scores(rows), want.predict_scores(rows))
 
 
 class TestLinearSVM:
@@ -770,6 +798,21 @@ class TestRunExperiment:
         with mock.patch.object(classify.GaussianNB, "fit") as fit:
             with pytest.raises(ConfigError, match=message):
                 run_experiment(embeddings, labels, seeds=[0, 1], classifiers=classifiers)
+        fit.assert_not_called()
+
+    @pytest.mark.parametrize("unlabeled", [[5], [3, 30, 31, 50], list(range(0, 60, 2))])
+    def test_rows_without_a_label_refused_before_the_split_and_any_fit(self, unlabeled):
+        """Few unlabeled rows once formed a class None, many made np.unique
+        compare None with str; either way the run now stops first."""
+        embeddings, labels = self._embeddings_and_labels(np.random.default_rng(23))
+        labels = [None if i in unlabeled else label for i, label in enumerate(labels.tolist())]
+        with mock.patch.object(classify, "split_indices") as split, \
+                mock.patch.object(classify.GaussianNB, "fit") as fit:
+            with pytest.raises(ConfigError, match=f"^{len(unlabeled)} of 60 rows have no label; "
+                                                  f"the first is row {unlabeled[0]}$"):
+                run_experiment(embeddings, labels, seeds=[0], classifiers=("gaussian_nb",),
+                               num_folds=2)
+        split.assert_not_called()
         fit.assert_not_called()
 
     @pytest.mark.parametrize("name", ["knn", "gaussian_nb", "decision_tree", "random_forest"])

@@ -488,6 +488,25 @@ class TestPipelineCommands:
         assert "no class keeps num_folds=2 training rows" in capsys.readouterr().err
         assert not (tmp_path / "result_mean.csv").exists()
 
+    @pytest.mark.parametrize("blank", [(7,), (0, 5, 9, 13), tuple(range(0, 24, 2))])
+    def test_classify_rows_without_a_label_exit_4(self, tmp_path, capsys, blank):
+        # one blank label made a class None (exit 5 at 2 folds); num_folds or
+        # more made np.unique compare None with str (exit 1)
+        emb = tmp_path / "emb.csv"
+        vectors = np.random.default_rng(1).normal(size=(24, 2))
+        save_embedding(EmbeddingMatrix(vectors, "hope", 2), emb)
+        labels = tmp_path / "labels.csv"
+        labels.write_text("id,label\n" + "".join(
+            f"s{i},{'' if i in blank else 'ab'[i % 2]}\n" for i in range(24)))
+        assert run(
+            "classify", "--embedding", emb, "--labels", labels,
+            "--output-prefix", tmp_path / "result", "--classifiers", "knn",
+            "--seeds", "0", "--num-folds", 2,
+        ) == 4
+        err = capsys.readouterr().err
+        assert f"{len(blank)} of 24 rows have no label; the first is row {blank[0]}" in err
+        assert not (tmp_path / "result_mean.csv").exists()
+
     def test_embed_factorization_divergence_exit_5(self, pipeline_dir, capsys):
         out = pipeline_dir / "gf.csv"
         assert run(
@@ -511,14 +530,30 @@ class TestPipelineCommands:
 
     def test_embed_walk_setting_checked_before_the_graph_is_read(self, pipeline_dir, monkeypatch,
                                                                 capsys):
-        """A bad walk setting exits 4 before the graph is read, so a missing
-        graph with a bad walk setting exits 4 too, not 3."""
+        """A bad walk setting, a bad d of any method, and a bad HOPE or graph
+        factorization setting exit 4 before the graph is read, so a missing
+        graph with a bad setting exits 4 too, not 3."""
         monkeypatch.setattr(cli, "load_graph", mock.Mock(side_effect=AssertionError("read")))
         out = pipeline_dir / "e.csv"
-        for graph in (pipeline_dir / "graph.tsv", pipeline_dir / "missing.tsv"):
-            assert run("embed", "--input", graph, "--output", out, "--method", "node2vec",
-                       "--window", 0) == 4
-            assert "window must be >= 1" in capsys.readouterr().err
+        cases = [
+            (("node2vec", "--window", 0), "window must be >= 1"),
+            (("graph_factorization", "--dim", 2, "--gf-epochs", 0), "epochs must be >= 1"),
+            (("graph_factorization", "--dim", 2, "--gf-lr", "nan"), "lr must be a finite"),
+            (("graph_factorization", "--dim", 2, "--lam", -1), "lam must be a finite"),
+            (("graph_factorization", "--dim", 0), "d must be >= 1"),
+            (("hope", "--dim", 0), "d must be >= 1"),
+            (("hope", "--dim", 3), "d must be even"),
+            (("hope", "--dim", 2, "--beta", "nan"), "beta must be a finite"),
+            (("hope", "--dim", 2, "--beta", 0), "beta must be a finite"),
+            (("lle", "--dim", 0), "d must be >= 1"),
+            (("laplacian_eigenmaps", "--dim", -1), "d must be >= 1"),
+            (("deepwalk", "--dim", 0), "d must be >= 1"),
+        ]
+        for (method, *options), message in cases:
+            for graph in (pipeline_dir / "graph.tsv", pipeline_dir / "missing.tsv"):
+                assert run("embed", "--input", graph, "--output", out, "--method", method,
+                           *options) == 4, (method, options)
+                assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_report_merges_matching_schemas(self, pipeline_dir):

@@ -7,6 +7,7 @@ import pytest
 from cluster_reference import (
     agglomerative_reference,
     densify_labels_reference,
+    gaussian_mixture_reference,
     kmeans_reference,
     load_assignment_reference,
 )
@@ -562,6 +563,30 @@ class TestGaussianMixture:
         x = rng.normal(size=(40, 30))
         out = gaussian_mixture(x, 2, seed=0, pca_dim=5)
         assert len(out.labels) == 40
+
+
+    # (options, passes): max_iter caps the updates, a tol of 1e300 stops
+    # after the second pass's update, tol 0 runs until the likelihood falls
+    @pytest.mark.parametrize("options, passes", [
+        ({"max_iter": 1}, 2), ({"max_iter": 2}, 3), ({"tol": 1e300}, 3),
+        ({"tol": 0.0, "max_iter": 40}, None), ({}, None), ({"pca_dim": 3}, None),
+    ])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_reference_with_its_own_final_e_step(self, options, passes, seed):
+        """Labels, history, log-likelihood and responsibilities keep the bits
+        of the EM loop that ran one more E-step after the loop; dense rows
+        and CSR counts."""
+        rng = np.random.default_rng(seed)
+        dense = np.vstack([rng.normal(0, 1, (25, 6)), rng.normal(2, 1, (25, 6))])
+        counts = sparse.csr_matrix(rng.poisson(1.0, size=(40, 8)).astype(np.float64))
+        for x in (dense, counts):
+            got = gaussian_mixture(x, 3, seed=seed, **options)
+            want = gaussian_mixture_reference(x, 3, seed=seed, **options)
+            assert np.array_equal(got.labels, want.labels) and got.k_found == want.k_found
+            assert got.history == want.history
+            assert got.log_likelihood == want.log_likelihood == got.history[-1]
+            assert np.array_equal(got.responsibilities, want.responsibilities)
+            assert passes is None or len(got.history) == passes
 
 
 class TestSpectral:
